@@ -103,7 +103,7 @@ def gradient(st: ProblemState, u: GridFunction) -> GridFunction:
     h = st.grid.h
     du = st.ops.left_deriv @ v
     flux = phi(du, p, st.eps_reg)
-    g = (st.ops.left_deriv.T @ (st.ops.deriv_quad_weights * flux)) / h
+    g = (st.ops.right_deriv @ (st.ops.deriv_quad_weights * flux)) / h
     g -= st.spec.f_values(st.grid.nodes, v)
     g[0] = 0.0
     g[-1] = 0.0
@@ -113,13 +113,22 @@ def gradient(st: ProblemState, u: GridFunction) -> GridFunction:
 def basis_alpha_norms(st: ProblemState) -> np.ndarray:
     """alpha-norms of the interior nodal basis vectors e_1 .. e_{n-1}.
 
-    Column j of the derivative matrix is D e_j, so the norms come out of
-    one weighted reduction instead of n-1 operator applications.
+    D e_j is the weight column shifted down to rows j..n, and the
+    quadrature weights are h on rows 1..n-1, so with a_k = |w_k|^p
+
+        ||e_j||^p = h (a_0 + ... + a_{n-1-j}) + wd_n a_{n-j},
+
+    one cumulative sum for all j.
     """
-    D = st.ops.left_deriv
-    wd = st.ops.deriv_quad_weights
+    n = st.grid.n
     p = st.params.p
-    return np.sum(wd[:, None] * np.abs(D[:, 1:-1]) ** p, axis=0) ** (1.0 / p)
+    a = np.abs(st.ops.left_deriv.col) ** p
+    head = st.grid.h * np.cumsum(a[: n - 1])
+    return (head[::-1] + st.ops.deriv_quad_weights[n] * a[n - 1 : 0 : -1]) ** (1.0 / p)
+
+
+def _residual_from_gradient(st: ProblemState, g: np.ndarray, norms: np.ndarray) -> float:
+    return float(np.max(st.grid.h * np.abs(g[1:-1]) / norms))
 
 
 def weak_residual(st: ProblemState, u: GridFunction, _norms: Optional[np.ndarray] = None) -> float:
@@ -129,9 +138,8 @@ def weak_residual(st: ProblemState, u: GridFunction, _norms: Optional[np.ndarray
     interior, so a vanishing value certifies criticality on the whole
     discrete test space.
     """
-    g = gradient(st, u).values
     norms = basis_alpha_norms(st) if _norms is None else _norms
-    return float(np.max(st.grid.h * np.abs(g[1:-1]) / norms))
+    return _residual_from_gradient(st, gradient(st, u).values, norms)
 
 
 def monotonicity_gap(st: ProblemState, u: GridFunction, v: GridFunction) -> float:

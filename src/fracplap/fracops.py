@@ -13,6 +13,11 @@ the right endpoint and the exact adjoints of the left operators in the
 plain h-weighted pairing, so the discrete integration-by-parts identity
 for boundary-pinned functions holds to machine precision.
 
+No matrix is stored: a Toeplitz operator keeps its first column and the
+real FFT of that column, and applies itself as a zero-padded convolution
+in O(n log n).  The transpose shares both arrays and applies by reversing
+its input and output.
+
 Because the weight sequences are exactly the coefficients of (1-z)^a and
 (1-z)^(-a), compositions inherit the symbol algebra: D^a I^a = Id and
 I^a I^b = I^(a+b) hold exactly as matrices, not just up to O(h).
@@ -20,11 +25,13 @@ I^a I^b = I^(a+b) hold exactly as matrices, not just up to O(h).
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 from .grid import FracParams, Grid, GridFunction, trapezoid_weights
@@ -33,6 +40,7 @@ __all__ = [
     "gamma",
     "gl_weights",
     "OpKind",
+    "Toeplitz",
     "OperatorSet",
     "build_operators",
     "apply",
@@ -40,7 +48,9 @@ __all__ = [
     "MAX_GRID_CELLS",
 ]
 
-# Dense triangular storage; beyond this the matrices stop being desk-scale.
+# The operators themselves are matrix-free, but the critical-point root
+# solves (mountain-pass polish, multiplicity search) build the dense
+# interior Hessian and factor it, which stops being desk-scale beyond this.
 MAX_GRID_CELLS = 8192
 
 # Lanczos approximation, g = 7, 9 coefficients (double precision).
@@ -91,6 +101,46 @@ def gl_weights(order: float, m: int) -> np.ndarray:
     return w
 
 
+class Toeplitz:
+    """Lower-triangular Toeplitz matrix given by its first column.
+
+    ``A @ x`` accepts a vector or a 2-D array (columns are transformed)
+    and evaluates the product as a convolution by a real FFT zero-padded
+    past 2m - 1, so nothing wraps around; the spectrum of the column is
+    computed once.  ``A.T`` is the upper-triangular transpose: it shares
+    the column and the spectrum, and applies by reversing its input and
+    output.  ``np.asarray(A)`` gives the dense matrix.
+    """
+
+    def __init__(self, col: np.ndarray):
+        m = len(col)
+        self.col = col
+        self.shape = (m, m)
+        self.upper = False
+        self._nfft = next_fast_len(2 * m - 1, real=True)
+        self._spectrum = np.fft.rfft(col, self._nfft)
+        self._spectrum.setflags(write=False)
+
+    @property
+    def T(self) -> "Toeplitz":
+        twin = copy.copy(self)
+        twin.upper = not self.upper
+        return twin
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        m = self.shape[0]
+        if self.upper:
+            x = x[::-1]
+        spec = self._spectrum if x.ndim == 1 else self._spectrum[:, None]
+        y = np.fft.irfft(spec * np.fft.rfft(x, self._nfft, axis=0), self._nfft, axis=0)[:m]
+        return y[::-1] if self.upper else y
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = toeplitz(self.col, np.zeros(self.shape[0]))
+        return (dense.T if self.upper else dense).astype(dtype, copy=False)
+
+
 class OpKind(enum.Enum):
     LEFT_INT = "LEFT_INT"
     RIGHT_INT = "RIGHT_INT"
@@ -102,7 +152,10 @@ class OpKind(enum.Enum):
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Precomputed dense triangular operators for one (alpha, grid) pair.
+    """Toeplitz operators for one (alpha, grid) pair.
+
+    The right-sided operators are the transposes of the left-sided ones
+    and share their storage.
 
     deriv_quad_weights is the quadrature vector used for integrals of
     the derivative image (the alpha-norm and the energy).  For alpha < 1
@@ -115,10 +168,10 @@ class OperatorSet:
 
     alpha: float
     grid: Grid
-    left_deriv: np.ndarray
-    right_deriv: np.ndarray
-    left_int: np.ndarray
-    right_int: np.ndarray
+    left_deriv: Toeplitz
+    right_deriv: Toeplitz
+    left_int: Toeplitz
+    right_int: Toeplitz
     deriv_quad_weights: np.ndarray
 
     def check_grid(self, u: GridFunction) -> np.ndarray:
@@ -133,16 +186,11 @@ def build_operators(params: FracParams, grid: Grid) -> OperatorSet:
     """Assemble the four fractional operators for (params.alpha, grid)."""
     n = grid.n
     if n > MAX_GRID_CELLS:
-        raise ValueError(f"n={n} exceeds the dense-operator cap {MAX_GRID_CELLS}")
+        raise ValueError(f"n={n} exceeds the grid cap {MAX_GRID_CELLS}")
     a = params.alpha
     h = grid.h
-    zeros = np.zeros(n + 1)
     wd = gl_weights(a, n) / h**a
     wi = gl_weights(-a, n) * h**a
-    left_deriv = toeplitz(wd, zeros)
-    left_int = toeplitz(wi, zeros)
-    right_deriv = left_deriv.T.copy()
-    right_int = left_int.T.copy()
 
     if a < 1.0:
         quad = trapezoid_weights(grid)
@@ -150,15 +198,17 @@ def build_operators(params: FracParams, grid: Grid) -> OperatorSet:
         # classical limit: samples are per-cell differences
         quad = np.full(n + 1, h)
         quad[0] = 0.0
-    for m in (left_deriv, right_deriv, left_int, right_int, quad):
+    for m in (wd, wi, quad):
         m.setflags(write=False)
+    left_deriv = Toeplitz(wd)
+    left_int = Toeplitz(wi)
     return OperatorSet(
         alpha=a,
         grid=grid,
         left_deriv=left_deriv,
-        right_deriv=right_deriv,
+        right_deriv=left_deriv.T,
         left_int=left_int,
-        right_int=right_int,
+        right_int=left_int.T,
         deriv_quad_weights=quad,
     )
 

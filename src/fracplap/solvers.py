@@ -5,24 +5,33 @@ All three solvers share one first-order engine: descent in the metric of
 the linear part H = D^T diag(wd) D / h (Armijo backtracking, c1 = 1e-4,
 shrink 0.5, initial step 1).  Descent in that fixed metric removes the
 grid-induced stiffness of the fractional operator, stays deterministic,
-and makes no secant assumptions, so it is robust across p.  Critical
-points that are not minima (the higher symmetric pairs, and the final
-polish of the mountain-pass maximizer) are located by a damped
-trust-region root solve on the same gradient field.
+and makes no secant assumptions, so it is robust across p.  The metric
+is solved in closed form from the Toeplitz structure (see _Workspace).
+Critical points that are not minima (the higher symmetric pairs, and the
+mountain-pass maximizer) are finished by a backtracking Newton polish on
+the dense Hessian; the deflated search for the higher pairs starts with a
+trust-region root solve of the deflated field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.optimize import root
 
-from .energy import ProblemState, basis_alpha_norms, energy, gradient, phi
-from .fracops import alpha_norm, gl_weights
+from .energy import (
+    ProblemState,
+    _residual_from_gradient,
+    basis_alpha_norms,
+    energy,
+    gradient,
+    phi,
+)
+from .fracops import Toeplitz, alpha_norm, gl_weights
 from .grid import GridFunction, sup_norm
 from .nonlinearity import Family
 
@@ -42,6 +51,8 @@ ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
 TRIVIAL_SUP = 1e-10
 DEFAULT_SEPARATION_SCALE = 1e-3
+POLISH_MAX_STEPS = 20
+POLISH_MAX_HALVINGS = 30
 
 
 class GeometryError(RuntimeError):
@@ -95,26 +106,54 @@ class RegularityResult:
 
 
 class _Workspace:
-    """Per-state cache: metric factorization, basis norms, Hessian builder."""
+    """Per-state cache: closed-form metric solve, basis norms, Hessian builder.
+
+    Row 0 of D vanishes on the interior columns and rows 1..n-1 carry the
+    quadrature weight h, so the interior block of the metric is
+
+        H_int = L^T L + c r r^T,
+
+    with L the interior block of D, r row n of D on the interior columns
+    and c = wd_n / h (1/2 for alpha < 1, 1 at alpha = 1).  Because
+    D^a I^a = Id holds as matrices, L^{-1} is the interior block of the
+    left integral, so a metric solve is two Toeplitz products and one
+    Sherman-Morrison correction along z = (L^T L)^{-1} r.
+    """
 
     def __init__(self, st: ProblemState):
         self.st = st
         n = st.grid.n
-        D = st.ops.left_deriv
-        wd = st.ops.deriv_quad_weights
-        H = (D.T * wd) @ D / st.grid.h
-        self.H_int = H[1:n, 1:n]
-        self.metric = cho_factor(self.H_int + 1e-14 * np.eye(n - 1))
+        self._c = st.ops.deriv_quad_weights[n] / st.grid.h
+        self._r = np.zeros(n + 1)
+        self._r[1:n] = st.ops.left_deriv.col[n - 1 : 0 : -1]
+        self._z = self._gram_solve(self._r)
+        self._sm_denom = 1.0 + self._c * np.sum(self._r * self._z)
         self.basis_norms = basis_alpha_norms(st)
 
+    @cached_property
+    def dense_deriv(self) -> np.ndarray:
+        """Dense D, needed only by the Hessian of the root solves."""
+        return np.asarray(self.st.ops.left_deriv)
+
+    def _gram_solve(self, g: np.ndarray) -> np.ndarray:
+        """(L^T L)^{-1} g on the interior of a boundary-pinned g."""
+        y = self.st.ops.right_int @ g
+        y[0] = y[-1] = 0.0
+        y = self.st.ops.left_int @ y
+        y[0] = y[-1] = 0.0
+        return y
+
+    def residual_of(self, g: np.ndarray) -> float:
+        """Weak residual of the point whose gradient is g."""
+        return _residual_from_gradient(self.st, g, self.basis_norms)
+
     def residual(self, u: GridFunction) -> float:
-        g = gradient(self.st, u).values
-        return float(np.max(self.st.grid.h * np.abs(g[1:-1]) / self.basis_norms))
+        return self.residual_of(gradient(self.st, u).values)
 
     def descent_direction(self, g: np.ndarray) -> np.ndarray:
-        d = np.zeros_like(g)
-        d[1:-1] = -cho_solve(self.metric, g[1:-1])
-        return d
+        x = self._gram_solve(g)
+        x -= (self._c * np.sum(self._r * x) / self._sm_denom) * self._z
+        return -x
 
     def grad_interior(self, ui: np.ndarray) -> np.ndarray:
         u = np.zeros(self.st.grid.n + 1)
@@ -134,7 +173,7 @@ class _Workspace:
         else:
             s2 = du * du + eps * eps
             dphi = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * du * du + eps * eps)
-        D = st.ops.left_deriv
+        D = self.dense_deriv
         wd = st.ops.deriv_quad_weights
         H = (D.T * (wd * dphi)) @ D / st.grid.h
         fu = st.spec.fu_values(st.grid.nodes, u)
@@ -212,9 +251,8 @@ def minimize_direct(
     res = math.inf
     steps = 0
     while True:
-        uf = GridFunction(u, dirichlet=True)
-        g = gradient(st, uf).values
-        res = float(np.max(st.grid.h * np.abs(g[1:-1]) / ws.basis_norms))
+        g = gradient(st, GridFunction(u, dirichlet=True)).values
+        res = ws.residual_of(g)
         if res <= tol or steps >= max_iter:
             break
         d = ws.descent_direction(g)
@@ -305,10 +343,41 @@ def _rim_value(
 
 
 def _polish_root(ws: _Workspace, u0: np.ndarray) -> tuple[np.ndarray, int]:
-    sol = root(ws.grad_interior, u0[1:-1], jac=ws.hessian_interior, method="hybr", tol=1e-14)
+    """Newton polish of a critical point near u0, on the interior nodes.
+
+    Each step solves the dense Hessian system and halves the step until
+    max|g| decreases.  The polish ends when no step length decreases it
+    (the roundoff floor), after POLISH_MAX_STEPS steps, or when the Newton
+    system is singular or not finite; it returns the best iterate and the
+    number of gradient evaluations.
+    """
+    x = u0[1:-1].copy()
+    g = ws.grad_interior(x)
+    best = float(np.max(np.abs(g)))
+    nfev = 1
+    for _ in range(POLISH_MAX_STEPS):
+        H = ws.hessian_interior(x)
+        if not np.all(np.isfinite(H)):
+            break
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            break
+        s = 1.0
+        for _ in range(POLISH_MAX_HALVINGS):
+            xn = x - s * step
+            gn = ws.grad_interior(xn)
+            nfev += 1
+            rn = float(np.max(np.abs(gn)))
+            if rn < best:
+                break
+            s *= 0.5
+        else:
+            break
+        x, g, best = xn, gn, rn
     u = np.zeros_like(u0)
-    u[1:-1] = sol.x
-    return u, int(sol.nfev)
+    u[1:-1] = x
+    return u, nfev
 
 
 def mountain_pass(
@@ -325,7 +394,7 @@ def mountain_pass(
     negative.  Each sweep applies one Armijo descent step to the path's
     maximal-energy state (endpoints fixed) and re-equidistributes the
     chain; once the maximizer's residual is small its critical point is
-    polished by a trust-region root solve on the gradient.  The returned
+    polished by Newton steps on the gradient.  The returned
     value satisfies energy(e) < 0 < beta <= energy_value.
     """
     _superlinear_gate(st, "mountain_pass")
@@ -356,9 +425,8 @@ def mountain_pass(
         energies = [energy(st, GridFunction(z, dirichlet=True)) for z in path]
         kmax = 1 + int(np.argmax(energies[1:-1]))
         z = path[kmax]
-        zf = GridFunction(z, dirichlet=True)
-        g = gradient(st, zf).values
-        res = float(np.max(st.grid.h * np.abs(g[1:-1]) / ws.basis_norms))
+        g = gradient(st, GridFunction(z, dirichlet=True)).values
+        res = ws.residual_of(g)
         if res <= polish_gate:
             break
         d = ws.descent_direction(g)
@@ -391,19 +459,6 @@ def mountain_pass(
         rim_value=beta,
         endpoint_energy=endpoint_energy,
     )
-
-
-def _deflation_factor(
-    st: ProblemState, u: np.ndarray, known: list[np.ndarray], p: float
-) -> float:
-    m = 1.0
-    for uk in known:
-        for sgn in (1.0, -1.0):
-            d = alpha_norm(
-                st.ops, GridFunction(u - sgn * uk, dirichlet=True), p
-            )
-            m *= 1.0 + 1.0 / d**p
-    return m
 
 
 def _deflated_system(ws: _Workspace, known: list[np.ndarray]):
@@ -512,7 +567,7 @@ def multiplicity_search(
             ok = rep.converged
         else:
             # stage 1: deflated solve escapes the basins of the found pairs;
-            # stage 2: undeflated polish, since the deflation term's
+            # stage 2: undeflated Newton polish, since the deflation term's
             # curvature can stall the trust region short of full tolerance
             fun, jac = _deflated_system(ws, found)
             sol = root(fun, u0[1:-1], jac=jac, method="hybr", tol=1e-14)
@@ -591,8 +646,7 @@ def regularity_check(st: ProblemState, u: GridFunction) -> RegularityResult:
     n = st.grid.n
     h = st.grid.h
     order = 1.0 - a
-    gi = gl_weights(-order, n) * h**order
-    left_tf = toeplitz(gi, np.zeros(n + 1))
+    left_tf = Toeplitz(gl_weights(-order, n) * h**order)
     flux = phi(st.ops.left_deriv @ v, p)
     f = st.spec.f_values(st.grid.nodes, v)
     cumf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * h)])

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .energy import ProblemState, energy, gradient, monotonicity_gap
 from .fracops import (
     OpKind,
     OperatorSet,
+    Toeplitz,
     alpha_norm,
     apply,
     build_operators,
@@ -122,8 +122,7 @@ def _semigroup_error(params, grid, samples, rng) -> float:
     ops = build_operators(params, grid)
     a = params.alpha
     # the composed order 2a may exceed 1, so build its weights directly
-    wi = gl_weights(-2.0 * a, grid.n) * grid.h ** (2.0 * a)
-    I2 = toeplitz(wi, np.zeros(grid.n + 1))
+    I2 = Toeplitz(gl_weights(-2.0 * a, grid.n) * grid.h ** (2.0 * a))
     worst = 0.0
     for u in _ensemble(grid, rng, samples, dirichlet=False):
         iu = apply(ops, OpKind.LEFT_INT, u)

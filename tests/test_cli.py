@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracplap
 from fracplap.cli import ConfigError, load_config, main
 
 
@@ -77,6 +82,32 @@ def test_solve_deterministic_bytes(tmp_path):
     main(["solve", "--config", str(path)])
     assert (tmp_path / "sol.csv").read_bytes() == sol1
     assert (tmp_path / "rep.json").read_bytes() == rep1
+
+
+def test_solve_bytes_independent_of_blas_threads(tmp_path):
+    # same config and output names, solved in fresh interpreters with one
+    # and with two BLAS threads
+    src = str(Path(fracplap.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        cfg = {
+            "problem": {"alpha": 0.6, "p": 3.0, "T": 1.0, "n": 1024},
+            "nonlinearity": {"family": "SUBLINEAR_POWER", "q": 2.0},
+            "solver": {"method": "direct", "tol": 1e-8},
+            "output": {"solution_path": "sol.csv", "report_path": "rep.json"},
+        }
+        (run_dir / "cfg.json").write_text(json.dumps(cfg))
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracplap.cli", "solve", "--config", "cfg.json"],
+            cwd=run_dir, env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(run_dir / name).read_bytes() for name in ("sol.csv", "rep.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_config_error_exit(tmp_path, capsys):

@@ -200,3 +200,15 @@ def test_mountain_pass_geometry_surrogate():
     w = GridFunction(np.sin(np.pi * st.grid.nodes), dirichlet=True)
     es = [energy(st, GridFunction(s * w.values, dirichlet=True)) for s in (1.0, 4.0, 16.0)]
     assert es[-1] < es[0] and es[-1] < -1.0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("alpha", [0.4, 1.0])
+def test_basis_norms_match_dense_columns(alpha, p):
+    from fracplap.energy import basis_alpha_norms
+
+    st = make_state(alpha, p, 64, sublinear_power(1.2))
+    D = np.asarray(st.ops.left_deriv)
+    wd = st.ops.deriv_quad_weights
+    dense = np.sum(wd[:, None] * np.abs(D[:, 1:-1]) ** p, axis=0) ** (1.0 / p)
+    assert np.max(np.abs(basis_alpha_norms(st) - dense) / dense) <= 1e-13

@@ -303,3 +303,38 @@ def test_caputo_right_relation():
     corr = v[-1] * (grid.nodes[-1] - grid.nodes[:-1]) ** (-alpha) / gamma(1.0 - alpha)
     assert np.max(np.abs(cap[:-1] + corr - rl[:-1])) <= 1e-12 * np.max(np.abs(rl))
     assert cap[-1] == rl[-1]  # singular endpoint keeps the raw value
+
+
+# -------------------------------------------------------------- Toeplitz ---
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 1025])
+def test_toeplitz_products_match_dense(m):
+    from scipy.linalg import toeplitz
+
+    from fracplap.fracops import Toeplitz
+
+    rng = np.random.default_rng(m)
+    col = rng.standard_normal(m)
+    lower = toeplitz(col, np.zeros(m))
+    A = Toeplitz(col)
+    assert A.shape == (m, m) and A.T.shape == (m, m)
+    x = rng.standard_normal(m)
+    X = rng.standard_normal((m, 3))
+    for op, dense in ((A, lower), (A.T, lower.T)):
+        scale = np.max(np.abs(dense @ X)) + 1.0
+        assert np.max(np.abs(op @ x - dense @ x)) <= 1e-13 * scale
+        assert np.max(np.abs(op @ X - dense @ X)) <= 1e-13 * scale
+        assert np.array_equal(np.asarray(op), dense)
+
+
+def test_interior_blocks_are_inverse():
+    # L^{-1} is the interior block of the left integral, to roundoff
+    from fracplap.fracops import Toeplitz
+
+    for alpha in (0.3, 0.6, 1.0):
+        grid, ops = _ops(alpha, 256)
+        n = grid.n
+        L = Toeplitz(ops.left_deriv.col[: n - 1])
+        Li = Toeplitz(ops.left_int.col[: n - 1])
+        assert np.max(np.abs(L @ np.asarray(Li) - np.eye(n - 1))) <= 1e-13

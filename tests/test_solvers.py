@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fracplap import solvers
+
 from fracplap import (
     CoefficientFn,
     FracParams,
@@ -256,3 +258,36 @@ def test_regularity_linear_source_analogue():
     assert rep.residual <= 1e-12
     res = regularity_check(st, rep.solution)
     assert res.deviation <= 1e-3 * abs(res.constant_estimate)
+
+
+# ------------------------------------------------------------- internals ---
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_closed_form_metric_solve_matches_dense(alpha):
+    st = make_state(alpha, 2.0, 64, sublinear_power(1.5))
+    n = st.grid.n
+    D = np.asarray(st.ops.left_deriv)
+    wd = st.ops.deriv_quad_weights
+    H_int = ((D.T * wd) @ D / st.grid.h)[1:n, 1:n]
+    ws = solvers._Workspace(st)
+    g = np.zeros(n + 1)
+    g[1:n] = np.random.default_rng(1).standard_normal(n - 1)
+    d = ws.descent_direction(g)
+    ref = np.linalg.solve(H_int, g[1:n])
+    assert d[0] == 0.0 and d[-1] == 0.0
+    assert np.max(np.abs(-d[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_polish_survives_singular_newton_system(bad, monkeypatch):
+    st = make_state(0.7, 2.0, 32, superlinear_power(4.0))
+    ws = solvers._Workspace(st)
+    monkeypatch.setattr(
+        ws, "hessian_interior", lambda ui: np.full((len(ui), len(ui)), bad)
+    )
+    u0 = np.sin(np.pi * st.grid.nodes)
+    u0[-1] = 0.0
+    u, nfev = solvers._polish_root(ws, u0)
+    assert np.array_equal(u, u0)
+    assert nfev == 1
