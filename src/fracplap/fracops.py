@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import copy
 import enum
-import math
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -52,40 +52,6 @@ __all__ = [
 # solves (mountain-pass polish, multiplicity search) build the dense
 # interior Hessian and factor it, which stops being desk-scale beyond this.
 MAX_GRID_CELLS = 8192
-
-# Lanczos approximation, g = 7, 9 coefficients (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function via the Lanczos approximation (g = 7).
-
-    Relative error is below 1e-12 on the range used here and the
-    recurrence gamma(x+1) = x*gamma(x) holds to the same accuracy.
-    Non-positive integers are poles and raise ValueError.
-    """
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at non-positive integer {x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    s = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        s += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
 
 
 def gl_weights(order: float, m: int) -> np.ndarray:

@@ -8,9 +8,10 @@ grid-induced stiffness of the fractional operator, stays deterministic,
 and makes no secant assumptions, so it is robust across p.  The metric
 is solved in closed form from the Toeplitz structure (see _Workspace).
 Critical points that are not minima (the higher symmetric pairs, and the
-mountain-pass maximizer) are finished by a backtracking Newton polish on
-the dense Hessian; the deflated search for the higher pairs starts with a
-trust-region root solve of the deflated field.
+mountain-pass maximizer) are finished by one backtracking Newton engine
+on the dense Hessian (_polish_root); the search for the higher pairs
+first runs it on the deflated field, whose Newton step is the plain one
+times a scalar.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import root
 
 from .energy import (
     ProblemState,
@@ -159,6 +159,31 @@ class _Workspace:
         u = np.zeros(self.st.grid.n + 1)
         u[1:-1] = ui
         return gradient(self.st, GridFunction(u, dirichlet=True)).values[1:-1]
+
+    def log_deflation(self, ui: np.ndarray, known) -> tuple[float, np.ndarray]:
+        """log M and its gradient on the interior nodes, where M is the
+        product of (1 + ||u -+ u_k||^-p) over the known pairs u_k.
+
+        With v = u -+ u_k and N = ||v||^p, each factor contributes
+        log1p(N) - log(N) to log M and -p D^T(wd phi(D v)) / (N (N + 1))
+        to its gradient; neither forms ||v||^-p, which overflows near a
+        known pair.
+        """
+        st = self.st
+        p = st.params.p
+        wd = st.ops.deriv_quad_weights
+        u = np.zeros(st.grid.n + 1)
+        u[1:-1] = ui
+        log_m = 0.0
+        grad = np.zeros_like(ui)
+        for uk in known:
+            for v in (u - uk, u + uk):
+                dv = st.ops.left_deriv @ v
+                N = np.sum(wd * np.abs(dv) ** p)
+                log_m += np.log1p(N) - np.log(N)
+                flux = st.ops.right_deriv @ (wd * phi(dv, p))
+                grad -= (p / (N * (N + 1.0))) * flux[1:-1]
+        return log_m, grad
 
     def hessian_interior(self, ui: np.ndarray) -> np.ndarray:
         st = self.st
@@ -342,7 +367,14 @@ def _rim_value(
     raise GeometryError("no positive rim found: energy is not positive near 0")
 
 
-def _polish_root(ws: _Workspace, u0: np.ndarray) -> tuple[np.ndarray, int]:
+def _merit_below(r: float, log_m: float, best: float, best_log_m: float) -> bool:
+    """Whether r e^log_m < best e^best_log_m, without overflow; equal
+    factors (always, without deflation) compare r < best exactly."""
+    d = log_m - best_log_m
+    return r * math.exp(d) < best if d <= 0.0 else r < best * math.exp(-d)
+
+
+def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, int]:
     """Newton polish of a critical point near u0, on the interior nodes.
 
     Each step solves the dense Hessian system and halves the step until
@@ -350,9 +382,17 @@ def _polish_root(ws: _Workspace, u0: np.ndarray) -> tuple[np.ndarray, int]:
     (the roundoff floor), after POLISH_MAX_STEPS steps, or when the Newton
     system is singular or not finite; it returns the best iterate and the
     number of gradient evaluations.
+
+    With known pairs the field is deflated to M g, M the product of
+    (1 + ||u -+ u_k||^-p), so the known pairs stop being roots (Farrell,
+    Birkisson & Funke, SIAM J. Sci. Comput. 2015).  By Sherman-Morrison
+    on its Jacobian M H + g grad(M)^T, the deflated Newton step is the
+    plain one scaled by 1 / (1 + grad(log M) . step), and the halving
+    runs on max|M g|.
     """
     x = u0[1:-1].copy()
     g = ws.grad_interior(x)
+    log_m, dlog_m = ws.log_deflation(x, known)
     best = float(np.max(np.abs(g)))
     nfev = 1
     for _ in range(POLISH_MAX_STEPS):
@@ -363,18 +403,24 @@ def _polish_root(ws: _Workspace, u0: np.ndarray) -> tuple[np.ndarray, int]:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             break
+        if known:
+            denom = 1.0 + float(dlog_m @ step)
+            if denom == 0.0 or not math.isfinite(denom):
+                break
+            step = step / denom
         s = 1.0
         for _ in range(POLISH_MAX_HALVINGS):
             xn = x - s * step
             gn = ws.grad_interior(xn)
+            log_mn, dlog_mn = ws.log_deflation(xn, known)
             nfev += 1
             rn = float(np.max(np.abs(gn)))
-            if rn < best:
+            if _merit_below(rn, log_mn, best, log_m):
                 break
             s *= 0.5
         else:
             break
-        x, g, best = xn, gn, rn
+        x, g, best, log_m, dlog_m = xn, gn, rn, log_mn, dlog_mn
     u = np.zeros_like(u0)
     u[1:-1] = x
     return u, nfev
@@ -461,58 +507,6 @@ def mountain_pass(
     )
 
 
-def _deflated_system(ws: _Workspace, known: list[np.ndarray]):
-    """Residual and Jacobian of M(u) * grad(u) on the interior nodes.
-
-    M is the product of (1 + ||u -+ u_k||^-p) penalties over the found
-    pairs, so every known critical point (and its negative) stops being a
-    root of the deflated field while new ones keep their residuals.
-    """
-    st = ws.st
-    p = st.params.p
-    n = st.grid.n
-    D = st.ops.left_deriv
-    wd = st.ops.deriv_quad_weights
-    h = st.grid.h
-
-    def embed(ui):
-        u = np.zeros(n + 1)
-        u[1:-1] = ui
-        return u
-
-    def factor_and_grad(u):
-        m = 1.0
-        gm = np.zeros(n - 1)
-        for uk in known:
-            for sgn in (1.0, -1.0):
-                diff = u - sgn * uk
-                dphi = phi(D @ diff, p)
-                dn = float(np.sum(wd * np.abs(D @ diff) ** p) ** (1.0 / p))
-                fac = 1.0 + dn ** (-p)
-                m *= fac
-                # d/du of ||diff||^-p contributes -p dn^(-p-1) * d dn/du
-                ddn = (D.T @ (wd * dphi))[1:-1] * dn ** (1.0 - p)
-                gm += (-p * dn ** (-p - 1.0) / fac) * ddn
-        return m, m * gm
-
-    def fun(ui):
-        u = embed(ui)
-        g = ws.grad_interior(ui)
-        m, _ = factor_and_grad(u) if known else (1.0, None)
-        return m * g
-
-    def jac(ui):
-        u = embed(ui)
-        g = ws.grad_interior(ui)
-        H = ws.hessian_interior(ui)
-        if not known:
-            return H
-        m, gm = factor_and_grad(u)
-        return m * H + np.outer(g, gm)
-
-    return fun, jac
-
-
 def multiplicity_search(
     st: ProblemState,
     k: int,
@@ -526,9 +520,10 @@ def multiplicity_search(
     saddle points, so descent alone cannot reach them.  Starts are taken
     on stationary points of the energy along rays through nested sine
     spans (pure modes first, then seeded combinations), the first pair by
-    descent and the rest by the deflated root solve, with previously
-    found pairs deflated away.  Pairs closer than the separation
-    threshold to a known pair (under either sign) are discarded.
+    descent and the rest by Newton on the field with the found pairs
+    deflated away, finished by Newton on the plain gradient.  Pairs closer
+    than the separation threshold to a known pair (under either sign) are
+    discarded.
     """
     _sublinear_gate(st, "multiplicity_search")
     if not st.spec.is_even():
@@ -566,18 +561,15 @@ def multiplicity_search(
             iters = rep.iterations
             ok = rep.converged
         else:
-            # stage 1: deflated solve escapes the basins of the found pairs;
-            # stage 2: undeflated Newton polish, since the deflation term's
-            # curvature can stall the trust region short of full tolerance
-            fun, jac = _deflated_system(ws, found)
-            sol = root(fun, u0[1:-1], jac=jac, method="hybr", tol=1e-14)
-            u = np.zeros(st.grid.n + 1)
-            u[1:-1] = sol.x
+            # stage 1: deflated Newton escapes the basins of the found pairs;
+            # stage 2: undeflated Newton, since the deflation factor's
+            # curvature can stall the first stage short of full tolerance
+            u, nfev1 = _polish_root(ws, u0, known=found)
             u, nfev2 = _polish_root(ws, u)
             uf = GridFunction(u, dirichlet=True)
             res = ws.residual(uf)
             E = energy(st, uf)
-            iters = int(sol.nfev) + nfev2
+            iters = nfev1 + nfev2
             ok = res <= tol
 
         if not ok or E >= 0.0 or sup_norm(u) <= 1e-8:

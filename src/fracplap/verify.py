@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -135,16 +136,18 @@ def _semigroup_error(params, grid, samples, rng) -> float:
     return worst
 
 
-def _check_semigroup(params, grid, samples, rng):
-    err1 = _semigroup_error(params, grid, samples, rng)
-    grid2 = make_grid(grid.T, 2 * grid.n)
-    err2 = _semigroup_error(params, grid2, samples, rng)
-    ratio = 0.0 if err1 <= _ROUNDOFF_FLOOR else err2 / err1
+def _refinement_check(error, params, grid, *args):
+    """Convergence record of error(params, grid, *args): its value at n
+    is the margin and its ratio from n to 2n the refinement ratio (0 at
+    the roundoff floor).  n runs first, so shared rng draws keep their
+    order."""
+    e1 = error(params, grid, *args)
+    e2 = error(params, make_grid(grid.T, 2 * grid.n), *args)
     return dict(
-        worst_margin=-err1,
+        worst_margin=-e1,
         bound_constant=None,
         tolerance_used=_ledger_tolerance(grid.n),
-        refinement_ratio=ratio,
+        refinement_ratio=0.0 if e1 <= _ROUNDOFF_FLOOR else e2 / e1,
     )
 
 
@@ -161,19 +164,6 @@ def _left_inverse_error(params, grid, samples, rng) -> float:
         )
         worst = max(worst, err)
     return worst
-
-
-def _check_left_inverse(params, grid, samples, rng):
-    err1 = _left_inverse_error(params, grid, samples, rng)
-    grid2 = make_grid(grid.T, 2 * grid.n)
-    err2 = _left_inverse_error(params, grid2, samples, rng)
-    ratio = 0.0 if err1 <= _ROUNDOFF_FLOOR else err2 / err1
-    return dict(
-        worst_margin=-err1,
-        bound_constant=None,
-        tolerance_used=_ledger_tolerance(grid.n),
-        refinement_ratio=ratio,
-    )
 
 
 def _check_ibp_exact(params, grid, samples, rng):
@@ -208,47 +198,42 @@ def _smooth_pair(grid, coeffs_u, coeffs_v):
     return build(coeffs_u), build(coeffs_v)
 
 
-def _ibp_integral_gap(params, grid, samples, rng) -> float:
+def _ibp_integral_gap(params, grid, pairs) -> float:
+    """Worst relative gap of (I u, v) = (u, I_right v) in the trapezoid
+    pairing over the (u, v) value pairs."""
     ops = build_operators(params, grid)
     w = trapezoid_weights(grid)
     worst = 0.0
-    for _ in range(samples):
-        u = _random_function(grid, rng, smooth=True, dirichlet=False)
-        v = _random_function(grid, rng, smooth=False, dirichlet=False)
-        lhs = float(np.sum(w * (ops.left_int @ u.values) * v.values))
-        rhs = float(np.sum(w * u.values * (ops.right_int @ v.values)))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-    return worst
-
-
-def _ibp_integral_matched(params, grid, coeff_pairs) -> float:
-    ops = build_operators(params, grid)
-    w = trapezoid_weights(grid)
-    worst = 0.0
-    for cu, cv in coeff_pairs:
-        u, v = _smooth_pair(grid, cu, cv)
+    for u, v in pairs:
         lhs = float(np.sum(w * (ops.left_int @ u) * v))
         rhs = float(np.sum(w * u * (ops.right_int @ v)))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     return worst
 
 
+def _ibp_integral_matched(params, grid, coeff_pairs) -> float:
+    return _ibp_integral_gap(
+        params, grid, (_smooth_pair(grid, cu, cv) for cu, cv in coeff_pairs)
+    )
+
+
 def _check_ibp_integral(params, grid, samples, rng):
-    gap1 = _ibp_integral_gap(params, grid, samples, rng)
+    random_pairs = (
+        (
+            _random_function(grid, rng, smooth=True, dirichlet=False).values,
+            _random_function(grid, rng, smooth=False, dirichlet=False).values,
+        )
+        for _ in range(samples)
+    )
+    gap = _ibp_integral_gap(params, grid, random_pairs)
     # refinement ratio on matched smooth pairs, identical at both resolutions
     coeff_pairs = [
         (rng.standard_normal(10), rng.standard_normal(10))
         for _ in range(max(8, samples // 4))
     ]
-    m1 = _ibp_integral_matched(params, grid, coeff_pairs)
-    grid2 = make_grid(grid.T, 2 * grid.n)
-    m2 = _ibp_integral_matched(params, grid2, coeff_pairs)
-    ratio = 0.0 if m1 <= _ROUNDOFF_FLOOR else m2 / m1
     return dict(
-        worst_margin=-gap1,
-        bound_constant=None,
-        tolerance_used=_ledger_tolerance(grid.n),
-        refinement_ratio=ratio,
+        _refinement_check(_ibp_integral_matched, params, grid, coeff_pairs),
+        worst_margin=-gap,
     )
 
 
@@ -510,8 +495,8 @@ def _precondition(prop: PropertyId, params: FracParams) -> Optional[str]:
 
 
 _CHECKERS = {
-    PropertyId.SEMIGROUP: _check_semigroup,
-    PropertyId.LEFT_INVERSE: _check_left_inverse,
+    PropertyId.SEMIGROUP: partial(_refinement_check, _semigroup_error),
+    PropertyId.LEFT_INVERSE: partial(_refinement_check, _left_inverse_error),
     PropertyId.IBP_EXACT: _check_ibp_exact,
     PropertyId.IBP_INTEGRAL: _check_ibp_integral,
     PropertyId.RL_CAPUTO: _check_rl_caputo,

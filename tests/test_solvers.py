@@ -291,3 +291,66 @@ def test_polish_survives_singular_newton_system(bad, monkeypatch):
     u, nfev = solvers._polish_root(ws, u0)
     assert np.array_equal(u, u0)
     assert nfev == 1
+
+
+def _deflation_setup(n_known):
+    st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
+    t = st.grid.nodes
+    x0 = (0.3 * np.sin(np.pi * t) + 0.1 * np.sin(2 * np.pi * t))[1:-1]
+    known = []
+    for j, c in ((2, 0.2), (3, 0.1))[:n_known]:
+        uk = c * np.sin(j * np.pi * t)
+        uk[0] = uk[-1] = 0.0
+        known.append(uk)
+    return st, solvers._Workspace(st), x0, known
+
+
+@pytest.mark.parametrize("n_known", [1, 2])
+def test_deflated_step_matches_explicit_jacobian(n_known, monkeypatch):
+    st, ws, x0, known = _deflation_setup(n_known)
+    g = ws.grad_interior(x0)
+    H = ws.hessian_interior(x0)
+    log_m, dlog_m = ws.log_deflation(x0, known)
+    m = np.exp(log_m)
+    # Newton step of the deflated field M g with its full Jacobian
+    ref = np.linalg.solve(m * H + np.outer(g, m * dlog_m), m * g)
+    evaluated = []
+    grad = ws.grad_interior
+    monkeypatch.setattr(ws, "grad_interior", lambda ui: evaluated.append(ui) or grad(ui))
+    u0 = np.zeros(st.grid.n + 1)
+    u0[1:-1] = x0
+    solvers._polish_root(ws, u0, known=known)
+    step = x0 - evaluated[1]  # the first trial is the full step
+    assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_known", [0, 1, 2])
+def test_log_deflation_value_and_gradient(n_known):
+    st, ws, x0, known = _deflation_setup(n_known)
+    log_m, dlog_m = ws.log_deflation(x0, known)
+    u = np.zeros(st.grid.n + 1)
+    u[1:-1] = x0
+    m = 1.0
+    for uk in known:
+        for v in (u - uk, u + uk):
+            m *= 1.0 + alpha_norm(st.ops, GridFunction(v, dirichlet=True), 2.0) ** -2.0
+    assert log_m == pytest.approx(np.log(m), rel=1e-13, abs=0.0)  # exactly 0 without pairs
+    eps = 1e-6
+    fd = np.empty_like(x0)
+    for i in range(len(x0)):
+        e = np.zeros_like(x0)
+        e[i] = eps
+        up, down = ws.log_deflation(x0 + e, known), ws.log_deflation(x0 - e, known)
+        fd[i] = (up[0] - down[0]) / (2 * eps)
+    assert np.max(np.abs(fd - dlog_m)) <= 1e-6 * np.max(np.abs(dlog_m))
+
+
+def test_multiplicity_pairs_independent_of_seed():
+    st = make_state(0.7, 3.0, 256, sublinear_power(2.0))
+    runs = [
+        sorted(r.energy_value for r in multiplicity_search(st, k=3, tol=1e-8, seed=s).pairs)
+        for s in (0, 7, 42, 9001)
+    ]
+    assert len(runs[0]) == 3
+    for energies in runs[1:]:
+        assert energies == pytest.approx(runs[0], rel=1e-9)
