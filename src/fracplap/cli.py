@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import ProblemState
-from .fracops import OpKind, build_operators
+from .fracops import MAX_GRID_CELLS, OpKind, build_operators
 from .grid import FracParams, Grid, GridFunction, make_grid
 from .nonlinearity import (
     CoefficientFn,
@@ -229,6 +229,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"problem.T must be positive, got {T}")
     if n < 2:
         raise ConfigError(f"problem.n must be at least 2, got {n}")
+    if n > MAX_GRID_CELLS:
+        raise ConfigError(f"problem.n must be at most {MAX_GRID_CELLS}, got {n}")
     params = FracParams(alpha=alpha, p=p, T=T)
 
     nl = raw.get("nonlinearity")
@@ -421,6 +423,8 @@ def _read_csv_column(path) -> tuple[np.ndarray, np.ndarray]:
     if rows and not rows[0][0].isdigit() and not rows[0].startswith("-"):
         rows = rows[1:]  # header
     data = np.array([[float(x) for x in line.split(",")[:2]] for line in rows])
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ValueError("need rows of two columns t,u")
     return data[:, 0], data[:, 1]
 
 
@@ -498,26 +502,19 @@ def _cmd_verify(args) -> int:
     try:
         params = FracParams(alpha=args.alpha, p=args.p, T=args.T)
         grid = make_grid(args.T, args.n)
+        if args.property is None:
+            reports = run_suite([params], grid, seed=args.seed, samples=args.samples)
+        elif args.property not in PropertyId.__members__:
+            raise ValueError(
+                f"unknown property {args.property!r}; "
+                f"choose from {[p.value for p in PropertyId]}"
+            )
+        else:
+            prop = PropertyId(args.property)
+            reports = [verify(prop, params, grid, samples=args.samples, seed=args.seed)]
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.property is not None:
-        try:
-            prop = PropertyId(args.property)
-        except ValueError:
-            print(
-                f"config error: unknown property {args.property!r}; "
-                f"choose from {[p.value for p in PropertyId]}",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            reports = [verify(prop, params, grid, samples=args.samples, seed=args.seed)]
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        reports = run_suite([params], grid, seed=args.seed, samples=args.samples)
     payload = [verification_report_dict(r) for r in reports]
     text = _dump_json(payload)
     try:

@@ -131,15 +131,14 @@ def _residual_from_gradient(st: ProblemState, g: np.ndarray, norms: np.ndarray) 
     return float(np.max(st.grid.h * np.abs(g[1:-1]) / norms))
 
 
-def weak_residual(st: ProblemState, u: GridFunction, _norms: Optional[np.ndarray] = None) -> float:
+def weak_residual(st: ProblemState, u: GridFunction) -> float:
     """Dual-norm surrogate: max_j |I'(u) e_j| / ||e_j||_{alpha,p}.
 
     Zero exactly at discrete weak solutions.  The nodal basis spans the
     interior, so a vanishing value certifies criticality on the whole
     discrete test space.
     """
-    norms = basis_alpha_norms(st) if _norms is None else _norms
-    return _residual_from_gradient(st, gradient(st, u).values, norms)
+    return _residual_from_gradient(st, gradient(st, u).values, basis_alpha_norms(st))
 
 
 def monotonicity_gap(st: ProblemState, u: GridFunction, v: GridFunction) -> float:

@@ -21,6 +21,7 @@ __all__ = [
     "trapezoid_weights",
     "lp_norm",
     "sup_norm",
+    "sine_series",
 ]
 
 
@@ -130,3 +131,14 @@ def sup_norm(u) -> float:
     """Max over nodes of |u_i|."""
     v = _values(u)
     return float(np.max(np.abs(v)))
+
+
+def sine_series(grid: Grid, coeffs) -> np.ndarray:
+    """Nodal values of sum_j c_j sin(j pi t / T), j = 1, 2, ..., summed
+    mode by mode in coefficient order."""
+    t = grid.nodes
+    T = grid.T
+    u = np.zeros_like(t)
+    for j, c in enumerate(coeffs, start=1):
+        u += c * np.sin(j * np.pi * t / T)
+    return u

@@ -82,11 +82,10 @@ class CoefficientFn:
             return np.interp(t, xs, tv)
         raise ValueError(f"unknown coefficient kind {self.kind!r}")
 
-    def positive_on(self, t) -> bool:
-        return bool(np.all(self(t) > 0.0))
-
 
 _CONST_ONE = CoefficientFn()
+# fu_values raises |u| + _FU_FLOOR to its powers, so they stay finite at u = 0
+_FU_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -171,29 +170,29 @@ class NonlinearitySpec:
         local = fv[idx] * du + 0.5 * slope * du * du
         return self.a_coeff(t) * (self._table_cumint[idx] + local)
 
-    def fu_values(self, t, u, floor: float = 1e-14):
+    def fu_values(self, t, u):
         """Vectorized df/du; |u| is floored where the power is singular."""
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         if self.family is Family.SUBLINEAR_POWER:
             q = self.q
-            return q * (q - 1.0) * self.a_coeff(t) * (np.abs(u) + floor) ** (q - 2.0)
+            return q * (q - 1.0) * self.a_coeff(t) * (np.abs(u) + _FU_FLOOR) ** (q - 2.0)
         if self.family is Family.SUPERLINEAR_POWER:
             mu = self.mu
-            return (mu - 1.0) * (np.abs(u) + (floor if mu < 2.0 else 0.0)) ** (mu - 2.0)
+            return (mu - 1.0) * (np.abs(u) + (_FU_FLOOR if mu < 2.0 else 0.0)) ** (mu - 2.0)
         bp = self.table_breakpoints
         fv = self.table_values
         idx = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(bp) - 2)
         slope = (fv[idx + 1] - fv[idx]) / (bp[idx + 1] - bp[idx])
         return self.a_coeff(t) * slope
 
-    def is_even(self, probe: Optional[np.ndarray] = None) -> bool:
-        """Whether F(t, -u) = F(t, u); exact for the power families."""
+    def is_even(self) -> bool:
+        """Whether F(t, -u) = F(t, u); exact for the power families, probed
+        at 101 points of the symmetric part of the range for TABLE."""
         if self.family is not Family.TABLE:
             return True
-        if probe is None:
-            lo, hi = self.table_breakpoints[0], self.table_breakpoints[-1]
-            probe = np.linspace(0.0, min(-lo, hi), 101)
+        lo, hi = self.table_breakpoints[0], self.table_breakpoints[-1]
+        probe = np.linspace(0.0, min(-lo, hi), 101)
         try:
             return bool(
                 np.allclose(

@@ -32,7 +32,7 @@ from .energy import (
     phi,
 )
 from .fracops import Toeplitz, alpha_norm, gl_weights
-from .grid import GridFunction, sup_norm
+from .grid import GridFunction, sine_series, sup_norm
 from .nonlinearity import Family
 
 __all__ = [
@@ -53,6 +53,8 @@ TRIVIAL_SUP = 1e-10
 DEFAULT_SEPARATION_SCALE = 1e-3
 POLISH_MAX_STEPS = 20
 POLISH_MAX_HALVINGS = 30
+ARMIJO_MAX_HALVINGS = 60
+RIM_DIRECTIONS = 40
 
 
 class GeometryError(RuntimeError):
@@ -211,10 +213,9 @@ def _armijo_step(
     E: float,
     d: np.ndarray,
     slope: float,
-    max_halvings: int = 60,
 ) -> tuple[np.ndarray, float]:
     s = 1.0
-    for _ in range(max_halvings):
+    for _ in range(ARMIJO_MAX_HALVINGS):
         un = u + s * d
         un[0] = 0.0
         un[-1] = 0.0
@@ -306,16 +307,9 @@ def minimize_direct(
     )
 
 
-def _sine_modes(st: ProblemState, coeffs: np.ndarray) -> GridFunction:
-    t = st.grid.nodes
-    T = st.grid.T
-    u = np.zeros_like(t)
-    for j, c in enumerate(coeffs, start=1):
-        u += c * np.sin(j * np.pi * t / T)
-    return GridFunction(u, dirichlet=True)
-
-
-def _normalized(st: ProblemState, u: GridFunction) -> GridFunction:
+def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> GridFunction:
+    """The sine series with these coefficients, scaled to unit alpha-norm."""
+    u = GridFunction(sine_series(st.grid, coeffs), dirichlet=True)
     nrm = alpha_norm(st.ops, u, st.params.p)
     if nrm <= 0.0:
         raise ValueError("cannot normalize the zero function")
@@ -347,19 +341,17 @@ def _redistribute(path: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _rim_value(
-    st: ProblemState, ws: _Workspace, rng: np.random.Generator, directions: int = 40
-) -> tuple[float, float]:
+def _rim_value(st: ProblemState, rng: np.random.Generator) -> tuple[float, float]:
     """Smallest sampled energy on the sphere of radius rho, shrinking rho
     until that minimum is positive."""
     rho = 0.1 * st.grid.T ** st.params.alpha
     for _ in range(80):
         worst = math.inf
-        for _ in range(directions):
+        for _ in range(RIM_DIRECTIONS):
             c = rng.standard_normal(6)
             if not np.any(c):
                 c[0] = 1.0
-            v = _normalized(st, _sine_modes(st, c))
+            v = _unit_sines(st, c)
             worst = min(worst, energy(st, GridFunction(rho * v.values, dirichlet=True)))
         if worst > 0.0:
             return float(worst), rho
@@ -446,9 +438,9 @@ def mountain_pass(
     _superlinear_gate(st, "mountain_pass")
     ws = _Workspace(st)
     rng = np.random.default_rng(seed)
-    beta, _rho = _rim_value(st, ws, rng)
+    beta, _rho = _rim_value(st, rng)
 
-    w0 = _normalized(st, _sine_modes(st, np.array([1.0])))
+    w0 = _unit_sines(st, np.array([1.0]))
     s = 1.0
     e = None
     for _ in range(80):
@@ -548,7 +540,7 @@ def multiplicity_search(
             if not np.any(coeffs):
                 coeffs[0] = 1.0
         trials += 1
-        v = _normalized(st, _sine_modes(st, coeffs))
+        v = _unit_sines(st, coeffs)
         sigmas = 2.0 ** np.arange(3.0, -13.0, -1.0)
         ray = [energy(st, GridFunction(sg * v.values, dirichlet=True)) for sg in sigmas]
         u0 = float(sigmas[int(np.argmin(ray))]) * v.values

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from .energy import ProblemState, energy, gradient, monotonicity_gap
 from .fracops import (
+    MAX_GRID_CELLS,
     OpKind,
     OperatorSet,
     Toeplitz,
@@ -40,6 +41,7 @@ from .grid import (
     GridFunction,
     lp_norm,
     make_grid,
+    sine_series,
     sup_norm,
     trapezoid_weights,
 )
@@ -90,18 +92,32 @@ class VerificationReport:
     reason: str = ""
 
 
+@dataclass(frozen=True)
+class _Outcome:
+    """What a checker measured: the margin and its tolerance, the bound
+    constant if the property has one, and the refinement ratio, which
+    gates the result only when ratio_cap is set."""
+
+    margin: float
+    tolerance: float
+    bound: Optional[float] = None
+    ratio: Optional[float] = None
+    ratio_cap: Optional[float] = None
+
+
+def _smooth(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """Sine modes c[:-2] plus c[-2] cos(pi t/T) + c[-1]: smooth and free
+    at both endpoints, realizable on any grid."""
+    return sine_series(grid, c[:-2]) + c[-2] * np.cos(np.pi * grid.nodes / grid.T) + c[-1]
+
+
 def _random_function(grid: Grid, rng: np.random.Generator, smooth: bool, dirichlet: bool) -> GridFunction:
-    t = grid.nodes
-    T = grid.T
-    if smooth:
-        c = rng.standard_normal(8)
-        u = np.zeros_like(t)
-        for j, cj in enumerate(c, start=1):
-            u += cj * np.sin(j * np.pi * t / T)
-        if not dirichlet:
-            u = u + rng.standard_normal() * np.cos(np.pi * t / T) + rng.standard_normal()
+    if not smooth:
+        u = rng.standard_normal(grid.n + 1)
+    elif dirichlet:
+        u = sine_series(grid, rng.standard_normal(8))
     else:
-        u = rng.standard_normal(len(t))
+        u = _smooth(grid, rng.standard_normal(10))
     return GridFunction(u, dirichlet=dirichlet)
 
 
@@ -112,15 +128,15 @@ def _ensemble(grid, rng, count, dirichlet):
     ]
 
 
-def _default_state(params: FracParams, grid: Grid, ops: OperatorSet) -> ProblemState:
+def _default_state(params: FracParams, ops: OperatorSet) -> ProblemState:
     # canonical even sublinear family: q halfway between 1 and p
     return ProblemState(
-        params=params, grid=grid, ops=ops, spec=sublinear_power(q=(1.0 + params.p) / 2.0)
+        params=params, grid=ops.grid, ops=ops, spec=sublinear_power(q=(1.0 + params.p) / 2.0)
     )
 
 
-def _semigroup_error(params, grid, samples, rng) -> float:
-    ops = build_operators(params, grid)
+def _semigroup_error(params, ops, samples, rng) -> float:
+    grid = ops.grid
     a = params.alpha
     # the composed order 2a may exceed 1, so build its weights directly
     I2 = Toeplitz(gl_weights(-2.0 * a, grid.n) * grid.h ** (2.0 * a))
@@ -136,23 +152,29 @@ def _semigroup_error(params, grid, samples, rng) -> float:
     return worst
 
 
-def _refinement_check(error, params, grid, *args):
-    """Convergence record of error(params, grid, *args): its value at n
+def _refinement_check(error, params, ops, *args) -> _Outcome:
+    """Convergence record of error(params, ops, *args): its value at n
     is the margin and its ratio from n to 2n the refinement ratio (0 at
-    the roundoff floor).  n runs first, so shared rng draws keep their
-    order."""
-    e1 = error(params, grid, *args)
-    e2 = error(params, make_grid(grid.T, 2 * grid.n), *args)
-    return dict(
-        worst_margin=-e1,
-        bound_constant=None,
-        tolerance_used=_ledger_tolerance(grid.n),
-        refinement_ratio=0.0 if e1 <= _ROUNDOFF_FLOOR else e2 / e1,
+    the roundoff floor), capped at _RATIO_CAP.  n runs first, so shared
+    rng draws keep their order."""
+    n = ops.grid.n
+    if 2 * n > MAX_GRID_CELLS:
+        raise ValueError(
+            f"the refinement check doubles the grid, so n must be at most "
+            f"{MAX_GRID_CELLS // 2}, got n={n}"
+        )
+    e1 = error(params, ops, *args)
+    e2 = error(params, build_operators(params, make_grid(ops.grid.T, 2 * n)), *args)
+    return _Outcome(
+        -e1,
+        _ledger_tolerance(n),
+        ratio=0.0 if e1 <= _ROUNDOFF_FLOOR else e2 / e1,
+        ratio_cap=_RATIO_CAP,
     )
 
 
-def _left_inverse_error(params, grid, samples, rng) -> float:
-    ops = build_operators(params, grid)
+def _left_inverse_error(params, ops, samples, rng) -> float:
+    grid = ops.grid
     worst = 0.0
     for u in _ensemble(grid, rng, samples, dirichlet=False):
         v = u.values.copy()
@@ -166,8 +188,8 @@ def _left_inverse_error(params, grid, samples, rng) -> float:
     return worst
 
 
-def _check_ibp_exact(params, grid, samples, rng):
-    ops = build_operators(params, grid)
+def _check_ibp_exact(params, ops, samples, rng):
+    grid = ops.grid
     h = grid.h
     worst = 0.0
     for _ in range(samples):
@@ -177,32 +199,13 @@ def _check_ibp_exact(params, grid, samples, rng):
         rhs = float(np.sum(h * u.values * (ops.right_deriv @ v.values)))
         gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, gap)
-    return dict(
-        worst_margin=-worst,
-        bound_constant=None,
-        tolerance_used=IDENTITY_TOL,
-        refinement_ratio=None,
-    )
+    return _Outcome(-worst, IDENTITY_TOL)
 
 
-def _smooth_pair(grid, coeffs_u, coeffs_v):
-    """The same two smooth functions realized on any grid, so refinement
-    ratios compare like with like."""
-    t = grid.nodes
-    T = grid.T
-    def build(c):
-        u = np.zeros_like(t)
-        for j, cj in enumerate(c[:-2], start=1):
-            u += cj * np.sin(j * np.pi * t / T)
-        return u + c[-2] * np.cos(np.pi * t / T) + c[-1]
-    return build(coeffs_u), build(coeffs_v)
-
-
-def _ibp_integral_gap(params, grid, pairs) -> float:
+def _ibp_integral_gap(ops, pairs) -> float:
     """Worst relative gap of (I u, v) = (u, I_right v) in the trapezoid
     pairing over the (u, v) value pairs."""
-    ops = build_operators(params, grid)
-    w = trapezoid_weights(grid)
+    w = trapezoid_weights(ops.grid)
     worst = 0.0
     for u, v in pairs:
         lhs = float(np.sum(w * (ops.left_int @ u) * v))
@@ -211,13 +214,15 @@ def _ibp_integral_gap(params, grid, pairs) -> float:
     return worst
 
 
-def _ibp_integral_matched(params, grid, coeff_pairs) -> float:
-    return _ibp_integral_gap(
-        params, grid, (_smooth_pair(grid, cu, cv) for cu, cv in coeff_pairs)
-    )
+def _ibp_integral_matched(params, ops, coeff_pairs) -> float:
+    # the same smooth pairs on every grid, so refinement ratios compare
+    # like with like
+    g = ops.grid
+    return _ibp_integral_gap(ops, ((_smooth(g, cu), _smooth(g, cv)) for cu, cv in coeff_pairs))
 
 
-def _check_ibp_integral(params, grid, samples, rng):
+def _check_ibp_integral(params, ops, samples, rng):
+    grid = ops.grid
     random_pairs = (
         (
             _random_function(grid, rng, smooth=True, dirichlet=False).values,
@@ -225,20 +230,17 @@ def _check_ibp_integral(params, grid, samples, rng):
         )
         for _ in range(samples)
     )
-    gap = _ibp_integral_gap(params, grid, random_pairs)
+    gap = _ibp_integral_gap(ops, random_pairs)
     # refinement ratio on matched smooth pairs, identical at both resolutions
     coeff_pairs = [
         (rng.standard_normal(10), rng.standard_normal(10))
         for _ in range(max(8, samples // 4))
     ]
-    return dict(
-        _refinement_check(_ibp_integral_matched, params, grid, coeff_pairs),
-        worst_margin=-gap,
-    )
+    return replace(_refinement_check(_ibp_integral_matched, params, ops, coeff_pairs), margin=-gap)
 
 
-def _check_rl_caputo(params, grid, samples, rng):
-    ops = build_operators(params, grid)
+def _check_rl_caputo(params, ops, samples, rng):
+    grid = ops.grid
     a = params.alpha
     worst = 0.0
     coef = 0.0 if a >= 1.0 else 1.0 / gamma(1.0 - a)
@@ -254,45 +256,23 @@ def _check_rl_caputo(params, grid, samples, rng):
         gap = np.abs(cap[1:] + corr - rl[1:])
         scale = np.maximum(np.abs(rl[1:]), 1.0)
         worst = max(worst, float(np.max(gap / scale)))
-    return dict(
-        worst_margin=-worst,
-        bound_constant=None,
-        tolerance_used=IDENTITY_TOL,
-        refinement_ratio=None,
-    )
+    return _Outcome(-worst, IDENTITY_TOL)
 
 
-def _check_young(params, grid, samples, rng):
-    ops = build_operators(params, grid)
-    C = params.T**params.alpha / gamma(params.alpha + 1.0)
+def _ensemble_bound(constant, dirichlet, small, large, params, ops, samples, rng):
+    """small(u) <= C large(u) on the ensemble, C = constant(params); the
+    margin is the smallest slack relative to the right side.  small and
+    large are norms called as (ops, u, p)."""
+    C = constant(params)
     worst = math.inf
-    for u in _ensemble(grid, rng, samples, dirichlet=False):
-        iu = apply(ops, OpKind.LEFT_INT, u)
-        rhs = C * lp_norm(u, params.p, grid)
-        lhs = lp_norm(iu, params.p, grid)
-        worst = min(worst, (rhs - lhs) / max(rhs, 1e-300))
-    return dict(
-        worst_margin=worst,
-        bound_constant=C,
-        tolerance_used=_ledger_tolerance(grid.n),
-        refinement_ratio=None,
-    )
+    for u in _ensemble(ops.grid, rng, samples, dirichlet=dirichlet):
+        rhs = C * large(ops, u, params.p)
+        worst = min(worst, (rhs - small(ops, u, params.p)) / max(rhs, 1e-300))
+    return _Outcome(worst, _ledger_tolerance(ops.grid.n), bound=C)
 
 
-def _check_poincare(params, grid, samples, rng):
-    ops = build_operators(params, grid)
-    C = params.T**params.alpha / gamma(params.alpha + 1.0)
-    worst = math.inf
-    for u in _ensemble(grid, rng, samples, dirichlet=True):
-        rhs = C * alpha_norm(ops, u, params.p)
-        lhs = lp_norm(u, params.p, grid)
-        worst = min(worst, (rhs - lhs) / max(rhs, 1e-300))
-    return dict(
-        worst_margin=worst,
-        bound_constant=C,
-        tolerance_used=_ledger_tolerance(grid.n),
-        refinement_ratio=None,
-    )
+def _young_constant(params: FracParams) -> float:
+    return params.T**params.alpha / gamma(params.alpha + 1.0)
 
 
 def _sup_embed_constant(params: FracParams) -> float:
@@ -300,22 +280,26 @@ def _sup_embed_constant(params: FracParams) -> float:
     return params.T ** (a - 1.0 / p) / (gamma(a) * ((a - 1.0) * q + 1.0) ** (1.0 / q))
 
 
-def _check_sup_embed(params, grid, samples, rng):
-    ops = build_operators(params, grid)
-    C = _sup_embed_constant(params)
-    worst = math.inf
-    for u in _ensemble(grid, rng, samples, dirichlet=True):
-        rhs = C * alpha_norm(ops, u, params.p)
-        worst = min(worst, (rhs - sup_norm(u)) / max(rhs, 1e-300))
-    return dict(
-        worst_margin=worst,
-        bound_constant=C,
-        tolerance_used=_ledger_tolerance(grid.n),
-        refinement_ratio=None,
-    )
+def _lp(ops, u, p) -> float:
+    return lp_norm(u, p, ops.grid)
 
 
-def _check_embed_lq(params, grid, samples, rng):
+def _lp_of_integral(ops, u, p) -> float:
+    return lp_norm(apply(ops, OpKind.LEFT_INT, u), p, ops.grid)
+
+
+def _sup(ops, u, p) -> float:
+    return sup_norm(u)
+
+
+def _alpha(ops, u, p) -> float:
+    # the name alpha_norm is looked up per call, not bound into the
+    # checker table, so replacing it in this module (say, to trace it)
+    # reaches these checks too
+    return alpha_norm(ops, u, p)
+
+
+def _check_embed_lq(params, ops, samples, rng):
     """Interpolation bound ||u||_q^q <= ||u||_inf^(q-p) ||u||_p^p on a
     geometric ladder of q, plus the empirical embedding constant
     max ||u||_q / ||u||_{alpha,p}, which is reported, not asserted.
@@ -324,7 +308,7 @@ def _check_embed_lq(params, grid, samples, rng):
     the compact-embedding range; otherwise the embedding reaches every
     finite q and the ladder is capped at 3p.
     """
-    ops = build_operators(params, grid)
+    grid = ops.grid
     p = params.p
     if params.alpha * p < 1.0:
         q_hi = 0.9 * p / (1.0 - params.alpha * p)
@@ -342,12 +326,7 @@ def _check_embed_lq(params, grid, samples, rng):
             worst = min(worst, (rhs - lq_p) / max(rhs, 1e-300))
             if an > 0:
                 cmax = max(cmax, lq_p ** (1.0 / q) / an)
-    return dict(
-        worst_margin=worst,
-        bound_constant=cmax,
-        tolerance_used=1e-10,
-        refinement_ratio=None,
-    )
+    return _Outcome(worst, 1e-10, bound=cmax)
 
 
 def translation_bound(params: FracParams, shift: float) -> float:
@@ -371,8 +350,8 @@ def translation_bound(params: FracParams, shift: float) -> float:
     )
 
 
-def _check_translation(params, grid, samples, rng):
-    ops = build_operators(params, grid)
+def _check_translation(params, ops, samples, rng):
+    grid = ops.grid
     p = params.p
     n = grid.n
     members = []
@@ -385,7 +364,6 @@ def _check_translation(params, grid, samples, rng):
     sups = []
     margins = []
     bound = None
-    tol = _ledger_tolerance(grid.n)
     for m in shifts:
         h_shift = m * grid.h
         s = 0.0
@@ -400,17 +378,12 @@ def _check_translation(params, grid, samples, rng):
     for a, b in zip(sups, sups[1:]):
         margins.append(a - b)  # family is normalized, so absolute slack
     ratio = sups[-1] / sups[-2] if sups[-2] > 0 else 0.0
-    return dict(
-        worst_margin=float(min(margins)),
-        bound_constant=bound,
-        tolerance_used=tol,
-        refinement_ratio=ratio,
-    )
+    return _Outcome(float(min(margins)), _ledger_tolerance(n), bound=bound, ratio=ratio)
 
 
-def _check_monotone_gap(params, grid, samples, rng):
-    ops = build_operators(params, grid)
-    st = _default_state(params, grid, ops)
+def _check_monotone_gap(params, ops, samples, rng):
+    grid = ops.grid
+    st = _default_state(params, ops)
     worst = math.inf
     for i in range(samples):
         u = _random_function(grid, rng, smooth=(i % 2 == 0), dirichlet=True)
@@ -421,15 +394,10 @@ def _check_monotone_gap(params, grid, samples, rng):
             + alpha_norm(ops, v, params.p) ** params.p
         )
         worst = min(worst, gap / (1.0 + scale))
-    return dict(
-        worst_margin=worst,
-        bound_constant=None,
-        tolerance_used=IDENTITY_TOL,
-        refinement_ratio=None,
-    )
+    return _Outcome(worst, IDENTITY_TOL)
 
 
-def _check_grad_fd(params, grid, samples, rng):
+def _check_grad_fd(params, ops, samples, rng):
     """Directional derivatives of the energy against the gradient pairing.
 
     Samples whose nodal values (or derivative samples) sit within ~100*eps
@@ -437,8 +405,8 @@ def _check_grad_fd(params, grid, samples, rng):
     central differences of the energy lose their O(eps^2) validity, which
     would measure the instrument, not the gradient.
     """
-    ops = build_operators(params, grid)
-    st = _default_state(params, grid, ops)
+    grid = ops.grid
+    st = _default_state(params, ops)
     h = grid.h
     eps = 1e-6
     clearance = 100.0 * eps
@@ -459,18 +427,12 @@ def _check_grad_fd(params, grid, samples, rng):
         em = energy(st, GridFunction(u.values - eps * v.values, dirichlet=True))
         fd = (ep - em) / (2.0 * eps)
         worst = max(worst, abs(fd - pair) / max(abs(fd), abs(pair), 1e-12))
-    tol = 1e-5 if params.p >= 2.0 else 1e-4
-    return dict(
-        worst_margin=-worst,
-        bound_constant=None,
-        tolerance_used=tol,
-        refinement_ratio=None,
-    )
+    return _Outcome(-worst, 1e-5 if params.p >= 2.0 else 1e-4)
 
 
-def _check_even_energy(params, grid, samples, rng):
-    ops = build_operators(params, grid)
-    st = _default_state(params, grid, ops)
+def _check_even_energy(params, ops, samples, rng):
+    grid = ops.grid
+    st = _default_state(params, ops)
     worst = 0.0
     for i in range(samples):
         u = _random_function(grid, rng, smooth=(i % 2 == 0), dirichlet=True)
@@ -480,12 +442,7 @@ def _check_even_energy(params, grid, samples, rng):
         g1, g2 = gradient(st, u).values, gradient(st, um).values
         scale = max(float(np.max(np.abs(g1))), 1.0)
         worst = max(worst, float(np.max(np.abs(g1 + g2))) / scale)
-    return dict(
-        worst_margin=-worst,
-        bound_constant=None,
-        tolerance_used=IDENTITY_TOL,
-        refinement_ratio=None,
-    )
+    return _Outcome(-worst, IDENTITY_TOL)
 
 
 def _precondition(prop: PropertyId, params: FracParams) -> Optional[str]:
@@ -500,9 +457,9 @@ _CHECKERS = {
     PropertyId.IBP_EXACT: _check_ibp_exact,
     PropertyId.IBP_INTEGRAL: _check_ibp_integral,
     PropertyId.RL_CAPUTO: _check_rl_caputo,
-    PropertyId.YOUNG_BOUND: _check_young,
-    PropertyId.POINCARE: _check_poincare,
-    PropertyId.SUP_EMBED: _check_sup_embed,
+    PropertyId.YOUNG_BOUND: partial(_ensemble_bound, _young_constant, False, _lp_of_integral, _lp),
+    PropertyId.POINCARE: partial(_ensemble_bound, _young_constant, True, _lp, _alpha),
+    PropertyId.SUP_EMBED: partial(_ensemble_bound, _sup_embed_constant, True, _sup, _alpha),
     PropertyId.EMBED_LQ: _check_embed_lq,
     PropertyId.TRANSLATION_COMPACT: _check_translation,
     PropertyId.MONOTONE_GAP: _check_monotone_gap,
@@ -514,43 +471,20 @@ _CHECKERS = {
 assert set(_CHECKERS) == set(PropertyId), "checker table out of sync with PropertyId"
 
 
-def _verify_with_rng(
-    prop: PropertyId, params: FracParams, grid: Grid, samples: int, rng
-) -> VerificationReport:
-    reason = _precondition(prop, params)
-    if reason is not None:
-        return VerificationReport(
-            property=prop,
-            status="skipped",
-            samples=0,
-            worst_margin=0.0,
-            bound_constant=None,
-            tolerance_used=0.0,
-            passed=False,
-            refinement_ratio=None,
-            reason=reason,
-        )
-    out = _CHECKERS[prop](params, grid, samples, rng)
-    margin = float(out["worst_margin"])
-    tol = float(out["tolerance_used"])
-    ratio = out["refinement_ratio"]
-    passed = margin >= -tol
-    if ratio is not None and prop in (
-        PropertyId.SEMIGROUP,
-        PropertyId.LEFT_INVERSE,
-        PropertyId.IBP_INTEGRAL,
-    ):
-        passed = passed and ratio <= _RATIO_CAP
+def _verify_with_rng(prop, params, ops, samples, rng) -> VerificationReport:
+    out = _CHECKERS[prop](params, ops, samples, rng)
+    margin = float(out.margin)
+    tol = float(out.tolerance)
+    passed = margin >= -tol and (out.ratio_cap is None or out.ratio <= out.ratio_cap)
     return VerificationReport(
         property=prop,
         status="passed" if passed else "failed",
         samples=samples,
         worst_margin=margin,
-        bound_constant=out["bound_constant"],
+        bound_constant=out.bound,
         tolerance_used=tol,
         passed=passed,
-        refinement_ratio=None if ratio is None else float(ratio),
-        reason="",
+        refinement_ratio=None if out.ratio is None else float(out.ratio),
     )
 
 
@@ -566,7 +500,7 @@ def verify(
     if reason is not None:
         raise ValueError(f"{prop.value}: {reason}")
     rng = np.random.default_rng([seed, list(PropertyId).index(prop)])
-    return _verify_with_rng(prop, params, grid, samples, rng)
+    return _verify_with_rng(prop, params, build_operators(params, grid), samples, rng)
 
 
 def run_suite(
@@ -575,7 +509,8 @@ def run_suite(
     seed: int = 0,
     samples: int = 100,
 ) -> list[VerificationReport]:
-    """Run every property for each parameter set, in PropertyId order.
+    """Run every property for each parameter set, in PropertyId order,
+    on one operator set per parameter set.
 
     Properties whose preconditions fail are emitted with status
     "skipped" and the reason, never dropped.  Identical (seed, config)
@@ -583,7 +518,21 @@ def run_suite(
     """
     reports = []
     for pi, params in enumerate(params_list):
+        ops = build_operators(params, grid)
         for prop in PropertyId:
+            reason = _precondition(prop, params)
+            if reason is not None:
+                reports.append(VerificationReport(
+                    property=prop,
+                    status="skipped",
+                    samples=0,
+                    worst_margin=0.0,
+                    bound_constant=None,
+                    tolerance_used=0.0,
+                    passed=False,
+                    reason=reason,
+                ))
+                continue
             rng = np.random.default_rng([seed, pi, list(PropertyId).index(prop)])
-            reports.append(_verify_with_rng(prop, params, grid, samples, rng))
+            reports.append(_verify_with_rng(prop, params, ops, samples, rng))
     return reports

@@ -110,6 +110,43 @@ def test_solve_bytes_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_verify_bytes_independent_of_blas_threads(tmp_path):
+    # the full suite in fresh interpreters with one and with two BLAS threads
+    src = str(Path(fracplap.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracplap.cli", "verify", "--alpha", "0.6", "--p", "2",
+             "--T", "1", "--n", "512", "--seed", "3", "--samples", "20"],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_solve_rejects_n_above_grid_cap(tmp_path, capsys):
+    path = write_config(tmp_path, **{"problem.n": 9000})
+    with pytest.raises(ConfigError, match="problem.n"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "problem.n" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("prop", [[], ["--property", "SEMIGROUP"]])
+def test_verify_refinement_above_grid_cap_is_config_error(capsys, prop):
+    # the refinement checks double the grid: n = 5000 would need 10000 cells
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1", "--n", "5000",
+                 "--samples", "2", *prop])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "n=5000" in err and "10000" not in err
+
+
 def test_solve_config_error_exit(tmp_path, capsys):
     path = write_config(tmp_path, **{"problem.alpha": 1.2})
     assert main(["solve", "--config", str(path)]) == 1
@@ -256,3 +293,13 @@ def test_verify_standard_invocation(tmp_path):
     assert len(reports) == 13
     # at alpha = 1/p the sup embedding is precondition-gated
     assert [r["property"] for r in reports if r["status"] == "skipped"] == ["SUP_EMBED"]
+
+
+@pytest.mark.parametrize("text", ["", "t,u\n", "0\n0.5\n1\n"])
+def test_apply_malformed_csv_is_config_error(tmp_path, capsys, text):
+    inp = tmp_path / "bad.csv"
+    inp.write_text(text)
+    code = main(["apply", "--kind", "LEFT_INT", "--alpha", "0.5", "--input", str(inp),
+                 "--output", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert "malformed input CSV" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -126,3 +127,24 @@ def test_bound_constants_closed_forms():
     a, p, q = 0.6, 2.0, 2.0
     ref = float(1.0 ** (a - 1 / p) / (mpmath.gamma(a) * ((a - 1) * q + 1) ** (1 / q)))
     assert sup.bound_constant == pytest.approx(ref, rel=1e-12)
+
+
+def test_run_suite_builds_operators_once_per_parameter_set(monkeypatch):
+    # one set per parameter set, plus the 2n set of each of the three
+    # refinement checks; the package attribute fracplap.verify is the
+    # function, so fetch the module itself
+    verify_mod = importlib.import_module("fracplap.verify")
+
+    calls = []
+    build = verify_mod.build_operators
+
+    def counting(params, grid):
+        calls.append(grid.n)
+        return build(params, grid)
+
+    monkeypatch.setattr(verify_mod, "build_operators", counting)
+    grid = make_grid(1.0, 64)
+    params = [FracParams(alpha=0.6, p=2.0, T=1.0), FracParams(alpha=0.3, p=2.0, T=1.0)]
+    reports = run_suite(params, grid, seed=0, samples=4)
+    assert len(reports) == 26
+    assert sorted(calls) == [64, 64, 128, 128, 128, 128, 128, 128]
