@@ -7,9 +7,11 @@ Subcommands:
     hypotheses  validate the configured nonlinearity against its regime
 
 Exit codes: 0 success/converged, 1 configuration error, 2 non-converged
-run or failed property, 3 I/O failure.  All numeric output is written
-with 17 significant digits and no locale formatting, so identical
-configs and seeds give byte-identical artifacts.
+run, failed property or numerical error, 3 I/O failure.  Subcommands
+raise; ``main`` alone maps an exception to its exit code and one stderr
+line, and a written artifact alone decides between 0 and 2.  All numeric
+output is written with 17 significant digits and no locale formatting,
+so identical configs and seeds give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ import numpy as np
 
 from .energy import ProblemState
 from .fracops import MAX_GRID_CELLS, OpKind, build_operators
+from .fracops import apply as apply_op
 from .grid import FracParams, Grid, GridFunction, make_grid
 from .nonlinearity import (
     CoefficientFn,
+    ExtrapolationError,
     Family,
     NonlinearitySpec,
     validate_hypotheses,
 )
 from .solvers import (
     GeometryError,
-    MultiplicityReport,
     SolveReport,
     minimize_direct,
     mountain_pass,
@@ -56,12 +59,16 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------- config ---
 
+# Config keys of each coefficient kind with their defaults, in output
+# order.  A None default marks a required list of numbers.
 _COEFF_KEYS = {
-    "constant": {"value"},
-    "affine": {"value", "slope"},
-    "sine": {"value", "amplitude", "frequency", "phase"},
-    "table": {"values", "T"},
+    "constant": {"value": 1.0},
+    "affine": {"value": 1.0, "slope": 0.0},
+    "sine": {"value": 0.0, "amplitude": 1.0, "frequency": math.pi, "phase": 0.0},
+    "table": {"values": None, "T": 1.0},
 }
+# CoefficientFn field of a config key, where the two names differ
+_COEFF_FIELDS = {"values": "table_values", "T": "table_T"}
 
 _SOLVER_DEFAULTS = {
     "tol": 1e-6,
@@ -87,31 +94,18 @@ def _coeff_from(d, path: str) -> CoefficientFn:
     kind = d["kind"]
     if kind not in _COEFF_KEYS:
         raise ConfigError(f"{path}.kind must be one of {sorted(_COEFF_KEYS)}")
-    _reject_unknown(d, _COEFF_KEYS[kind] | {"kind"}, path)
+    _reject_unknown(d, _COEFF_KEYS[kind].keys() | {"kind"}, path)
+    fields = {}
     try:
-        if kind == "constant":
-            return CoefficientFn(kind="constant", value=float(d.get("value", 1.0)))
-        if kind == "affine":
-            return CoefficientFn(
-                kind="affine",
-                value=float(d.get("value", 1.0)),
-                slope=float(d.get("slope", 0.0)),
-            )
-        if kind == "sine":
-            return CoefficientFn(
-                kind="sine",
-                value=float(d.get("value", 0.0)),
-                amplitude=float(d.get("amplitude", 1.0)),
-                frequency=float(d.get("frequency", math.pi)),
-                phase=float(d.get("phase", 0.0)),
-            )
-        return CoefficientFn(
-            kind="table",
-            table_values=np.asarray(d["values"], dtype=float),
-            table_T=float(d.get("T", 1.0)),
-        )
+        for key, default in _COEFF_KEYS[kind].items():
+            if default is None:
+                value = np.asarray(d[key], dtype=float)
+            else:
+                value = float(d.get(key, default))
+            fields[_COEFF_FIELDS.get(key, key)] = value
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return CoefficientFn(kind=kind, **fields)
 
 
 @dataclass
@@ -128,7 +122,6 @@ class RunConfig:
     path_points: int
     solution_path: str
     report_path: str
-    raw: dict
 
     def build_state(self) -> tuple[Grid, ProblemState]:
         grid = make_grid(self.params.T, self.n)
@@ -150,19 +143,9 @@ class RunConfig:
             nl["b_const"] = self.spec.b_const
         for name, co in (("a_coeff", self.spec.a_coeff), ("b_coeff", self.spec.b_coeff)):
             entry = {"kind": co.kind}
-            if co.kind == "constant":
-                entry["value"] = co.value
-            elif co.kind == "affine":
-                entry.update(value=co.value, slope=co.slope)
-            elif co.kind == "sine":
-                entry.update(
-                    value=co.value,
-                    amplitude=co.amplitude,
-                    frequency=co.frequency,
-                    phase=co.phase,
-                )
-            else:
-                entry.update(values=list(map(float, co.table_values)), T=co.table_T)
+            for key, default in _COEFF_KEYS[co.kind].items():
+                value = getattr(co, _COEFF_FIELDS.get(key, key))
+                entry[key] = value if default is not None else list(map(float, value))
             nl[name] = entry
         if self.spec.family is Family.TABLE:
             nl["table"] = {
@@ -179,12 +162,7 @@ class RunConfig:
             "nonlinearity": nl,
             "solver": {
                 "method": self.method,
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-                "k": self.k,
-                "seed": self.seed,
-                "eps_reg": self.eps_reg,
-                "path_points": self.path_points,
+                **{key: getattr(self, key) for key in _SOLVER_DEFAULTS},
             },
             "output": {
                 "solution_path": self.solution_path,
@@ -285,10 +263,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"solver.method must be direct, mountain_pass or multiplicity, got {method!r}"
         )
-    merged = dict(_SOLVER_DEFAULTS)
-    for key, val in sol.items():
-        if key != "method":
-            merged[key] = val
+    merged = {**_SOLVER_DEFAULTS, **sol}
     try:
         tol = float(merged["tol"])
         max_iter = int(merged["max_iter"])
@@ -330,7 +305,6 @@ def load_config(path) -> RunConfig:
         path_points=path_points,
         solution_path=solution_path,
         report_path=report_path,
-        raw=raw,
     )
 
 
@@ -339,27 +313,14 @@ def load_config(path) -> RunConfig:
 
 def _sanitize(value):
     """Replace non-finite floats by string sentinels; report whether any."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan", True
-        if math.isinf(value):
-            return ("inf" if value > 0 else "-inf"), True
-        return value, False
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value), True  # "nan", "inf" or "-inf"
     if isinstance(value, dict):
-        bad = False
-        out = {}
-        for k, v in value.items():
-            out[k], b = _sanitize(v)
-            bad = bad or b
-        return out, bad
+        items = {k: _sanitize(v) for k, v in value.items()}
+        return {k: v for k, (v, _) in items.items()}, any(b for _, b in items.values())
     if isinstance(value, (list, tuple)):
-        bad = False
-        out = []
-        for v in value:
-            cv, b = _sanitize(v)
-            out.append(cv)
-            bad = bad or b
-        return out, bad
+        items = [_sanitize(v) for v in value]
+        return [v for v, _ in items], any(b for _, b in items)
     return value, False
 
 
@@ -367,6 +328,7 @@ def _finalize(d: dict) -> dict:
     clean, bad = _sanitize(d)
     if bad and "passed" in clean:
         clean["passed"] = False
+        clean["status"] = "failed"
     if bad and "converged" in clean:
         clean["converged"] = False
     return clean
@@ -422,9 +384,12 @@ def _read_csv_column(path) -> tuple[np.ndarray, np.ndarray]:
     rows = [line for line in text.splitlines() if line.strip()]
     if rows and not rows[0][0].isdigit() and not rows[0].startswith("-"):
         rows = rows[1:]  # header
-    data = np.array([[float(x) for x in line.split(",")[:2]] for line in rows])
+    try:
+        data = np.array([[float(x) for x in line.split(",")[:2]] for line in rows])
+    except ValueError as exc:
+        raise ValueError(f"malformed input CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("need rows of two columns t,u")
+        raise ValueError("malformed input CSV: need rows of two columns t,u")
     return data[:, 0], data[:, 1]
 
 
@@ -432,13 +397,29 @@ def _read_csv_column(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
     grid, st = cfg.build_state()
-    try:
+    if cfg.method == "multiplicity":
+        mrep = multiplicity_search(st, k=cfg.k, tol=cfg.tol, seed=cfg.seed)
+        base = Path(cfg.solution_path)
+        pairs = []
+        for j, rep in enumerate(mrep.pairs, start=1):
+            pth = str(base.with_name(f"{base.stem}_pair{j}{base.suffix}"))
+            write_solution_csv(pth, grid, rep.solution)
+            pairs.append(solve_report_dict(rep, pth))
+        payload = _finalize(
+            {
+                "method": "multiplicity",
+                "converged_count": mrep.converged_count,
+                "requested_pairs": cfg.k,
+                "separation": mrep.separation,
+                "seed": mrep.seed,
+                "pairs": pairs,
+                "pairwise_distances": mrep.pairwise_distances.tolist(),
+            }
+        )
+        converged = sum(pair["converged"] for pair in payload["pairs"]) >= cfg.k
+    else:
         if cfg.method == "direct":
             init = GridFunction(
                 0.1 * np.sin(np.pi * grid.nodes / grid.T), dirichlet=True
@@ -446,8 +427,7 @@ def _cmd_solve(args) -> int:
             rep = minimize_direct(
                 st, init, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
             )
-            reports = [rep]
-        elif cfg.method == "mountain_pass":
+        else:
             rep = mountain_pass(
                 st,
                 path_points=cfg.path_points,
@@ -455,125 +435,53 @@ def _cmd_solve(args) -> int:
                 max_iter=cfg.max_iter,
                 seed=cfg.seed,
             )
-            reports = [rep]
-        else:
-            mrep = multiplicity_search(st, k=cfg.k, tol=cfg.tol, seed=cfg.seed)
-            reports = mrep.pairs
-    except (ValueError, GeometryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if cfg.method == "multiplicity":
-            base = Path(cfg.solution_path)
-            pair_paths = []
-            for j, rep in enumerate(reports, start=1):
-                pth = base.with_name(f"{base.stem}_pair{j}{base.suffix}")
-                write_solution_csv(pth, grid, rep.solution)
-                pair_paths.append(str(pth))
-            payload = _finalize(
-                {
-                    "method": "multiplicity",
-                    "converged_count": mrep.converged_count,
-                    "requested_pairs": cfg.k,
-                    "separation": mrep.separation,
-                    "seed": mrep.seed,
-                    "pairs": [
-                        solve_report_dict(rep, pth)
-                        for rep, pth in zip(reports, pair_paths)
-                    ],
-                    "pairwise_distances": mrep.pairwise_distances.tolist(),
-                }
-            )
-            Path(cfg.report_path).write_text(_dump_json(payload), encoding="utf-8")
-            return 0 if mrep.converged_count >= cfg.k else 2
-        rep = reports[0]
         write_solution_csv(cfg.solution_path, grid, rep.solution)
-        Path(cfg.report_path).write_text(
-            _dump_json(solve_report_dict(rep, cfg.solution_path)), encoding="utf-8"
-        )
-        return 0 if rep.converged else 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        payload = solve_report_dict(rep, cfg.solution_path)
+        converged = payload["converged"]
+    Path(cfg.report_path).write_text(_dump_json(payload), encoding="utf-8")
+    return 0 if converged else 2
 
 
 def _cmd_verify(args) -> int:
-    try:
-        params = FracParams(alpha=args.alpha, p=args.p, T=args.T)
-        grid = make_grid(args.T, args.n)
-        if args.property is None:
-            reports = run_suite([params], grid, seed=args.seed, samples=args.samples)
-        elif args.property not in PropertyId.__members__:
-            raise ValueError(
-                f"unknown property {args.property!r}; "
-                f"choose from {[p.value for p in PropertyId]}"
-            )
-        else:
-            prop = PropertyId(args.property)
-            reports = [verify(prop, params, grid, samples=args.samples, seed=args.seed)]
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    params = FracParams(alpha=args.alpha, p=args.p, T=args.T)
+    grid = make_grid(args.T, args.n)
+    if args.property is None:
+        reports = run_suite([params], grid, seed=args.seed, samples=args.samples)
+    elif args.property not in PropertyId.__members__:
+        raise ValueError(
+            f"unknown property {args.property!r}; "
+            f"choose from {[p.value for p in PropertyId]}"
+        )
+    else:
+        prop = PropertyId(args.property)
+        reports = [verify(prop, params, grid, samples=args.samples, seed=args.seed)]
     payload = [verification_report_dict(r) for r in reports]
     text = _dump_json(payload)
-    try:
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    ran = [r for r in reports if r.status != "skipped"]
-    return 0 if all(r.passed for r in ran) else 2
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    ran = [r for r in payload if r["status"] != "skipped"]
+    return 0 if all(r["passed"] for r in ran) else 2
 
 
 def _cmd_apply(args) -> int:
-    try:
-        kind = OpKind(args.kind)
-    except ValueError:
-        print(
-            f"config error: unknown kind {args.kind!r}; "
-            f"choose from {[k.value for k in OpKind]}",
-            file=sys.stderr,
+    if args.kind not in OpKind.__members__:
+        raise ValueError(
+            f"unknown kind {args.kind!r}; choose from {[k.value for k in OpKind]}"
         )
-        return 1
-    try:
-        t, u = _read_csv_column(args.input)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"config error: malformed input CSV: {exc}", file=sys.stderr)
-        return 1
-    n = len(t) - 1
-    try:
-        params = FracParams(alpha=args.alpha, p=2.0, T=float(t[-1]))
-        grid = make_grid(params.T, n)
-        if not np.allclose(t, grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, params.T)):
-            raise ValueError("input t column is not a uniform grid starting at 0")
-        ops = build_operators(params, grid)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    from .fracops import apply as apply_op
-
-    out = apply_op(ops, kind, GridFunction(u))
-    try:
-        write_solution_csv(args.output, grid, out)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    t, u = _read_csv_column(args.input)
+    params = FracParams(alpha=args.alpha, p=2.0, T=float(t[-1]))
+    grid = make_grid(params.T, len(t) - 1)
+    if not np.allclose(t, grid.nodes, rtol=0.0, atol=1e-12 * max(1.0, params.T)):
+        raise ValueError("input t column is not a uniform grid starting at 0")
+    out = apply_op(build_operators(params, grid), OpKind(args.kind), GridFunction(u))
+    write_solution_csv(args.output, grid, out)
     return 0
 
 
 def _cmd_hypotheses(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
     regime = "SUPERLINEAR" if cfg.method == "mountain_pass" else "SUBLINEAR"
     report = validate_hypotheses(
         cfg.spec, cfg.params, regime, sample_count=400, seed=cfg.seed
@@ -596,7 +504,7 @@ def _cmd_hypotheses(args) -> int:
         }
     )
     sys.stdout.write(_dump_json(payload))
-    return 0 if report.all_hold else 2
+    return 0 if payload["all_hold"] else 2
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -633,7 +541,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     ph.set_defaults(func=_cmd_hypotheses)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    # ExtrapolationError is a ValueError, so it has to be caught first
+    except (ExtrapolationError, GeometryError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ __all__ = [
     "sublinear_power",
     "superlinear_power",
     "table_spec",
-    "eval",
+    "point_values",
     "HypothesisRecord",
     "HypothesisReport",
     "validate_hypotheses",
@@ -223,9 +223,12 @@ def table_spec(breakpoints, values, a_coeff: CoefficientFn = _CONST_ONE) -> Nonl
     )
 
 
-def eval(spec: NonlinearitySpec, t: float, u: float) -> tuple[float, float]:
+def point_values(spec: NonlinearitySpec, t: float, u: float) -> tuple[float, float]:
     """Pointwise (f(t,u), F(t,u))."""
     return float(spec.f_values(t, u)), float(spec.F_values(t, u))
+
+
+eval = point_values  # deprecated alias, kept out of __all__: it shadows the builtin
 
 
 @dataclass(frozen=True)

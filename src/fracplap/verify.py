@@ -472,10 +472,18 @@ assert set(_CHECKERS) == set(PropertyId), "checker table out of sync with Proper
 
 
 def _verify_with_rng(prop, params, ops, samples, rng) -> VerificationReport:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     out = _CHECKERS[prop](params, ops, samples, rng)
     margin = float(out.margin)
     tol = float(out.tolerance)
-    passed = margin >= -tol and (out.ratio_cap is None or out.ratio <= out.ratio_cap)
+    # an ensemble whose every sample overflowed leaves its worst margin at
+    # the +-inf start value (min/max drop NaN), so it must not pass
+    passed = (
+        math.isfinite(margin)
+        and margin >= -tol
+        and (out.ratio_cap is None or out.ratio <= out.ratio_cap)
+    )
     return VerificationReport(
         property=prop,
         status="passed" if passed else "failed",

@@ -303,3 +303,108 @@ def test_apply_malformed_csv_is_config_error(tmp_path, capsys, text):
                  "--output", str(tmp_path / "o.csv")])
     assert code == 1
     assert "malformed input CSV" in capsys.readouterr().err
+
+
+_COEFFS = {
+    "constant": {"kind": "constant", "value": 2.0},
+    "affine": {"kind": "affine", "value": 1.0, "slope": 0.5},
+    "sine": {"kind": "sine", "value": 1.5, "amplitude": 0.25},  # frequency, phase omitted
+    "table": {"kind": "table", "values": [1.0, 2.0, 1.5]},
+}
+_TABLE_FAMILY = {
+    "family": "TABLE",
+    "table": {"breakpoints": [-1.0, 0.0, 1.0], "values": [-1.0, 0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("family", ["SUBLINEAR_POWER", "TABLE"])
+@pytest.mark.parametrize("slot", ["a_coeff", "b_coeff"])
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+def test_load_config_roundtrip_every_coefficient_kind(tmp_path, family, slot, kind):
+    nl = dict(_TABLE_FAMILY) if family == "TABLE" else {"family": family, "q": 1.5}
+    nl[slot] = _COEFFS[kind]
+    path = write_config(tmp_path, nonlinearity=nl)
+    normalized = load_config(path).to_dict()
+    path2 = tmp_path / "cfg2.json"
+    path2.write_text(json.dumps(normalized))
+    assert load_config(path2).to_dict() == normalized
+    entry = normalized["nonlinearity"][slot]
+    assert entry["kind"] == kind
+    if kind == "sine":
+        assert entry["frequency"] == np.pi and entry["phase"] == 0.0
+    if family == "TABLE":
+        assert normalized["nonlinearity"]["table"] == _TABLE_FAMILY["table"]
+
+
+def _one_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+def test_hypotheses_table_out_of_range_is_numerical_error(tmp_path, capsys):
+    # the hypothesis sampler draws |u| up to 1e3, far outside [-1, 1]
+    path = write_config(tmp_path, nonlinearity=_TABLE_FAMILY)
+    assert main(["hypotheses", "--config", str(path)]) == 2
+    assert _one_line(capsys.readouterr().err).startswith("numerical error: TABLE")
+
+
+def test_solve_table_out_of_range_is_numerical_error(tmp_path, capsys):
+    nl = {
+        "family": "TABLE",
+        "table": {"breakpoints": [-0.05, 0.0, 0.05], "values": [-1.0, 0.0, 1.0]},
+    }
+    path = write_config(tmp_path, nonlinearity=nl)
+    assert main(["solve", "--config", str(path)]) == 2
+    assert _one_line(capsys.readouterr().err).startswith("numerical error: TABLE")
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_geometry_error_is_numerical_error(tmp_path, capsys, monkeypatch):
+    from fracplap.solvers import GeometryError
+
+    def no_geometry(*args, **kwargs):
+        raise GeometryError("no rim above the origin")
+
+    monkeypatch.setattr("fracplap.cli.mountain_pass", no_geometry)
+    path = write_config(
+        tmp_path,
+        nonlinearity={"family": "SUPERLINEAR_POWER", "mu": 4.0},
+        **{"solver.method": "mountain_pass"},
+    )
+    assert main(["solve", "--config", str(path)]) == 2
+    assert _one_line(capsys.readouterr().err) == "numerical error: no rim above the origin"
+
+
+def test_verify_nonfinite_margin_fails(tmp_path):
+    # at p = 400 every sample of these ensembles overflows
+    out = tmp_path / "v.json"
+    code = main(["verify", "--alpha", "0.6", "--p", "400", "--T", "1", "--n", "64",
+                 "--samples", "4", "--out", str(out)])
+    assert code == 2
+    status = {r["property"]: r["status"] for r in json.loads(out.read_text())}
+    for prop in ("POINCARE", "SUP_EMBED", "MONOTONE_GAP"):
+        assert status[prop] == "failed"
+
+
+def test_verification_report_dict_nonfinite_forces_failed():
+    from fracplap.cli import verification_report_dict
+    from fracplap.verify import PropertyId, VerificationReport
+
+    rep = VerificationReport(
+        property=PropertyId.YOUNG_BOUND, status="passed", samples=1, worst_margin=0.5,
+        bound_constant=float("nan"), tolerance_used=0.0, passed=True,
+    )
+    d = verification_report_dict(rep)
+    assert d["bound_constant"] == "nan"
+    assert d["passed"] is False and d["status"] == "failed"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_samples_below_one_is_config_error(capsys, samples):
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1", "--n", "64",
+                 "--samples", samples])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err) == f"config error: samples must be at least 1, got {samples}"
