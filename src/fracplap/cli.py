@@ -199,17 +199,14 @@ def load_config(path) -> RunConfig:
         n = int(prob["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"problem section incomplete or malformed: {exc}") from exc
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"problem.alpha out of (0,1]: {alpha}")
-    if not p > 1.0:
-        raise ConfigError(f"problem.p must exceed 1, got {p}")
-    if not T > 0.0:
-        raise ConfigError(f"problem.T must be positive, got {T}")
+    try:
+        params = FracParams(alpha=alpha, p=p, T=T)
+    except ValueError as exc:
+        raise ConfigError(f"problem.{exc}") from exc
     if n < 2:
         raise ConfigError(f"problem.n must be at least 2, got {n}")
     if n > MAX_GRID_CELLS:
         raise ConfigError(f"problem.n must be at most {MAX_GRID_CELLS}, got {n}")
-    params = FracParams(alpha=alpha, p=p, T=T)
 
     nl = raw.get("nonlinearity")
     if not isinstance(nl, dict):
@@ -273,8 +270,10 @@ def load_config(path) -> RunConfig:
         path_points = int(merged["path_points"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver section malformed: {exc}") from exc
-    if tol <= 0:
-        raise ConfigError(f"solver.tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"solver.tol must be positive and finite, got {tol}")
+    if eps_reg is not None and not 0.0 <= eps_reg < math.inf:
+        raise ConfigError(f"solver.eps_reg must be null or finite and >= 0, got {eps_reg}")
     if max_iter < 1:
         raise ConfigError(f"solver.max_iter must be at least 1, got {max_iter}")
     if k < 1:

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import FracParams, Grid, GridFunction, trapezoid_weights
 
@@ -67,6 +66,23 @@ def gl_weights(order: float, m: int) -> np.ndarray:
     return w
 
 
+def _fast_len(target: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= target, a fast real FFT length.
+
+    Each product 3^b 5^c below the best length so far is doubled up to
+    the target in one shift, so the search costs O(log^2 target).
+    """
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((target - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class Toeplitz:
     """Lower-triangular Toeplitz matrix given by its first column.
 
@@ -83,7 +99,7 @@ class Toeplitz:
         self.col = col
         self.shape = (m, m)
         self.upper = False
-        self._nfft = next_fast_len(2 * m - 1, real=True)
+        self._nfft = _fast_len(2 * m - 1)
         self._spectrum = np.fft.rfft(col, self._nfft)
         self._spectrum.setflags(write=False)
 
@@ -103,7 +119,11 @@ class Toeplitz:
         return y[::-1] if self.upper else y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense = toeplitz(self.col, np.zeros(self.shape[0]))
+        # row i is col[i], ..., col[0] and then zeros: a reversed window of
+        # the column padded with m - 1 leading zeros
+        m = self.shape[0]
+        windows = sliding_window_view(np.concatenate((np.zeros(m - 1), self.col)), m)
+        dense = windows[:, ::-1].copy()
         return (dense.T if self.upper else dense).astype(dtype, copy=False)
 
 

@@ -9,6 +9,7 @@ approximated with the composite trapezoid rule, whose weights are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +43,10 @@ class FracParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.p > 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must lie in (1, inf), got {self.p}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         object.__setattr__(self, "q_conj", self.p / (self.p - 1.0))
 
 

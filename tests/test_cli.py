@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -408,3 +409,67 @@ def test_verify_samples_below_one_is_config_error(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _one_line(captured.err) == f"config error: samples must be at least 1, got {samples}"
+
+
+@pytest.mark.parametrize("prop", [[], ["--property", "POINCARE"]])
+def test_verify_infinite_p_is_config_error(capsys, prop):
+    code = main(["verify", "--alpha", "0.6", "--p", "inf", "--T", "1", "--n", "64",
+                 "--samples", "4", *prop])
+    assert code == 1
+    assert _one_line(capsys.readouterr().err).startswith("config error: p must lie in (1, inf)")
+
+
+@pytest.mark.parametrize("key", ["p", "T"])
+def test_load_config_rejects_infinite_problem_constant(tmp_path, capsys, key):
+    path = write_config(tmp_path, **{f"problem.{key}": math.inf})
+    with pytest.raises(ConfigError, match=f"problem.{key}"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert f"problem.{key}" in _one_line(capsys.readouterr().err)
+    assert not (tmp_path / "sol.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("tol", math.inf), ("tol", math.nan), ("eps_reg", math.nan), ("eps_reg", -1.0)]
+)
+def test_load_config_rejects_bad_solver_tolerances(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, **{f"solver.{key}": value})
+    with pytest.raises(ConfigError, match=f"solver.{key}"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert f"solver.{key}" in _one_line(capsys.readouterr().err)
+
+
+def test_runtime_runs_without_scipy(tmp_path):
+    # every subcommand in a fresh interpreter in which importing scipy fails
+    write_config(tmp_path)
+    n = 32
+    rows = ["t,u"] + [f"{i/n:.17g},{(i/n) ** 2:.17g}" for i in range(n + 1)]
+    (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+    commands = [
+        ["solve", "--config", "cfg.json"],
+        ["verify", "--alpha", "0.6", "--p", "2", "--T", "1", "--n", "32",
+         "--samples", "2", "--out", "v.json"],
+        ["apply", "--kind", "LEFT_INT", "--alpha", "0.5", "--input", "in.csv",
+         "--output", "o.csv"],
+        ["hypotheses", "--config", "cfg.json"],
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from fracplap.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m, mod in sys.modules.items()\n"
+        "                if m.startswith('scipy') and mod is not None)\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    src = str(Path(fracplap.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "loaded": []}

@@ -338,3 +338,14 @@ def test_interior_blocks_are_inverse():
         L = Toeplitz(ops.left_deriv.col[: n - 1])
         Li = Toeplitz(ops.left_int.col[: n - 1])
         assert np.max(np.abs(L @ np.asarray(Li) - np.eye(n - 1))) <= 1e-13
+
+
+def test_fast_len_matches_scipy():
+    # every target an operator build can request: 2m - 1 for a column of
+    # m = n + 1 <= MAX_GRID_CELLS + 1 nodes
+    from scipy.fft import next_fast_len
+
+    from fracplap.fracops import _fast_len
+
+    for target in range(1, 2 * MAX_GRID_CELLS + 2):
+        assert _fast_len(target) == next_fast_len(target, real=True), target
