@@ -47,9 +47,9 @@ __all__ = [
     "MAX_GRID_CELLS",
 ]
 
-# The operators themselves are matrix-free, but the critical-point root
-# solves (mountain-pass polish, multiplicity search) build the dense
-# interior Hessian and factor it, which stops being desk-scale beyond this.
+# Operators and solvers are matrix-free, so memory is linear in n; the cap
+# dates from the dense root-solve Hessian and stays until it is set from
+# measured memory.
 MAX_GRID_CELLS = 8192
 
 

@@ -9,16 +9,17 @@ and makes no secant assumptions, so it is robust across p.  The metric
 is solved in closed form from the Toeplitz structure (see _Workspace).
 Critical points that are not minima (the higher symmetric pairs, and the
 mountain-pass maximizer) are finished by one backtracking Newton engine
-on the dense Hessian (_polish_root); the search for the higher pairs
-first runs it on the deflated field, whose Newton step is the plain one
-times a scalar.
+(_polish_root).  Its steps come from MINRES on Hessian-vector products,
+preconditioned by the same closed-form metric with the Hessian's own
+flux weights, so no dense matrix is formed.  The search for the higher
+pairs first runs it on the deflated field, whose Newton step is the
+plain one times a scalar.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,6 +56,9 @@ POLISH_MAX_STEPS = 20
 POLISH_MAX_HALVINGS = 30
 ARMIJO_MAX_HALVINGS = 60
 RIM_DIRECTIONS = 40
+MINRES_RTOL = 1e-12
+MINRES_MAX_ITER = 200
+PRECOND_FLOOR = 1e-12
 
 
 class GeometryError(RuntimeError):
@@ -108,42 +112,54 @@ class RegularityResult:
 
 
 class _Workspace:
-    """Per-state cache: closed-form metric solve, basis norms, Hessian builder.
+    """Per-state cache: closed-form metric solves, basis norms, Newton steps.
 
     Row 0 of D vanishes on the interior columns and rows 1..n-1 carry the
-    quadrature weight h, so the interior block of the metric is
+    quadrature weight h, so for positive node weights w the interior block
+    of the weighted metric D^T diag(w) D is
 
-        H_int = L^T L + c r r^T,
+        H_w = L^T diag(w_1 .. w_{n-1}) L + w_n r r^T,
 
-    with L the interior block of D, r row n of D on the interior columns
-    and c = wd_n / h (1/2 for alpha < 1, 1 at alpha = 1).  Because
-    D^a I^a = Id holds as matrices, L^{-1} is the interior block of the
-    left integral, so a metric solve is two Toeplitz products and one
-    Sherman-Morrison correction along z = (L^T L)^{-1} r.
+    with L the interior block of D and r row n of D on the interior
+    columns.  Because D^a I^a = Id holds as matrices, L^{-1} is the
+    interior block of the left integral, so a metric solve is two Toeplitz
+    products around one division by w and one Sherman-Morrison correction
+    along z = (L^T diag(w) L)^{-1} r.  The descent metric is w = wd / h,
+    whose interior weights are exactly 1.
     """
 
     def __init__(self, st: ProblemState):
         self.st = st
         n = st.grid.n
-        self._c = st.ops.deriv_quad_weights[n] / st.grid.h
         self._r = np.zeros(n + 1)
         self._r[1:n] = st.ops.left_deriv.col[n - 1 : 0 : -1]
-        self._z = self._gram_solve(self._r)
-        self._sm_denom = 1.0 + self._c * np.sum(self._r * self._z)
+        self._descent_metric = self.metric_solver(st.ops.deriv_quad_weights / st.grid.h)
         self.basis_norms = basis_alpha_norms(st)
 
-    @cached_property
-    def dense_deriv(self) -> np.ndarray:
-        """Dense D, needed only by the Hessian of the root solves."""
-        return np.asarray(self.st.ops.left_deriv)
+    def metric_solver(self, w: np.ndarray):
+        """g -> H_w^{-1} g on the interior of a boundary-pinned g, for
+        positive node weights w (w_0 is not used)."""
+        ops = self.st.ops
+        r = self._r
 
-    def _gram_solve(self, g: np.ndarray) -> np.ndarray:
-        """(L^T L)^{-1} g on the interior of a boundary-pinned g."""
-        y = self.st.ops.right_int @ g
-        y[0] = y[-1] = 0.0
-        y = self.st.ops.left_int @ y
-        y[0] = y[-1] = 0.0
-        return y
+        def gram_solve(g: np.ndarray) -> np.ndarray:
+            y = ops.right_int @ g
+            y[0] = y[-1] = 0.0
+            y[1:-1] /= w[1:-1]
+            y = ops.left_int @ y
+            y[0] = y[-1] = 0.0
+            return y
+
+        c = w[-1]
+        z = gram_solve(r)
+        denom = 1.0 + c * np.sum(r * z)
+
+        def solve(g: np.ndarray) -> np.ndarray:
+            x = gram_solve(g)
+            x -= (c * np.sum(r * x) / denom) * z
+            return x
+
+        return solve
 
     def residual_of(self, g: np.ndarray) -> float:
         """Weak residual of the point whose gradient is g."""
@@ -153,9 +169,7 @@ class _Workspace:
         return self.residual_of(gradient(self.st, u).values)
 
     def descent_direction(self, g: np.ndarray) -> np.ndarray:
-        x = self._gram_solve(g)
-        x -= (self._c * np.sum(self._r * x) / self._sm_denom) * self._z
-        return -x
+        return -self._descent_metric(g)
 
     def grad_interior(self, ui: np.ndarray) -> np.ndarray:
         u = np.zeros(self.st.grid.n + 1)
@@ -187,7 +201,14 @@ class _Workspace:
                 grad -= (p / (N * (N + 1.0))) * flux[1:-1]
         return log_m, grad
 
-    def hessian_interior(self, ui: np.ndarray) -> np.ndarray:
+    def newton_step(self, ui: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """H^{-1} g for the interior Hessian H at ui, by MINRES.
+
+        H v = D^T(w D v) - f_u v with w = wd phi'(D u) / h, so the metric
+        with the same weights is its exact principal part and preconditions
+        it for every p; weights are floored at PRECOND_FLOOR of the largest
+        to keep that metric positive definite where phi' vanishes (p > 2).
+        """
         st = self.st
         n = st.grid.n
         u = np.zeros(n + 1)
@@ -200,11 +221,75 @@ class _Workspace:
         else:
             s2 = du * du + eps * eps
             dphi = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * du * du + eps * eps)
-        D = self.dense_deriv
-        wd = st.ops.deriv_quad_weights
-        H = (D.T * (wd * dphi)) @ D / st.grid.h
-        fu = st.spec.fu_values(st.grid.nodes, u)
-        return H[1:n, 1:n] - np.diag(fu[1:n])
+        w = st.ops.deriv_quad_weights * dphi / st.grid.h
+        fu = st.spec.fu_values(st.grid.nodes, u)[1:n]
+        metric = self.metric_solver(np.maximum(w, PRECOND_FLOOR * np.max(w)))
+
+        def pinned(v: np.ndarray) -> np.ndarray:
+            return np.concatenate(([0.0], v, [0.0]))
+
+        def hess(v: np.ndarray) -> np.ndarray:
+            return (st.ops.right_deriv @ (w * (st.ops.left_deriv @ pinned(v))))[1:n] - fu * v
+
+        return _minres(hess, g, lambda v: metric(pinned(v))[1:n])
+
+
+def _minres(A, b: np.ndarray, M) -> np.ndarray:
+    """Preconditioned MINRES (Paige & Saunders, SIAM J. Numer. Anal. 1975).
+
+    Solves A x = b for a symmetric, possibly indefinite A given as a
+    product, with M applying the inverse of a symmetric positive definite
+    preconditioner.  Stops once the preconditioned residual is
+    MINRES_RTOL of its start, or after MINRES_MAX_ITER iterations.  Inner
+    products use np.sum, so no threaded BLAS call enters the result.  A
+    breakdown (singular A, indefinite M) or a non-finite value gives NaN.
+    """
+    failed = np.full_like(b, np.nan)
+    x = np.zeros_like(b)
+    y = M(b)
+    beta1 = float(np.sum(b * y))
+    if beta1 == 0.0:
+        return x
+    if not beta1 > 0.0:
+        return failed
+    beta1 = math.sqrt(beta1)
+    beta, oldb = beta1, 0.0
+    dbar = epsln = sn = 0.0
+    cs = -1.0
+    phibar = beta1
+    r1 = r2 = b
+    w = w2 = np.zeros_like(b)
+    for itn in range(MINRES_MAX_ITER):
+        v = y / beta
+        y = A(v)
+        if itn:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.sum(v * y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = M(r2)
+        oldb, beta = beta, float(np.sum(r2 * y))
+        if not beta >= 0.0:
+            return failed
+        beta = math.sqrt(beta)
+        # next plane rotation of the Lanczos tridiagonal
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if not gamma > 0.0:
+            return failed
+        cs, sn = gbar / gamma, beta / gamma
+        phi_k = cs * phibar
+        phibar *= sn
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi_k * w
+        if phibar <= MINRES_RTOL * beta1:
+            break
+    return x if np.all(np.isfinite(x)) else failed
 
 
 def _armijo_step(
@@ -288,11 +373,11 @@ def minimize_direct(
             slope = float(np.sum(st.grid.h * g * d))
             if slope >= 0.0:
                 break
-        E_prev = E
-        u, E = _armijo_step(st, u, E, d, slope)
+        un, En = _armijo_step(st, u, E, d, slope)
+        if En > E:  # the line search failed; keep the last accepted point
+            break
+        u, E = un, En
         steps += 1
-        if E > E_prev:
-            raise AssertionError("descent invariant violated: energy increased")
     sol = GridFunction(u, dirichlet=True)
     return SolveReport(
         solution=sol,
@@ -369,11 +454,12 @@ def _merit_below(r: float, log_m: float, best: float, best_log_m: float) -> bool
 def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, int]:
     """Newton polish of a critical point near u0, on the interior nodes.
 
-    Each step solves the dense Hessian system and halves the step until
-    max|g| decreases.  The polish ends when no step length decreases it
-    (the roundoff floor), after POLISH_MAX_STEPS steps, or when the Newton
-    system is singular or not finite; it returns the best iterate and the
-    number of gradient evaluations.
+    Each step solves the Hessian system by preconditioned MINRES
+    (_Workspace.newton_step) and halves the step until max|g| decreases.
+    The polish ends when no step length decreases it (the roundoff floor),
+    after POLISH_MAX_STEPS steps, or when the Newton solve breaks down or
+    is not finite; it returns the best iterate and the number of gradient
+    evaluations.
 
     With known pairs the field is deflated to M g, M the product of
     (1 + ||u -+ u_k||^-p), so the known pairs stop being roots (Farrell,
@@ -388,15 +474,11 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     best = float(np.max(np.abs(g)))
     nfev = 1
     for _ in range(POLISH_MAX_STEPS):
-        H = ws.hessian_interior(x)
-        if not np.all(np.isfinite(H)):
-            break
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
+        step = ws.newton_step(x, g)
+        if not np.all(np.isfinite(step)):
             break
         if known:
-            denom = 1.0 + float(dlog_m @ step)
+            denom = 1.0 + float(np.sum(dlog_m * step))
             if denom == 0.0 or not math.isfinite(denom):
                 break
             step = step / denom
@@ -416,6 +498,10 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     u = np.zeros_like(u0)
     u[1:-1] = x
     return u, nfev
+
+
+def _max_abs_grad(ws: _Workspace, u: np.ndarray) -> float:
+    return float(np.max(np.abs(ws.grad_interior(u[1:-1]))))
 
 
 def mountain_pass(
@@ -557,6 +643,10 @@ def multiplicity_search(
             # stage 2: undeflated Newton, since the deflation factor's
             # curvature can stall the first stage short of full tolerance
             u, nfev1 = _polish_root(ws, u0, known=found)
+            # the deflated merit can fall while max|g| runs away; Newton
+            # from such a point lands on whichever root chance picks
+            if _max_abs_grad(ws, u) >= _max_abs_grad(ws, u0):
+                u = u0
             u, nfev2 = _polish_root(ws, u)
             uf = GridFunction(u, dirichlet=True)
             res = ws.residual(uf)

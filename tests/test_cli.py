@@ -85,18 +85,18 @@ def test_solve_deterministic_bytes(tmp_path):
     assert (tmp_path / "rep.json").read_bytes() == rep1
 
 
-def test_solve_bytes_independent_of_blas_threads(tmp_path):
+def _solve_bytes_per_blas_threads(tmp_path, problem, nonlinearity, solver, names):
     # same config and output names, solved in fresh interpreters with one
-    # and with two BLAS threads
+    # and with two BLAS threads; the bytes of the named outputs per run
     src = str(Path(fracplap.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
         run_dir = tmp_path / f"threads{threads}"
         run_dir.mkdir()
         cfg = {
-            "problem": {"alpha": 0.6, "p": 3.0, "T": 1.0, "n": 1024},
-            "nonlinearity": {"family": "SUBLINEAR_POWER", "q": 2.0},
-            "solver": {"method": "direct", "tol": 1e-8},
+            "problem": problem,
+            "nonlinearity": nonlinearity,
+            "solver": solver,
             "output": {"solution_path": "sol.csv", "report_path": "rep.json"},
         }
         (run_dir / "cfg.json").write_text(json.dumps(cfg))
@@ -107,7 +107,41 @@ def test_solve_bytes_independent_of_blas_threads(tmp_path):
             cwd=run_dir, env=env, capture_output=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append([(run_dir / name).read_bytes() for name in ("sol.csv", "rep.json")])
+        outputs.append([(run_dir / name).read_bytes() for name in names])
+    return outputs
+
+
+def test_solve_bytes_independent_of_blas_threads(tmp_path):
+    outputs = _solve_bytes_per_blas_threads(
+        tmp_path,
+        {"alpha": 0.6, "p": 3.0, "T": 1.0, "n": 1024},
+        {"family": "SUBLINEAR_POWER", "q": 2.0},
+        {"method": "direct", "tol": 1e-8},
+        ("sol.csv", "rep.json"),
+    )
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "problem, nonlinearity, solver, names",
+    [
+        (
+            {"alpha": 0.7, "p": 2.0, "T": 1.0, "n": 1024},
+            {"family": "SUPERLINEAR_POWER", "mu": 4.0},
+            {"method": "mountain_pass", "tol": 1e-8, "path_points": 21, "seed": 1},
+            ("sol.csv", "rep.json"),
+        ),
+        (
+            {"alpha": 0.6, "p": 2.0, "T": 1.0, "n": 128},
+            {"family": "SUBLINEAR_POWER", "q": 1.5},
+            {"method": "multiplicity", "tol": 1e-8, "k": 3, "seed": 0},
+            ("sol_pair1.csv", "sol_pair2.csv", "sol_pair3.csv", "rep.json"),
+        ),
+    ],
+    ids=["mountain_pass", "multiplicity"],
+)
+def test_root_solve_bytes_independent_of_blas_threads(tmp_path, problem, nonlinearity, solver, names):
+    outputs = _solve_bytes_per_blas_threads(tmp_path, problem, nonlinearity, solver, names)
     assert outputs[0] == outputs[1]
 
 

@@ -58,6 +58,26 @@ def fixed_point_oracle(st, mu, iters=400):
     return GridFunction(u, dirichlet=True)
 
 
+def dense_hessian(st, ui):
+    """Interior Hessian of the energy, assembled from the dense D."""
+    n = st.grid.n
+    u = np.zeros(n + 1)
+    u[1:-1] = ui
+    p = st.params.p
+    du = st.ops.left_deriv @ u
+    eps = st.eps_reg
+    if p >= 2.0:
+        dphi = (p - 1.0) * np.abs(du) ** (p - 2.0)
+    else:
+        s2 = du * du + eps * eps
+        dphi = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * du * du + eps * eps)
+    D = np.asarray(st.ops.left_deriv)
+    wd = st.ops.deriv_quad_weights
+    H = (D.T * (wd * dphi)) @ D / st.grid.h
+    fu = st.spec.fu_values(st.grid.nodes, u)
+    return H[1:n, 1:n] - np.diag(fu[1:n])
+
+
 # -------------------------------------------------------- minimize_direct ---
 
 
@@ -114,6 +134,16 @@ def test_minimize_nonconverged_report():
     rep = minimize_direct(st, bump_init(st), tol=1e-14, max_iter=2)
     assert not rep.converged
     assert rep.iterations == 2
+
+
+def test_minimize_stops_when_energy_rises(monkeypatch):
+    st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
+    init = bump_init(st)
+    monkeypatch.setattr(solvers, "_armijo_step", lambda st, u, E, d, slope: (u + d, E + 1.0))
+    rep = minimize_direct(st, init, tol=1e-8)
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert np.array_equal(rep.solution.values, init.values)
 
 
 def test_minimize_p3_regime():
@@ -279,13 +309,42 @@ def test_closed_form_metric_solve_matches_dense(alpha):
     assert np.max(np.abs(-d[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_weighted_metric_solver_matches_dense(alpha):
+    st = make_state(alpha, 2.0, 64, sublinear_power(1.5))
+    n = st.grid.n
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.1, 10.0, n + 1)
+    D = np.asarray(st.ops.left_deriv)
+    H_w = ((D.T * w) @ D)[1:n, 1:n]
+    g = np.zeros(n + 1)
+    g[1:n] = rng.standard_normal(n - 1)
+    x = solvers._Workspace(st).metric_solver(w)(g)
+    ref = np.linalg.solve(H_w, g[1:n])
+    assert x[0] == 0.0 and x[-1] == 0.0
+    assert np.max(np.abs(x[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_newton_step_matches_dense_hessian(p):
+    # at the mountain-pass maximizer the Hessian is indefinite
+    st = make_state(0.7, p, 64, superlinear_power(4.0))
+    x = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values[1:-1]
+    H = dense_hessian(st, x)
+    eigs = np.linalg.eigvalsh(H)
+    assert eigs[0] < 0.0 < eigs[-1]
+    b = np.random.default_rng(0).standard_normal(len(x))
+    ref = np.linalg.solve(H, b)
+    step = solvers._Workspace(st).newton_step(x, b)
+    assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_polish_survives_singular_newton_system(bad, monkeypatch):
     st = make_state(0.7, 2.0, 32, superlinear_power(4.0))
     ws = solvers._Workspace(st)
-    monkeypatch.setattr(
-        ws, "hessian_interior", lambda ui: np.full((len(ui), len(ui)), bad)
-    )
+    minres = solvers._minres
+    monkeypatch.setattr(solvers, "_minres", lambda A, b, M: minres(lambda v: bad * v, b, M))
     u0 = np.sin(np.pi * st.grid.nodes)
     u0[-1] = 0.0
     u, nfev = solvers._polish_root(ws, u0)
@@ -309,7 +368,7 @@ def _deflation_setup(n_known):
 def test_deflated_step_matches_explicit_jacobian(n_known, monkeypatch):
     st, ws, x0, known = _deflation_setup(n_known)
     g = ws.grad_interior(x0)
-    H = ws.hessian_interior(x0)
+    H = dense_hessian(st, x0)
     log_m, dlog_m = ws.log_deflation(x0, known)
     m = np.exp(log_m)
     # Newton step of the deflated field M g with its full Jacobian
@@ -354,3 +413,49 @@ def test_multiplicity_pairs_independent_of_seed():
     assert len(runs[0]) == 3
     for energies in runs[1:]:
         assert energies == pytest.approx(runs[0], rel=1e-9)
+
+
+def test_multiplicity_pairs_survive_perturbed_polish_starts(monkeypatch):
+    # a run-away deflated stage used to hand the plain Newton stage a start
+    # from which rounding decided the pair it landed on
+    st = make_state(0.7, 3.0, 256, sublinear_power(2.0))
+    ref = sorted(r.energy_value for r in multiplicity_search(st, k=3, tol=1e-8, seed=0).pairs)
+    polish = solvers._polish_root
+    for draw in range(4):
+        rng = np.random.default_rng(draw)
+        monkeypatch.setattr(
+            solvers,
+            "_polish_root",
+            lambda ws, u0, known=(): polish(
+                ws, u0 * (1.0 + 1e-15 * rng.standard_normal(len(u0))), known
+            ),
+        )
+        m = multiplicity_search(st, k=3, tol=1e-8, seed=0)
+        assert sorted(r.energy_value for r in m.pairs) == pytest.approx(ref, rel=1e-9)
+
+
+def test_multiplicity_plain_stage_restarts_after_runaway(monkeypatch):
+    # at this state one deflated stage ends with max|g| 2.5e3 from a start
+    # at 0.18; the plain stage must then start from the deflated stage's start
+    st = make_state(0.7, 3.0, 256, sublinear_power(2.0))
+    polish = solvers._polish_root
+    calls = []
+
+    def spy(ws, u0, known=()):
+        u, nfev = polish(ws, u0, known)
+        calls.append((u0, u, len(known)))
+        return u, nfev
+
+    monkeypatch.setattr(solvers, "_polish_root", spy)
+    multiplicity_search(st, k=3, tol=1e-8, seed=0)
+    ws = solvers._Workspace(st)
+
+    def max_g(u):
+        return np.max(np.abs(ws.grad_interior(u[1:-1])))
+
+    stages = list(zip(calls[::2], calls[1::2]))
+    assert stages and all(d[2] > 0 and p[2] == 0 for d, p in stages)
+    assert any(max_g(d[1]) >= max_g(d[0]) for d, _ in stages)  # a run-away happens
+    for deflated, plain in stages:
+        ran_away = max_g(deflated[1]) >= max_g(deflated[0])
+        assert np.array_equal(plain[0], deflated[0] if ran_away else deflated[1])
