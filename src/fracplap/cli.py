@@ -103,9 +103,9 @@ def _coeff_from(d, path: str) -> CoefficientFn:
             else:
                 value = float(d.get(key, default))
             fields[_COEFF_FIELDS.get(key, key)] = value
+        return CoefficientFn(kind=kind, **fields)
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return CoefficientFn(kind=kind, **fields)
 
 
 @dataclass

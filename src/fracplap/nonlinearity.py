@@ -44,6 +44,14 @@ class ExtrapolationError(ValueError):
     """Raised when a TABLE family is evaluated outside its breakpoints."""
 
 
+def _require_finite(obj, names) -> None:
+    """Reject a NaN or infinite entry in any of the named fields; None passes."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite")
+
+
 class Family(enum.Enum):
     SUBLINEAR_POWER = "SUBLINEAR_POWER"
     SUPERLINEAR_POWER = "SUPERLINEAR_POWER"
@@ -67,6 +75,11 @@ class CoefficientFn:
     phase: float = 0.0
     table_values: Optional[np.ndarray] = None
     table_T: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_finite(
+            self, ("value", "slope", "amplitude", "frequency", "phase", "table_values", "table_T")
+        )
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -104,6 +117,7 @@ class NonlinearitySpec:
     _table_cumint: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("q", "mu", "r", "b_const", "table_breakpoints", "table_values"))
         if self.family is Family.SUBLINEAR_POWER:
             if self.q is None or self.q <= 1.0:
                 raise ValueError("SUBLINEAR_POWER needs an exponent q > 1")

@@ -112,7 +112,8 @@ class RegularityResult:
 
 
 class _Workspace:
-    """Per-state cache: closed-form metric solves, basis norms, Newton steps.
+    """Per-state cache: closed-form metric solves, basis norms, Newton steps,
+    all on boundary-pinned vectors (n+1 nodal values with zero ends).
 
     Row 0 of D vanishes on the interior columns and rows 1..n-1 carry the
     quadrature weight h, so for positive node weights w the interior block
@@ -137,8 +138,8 @@ class _Workspace:
         self.basis_norms = basis_alpha_norms(st)
 
     def metric_solver(self, w: np.ndarray):
-        """g -> H_w^{-1} g on the interior of a boundary-pinned g, for
-        positive node weights w (w_0 is not used)."""
+        """g -> H_w^{-1} g for a pinned g, for positive node weights w
+        (w_0 is not used)."""
         ops = self.st.ops
         r = self._r
 
@@ -161,24 +162,19 @@ class _Workspace:
 
         return solve
 
-    def residual_of(self, g: np.ndarray) -> float:
+    def residual(self, g: np.ndarray) -> float:
         """Weak residual of the point whose gradient is g."""
         return _residual_from_gradient(self.st, g, self.basis_norms)
-
-    def residual(self, u: GridFunction) -> float:
-        return self.residual_of(gradient(self.st, u).values)
 
     def descent_direction(self, g: np.ndarray) -> np.ndarray:
         return -self._descent_metric(g)
 
-    def grad_interior(self, ui: np.ndarray) -> np.ndarray:
-        u = np.zeros(self.st.grid.n + 1)
-        u[1:-1] = ui
-        return gradient(self.st, GridFunction(u, dirichlet=True)).values[1:-1]
+    def grad(self, u: np.ndarray) -> np.ndarray:
+        return gradient(self.st, GridFunction(u, dirichlet=True)).values
 
-    def log_deflation(self, ui: np.ndarray, known) -> tuple[float, np.ndarray]:
-        """log M and its gradient on the interior nodes, where M is the
-        product of (1 + ||u -+ u_k||^-p) over the known pairs u_k.
+    def log_deflation(self, u: np.ndarray, known) -> tuple[float, np.ndarray]:
+        """log M and its gradient, where M is the product of
+        (1 + ||u -+ u_k||^-p) over the known pairs u_k.
 
         With v = u -+ u_k and N = ||v||^p, each factor contributes
         log1p(N) - log(N) to log M and -p D^T(wd phi(D v)) / (N (N + 1))
@@ -188,21 +184,19 @@ class _Workspace:
         st = self.st
         p = st.params.p
         wd = st.ops.deriv_quad_weights
-        u = np.zeros(st.grid.n + 1)
-        u[1:-1] = ui
         log_m = 0.0
-        grad = np.zeros_like(ui)
+        grad = np.zeros_like(u)
         for uk in known:
             for v in (u - uk, u + uk):
                 dv = st.ops.left_deriv @ v
                 N = np.sum(wd * np.abs(dv) ** p)
                 log_m += np.log1p(N) - np.log(N)
-                flux = st.ops.right_deriv @ (wd * phi(dv, p))
-                grad -= (p / (N * (N + 1.0))) * flux[1:-1]
+                grad -= (p / (N * (N + 1.0))) * (st.ops.right_deriv @ (wd * phi(dv, p)))
+        grad[0] = grad[-1] = 0.0
         return log_m, grad
 
-    def newton_step(self, ui: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """H^{-1} g for the interior Hessian H at ui, by MINRES.
+    def newton_step(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """H^{-1} g for the Hessian H at u (boundary rows zero), by MINRES.
 
         H v = D^T(w D v) - f_u v with w = wd phi'(D u) / h, so the metric
         with the same weights is its exact principal part and preconditions
@@ -210,9 +204,6 @@ class _Workspace:
         to keep that metric positive definite where phi' vanishes (p > 2).
         """
         st = self.st
-        n = st.grid.n
-        u = np.zeros(n + 1)
-        u[1:-1] = ui
         p = st.params.p
         du = st.ops.left_deriv @ u
         eps = st.eps_reg
@@ -222,16 +213,14 @@ class _Workspace:
             s2 = du * du + eps * eps
             dphi = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * du * du + eps * eps)
         w = st.ops.deriv_quad_weights * dphi / st.grid.h
-        fu = st.spec.fu_values(st.grid.nodes, u)[1:n]
-        metric = self.metric_solver(np.maximum(w, PRECOND_FLOOR * np.max(w)))
-
-        def pinned(v: np.ndarray) -> np.ndarray:
-            return np.concatenate(([0.0], v, [0.0]))
+        fu = st.spec.fu_values(st.grid.nodes, u)
 
         def hess(v: np.ndarray) -> np.ndarray:
-            return (st.ops.right_deriv @ (w * (st.ops.left_deriv @ pinned(v))))[1:n] - fu * v
+            hv = st.ops.right_deriv @ (w * (st.ops.left_deriv @ v)) - fu * v
+            hv[0] = hv[-1] = 0.0
+            return hv
 
-        return _minres(hess, g, lambda v: metric(pinned(v))[1:n])
+        return _minres(hess, g, self.metric_solver(np.maximum(w, PRECOND_FLOOR * np.max(w))))
 
 
 def _minres(A, b: np.ndarray, M) -> np.ndarray:
@@ -343,7 +332,6 @@ def minimize_direct(
     tol: float = 1e-6,
     max_iter: int = 2000,
     seed: int = 0,
-    _ws: Optional[_Workspace] = None,
 ) -> SolveReport:
     """Armijo descent on the energy in the linear-part metric.
 
@@ -354,7 +342,7 @@ def minimize_direct(
     point, which the report flags.
     """
     _sublinear_gate(st, "minimize_direct")
-    ws = _ws if _ws is not None else _Workspace(st)
+    ws = _Workspace(st)
     u = init.values.copy()
     u[0] = 0.0
     u[-1] = 0.0
@@ -362,26 +350,23 @@ def minimize_direct(
     res = math.inf
     steps = 0
     while True:
-        g = gradient(st, GridFunction(u, dirichlet=True)).values
-        res = ws.residual_of(g)
+        g = ws.grad(u)
+        res = ws.residual(g)
         if res <= tol or steps >= max_iter:
             break
         d = ws.descent_direction(g)
         slope = float(np.sum(st.grid.h * g * d))
-        if slope >= 0.0:  # metric solve lost descent; fall back to raw gradient
-            d = -g
-            slope = float(np.sum(st.grid.h * g * d))
-            if slope >= 0.0:
-                break
+        if not slope < 0.0:  # no descent direction, or NaN
+            break
         un, En = _armijo_step(st, u, E, d, slope)
-        if En > E:  # the line search failed; keep the last accepted point
+        if not En <= E:  # the line search failed; keep the last accepted point
             break
         u, E = un, En
         steps += 1
     sol = GridFunction(u, dirichlet=True)
     return SolveReport(
         solution=sol,
-        energy_value=energy(st, sol),
+        energy_value=E,
         residual=res,
         iterations=steps,
         converged=res <= tol,
@@ -451,15 +436,15 @@ def _merit_below(r: float, log_m: float, best: float, best_log_m: float) -> bool
     return r * math.exp(d) < best if d <= 0.0 else r < best * math.exp(-d)
 
 
-def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, int]:
-    """Newton polish of a critical point near u0, on the interior nodes.
+def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, np.ndarray, int]:
+    """Newton polish of a critical point near the pinned u0.
 
     Each step solves the Hessian system by preconditioned MINRES
     (_Workspace.newton_step) and halves the step until max|g| decreases.
     The polish ends when no step length decreases it (the roundoff floor),
     after POLISH_MAX_STEPS steps, or when the Newton solve breaks down or
-    is not finite; it returns the best iterate and the number of gradient
-    evaluations.
+    is not finite; it returns the best iterate, its gradient and the number
+    of gradient evaluations.
 
     With known pairs the field is deflated to M g, M the product of
     (1 + ||u -+ u_k||^-p), so the known pairs stop being roots (Farrell,
@@ -468,13 +453,13 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     plain one scaled by 1 / (1 + grad(log M) . step), and the halving
     runs on max|M g|.
     """
-    x = u0[1:-1].copy()
-    g = ws.grad_interior(x)
-    log_m, dlog_m = ws.log_deflation(x, known)
+    u = u0
+    g = ws.grad(u)
+    log_m, dlog_m = ws.log_deflation(u, known)
     best = float(np.max(np.abs(g)))
     nfev = 1
     for _ in range(POLISH_MAX_STEPS):
-        step = ws.newton_step(x, g)
+        step = ws.newton_step(u, g)
         if not np.all(np.isfinite(step)):
             break
         if known:
@@ -484,9 +469,9 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
             step = step / denom
         s = 1.0
         for _ in range(POLISH_MAX_HALVINGS):
-            xn = x - s * step
-            gn = ws.grad_interior(xn)
-            log_mn, dlog_mn = ws.log_deflation(xn, known)
+            un = u - s * step
+            gn = ws.grad(un)
+            log_mn, dlog_mn = ws.log_deflation(un, known)
             nfev += 1
             rn = float(np.max(np.abs(gn)))
             if _merit_below(rn, log_mn, best, log_m):
@@ -494,14 +479,8 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
             s *= 0.5
         else:
             break
-        x, g, best, log_m, dlog_m = xn, gn, rn, log_mn, dlog_mn
-    u = np.zeros_like(u0)
-    u[1:-1] = x
-    return u, nfev
-
-
-def _max_abs_grad(ws: _Workspace, u: np.ndarray) -> float:
-    return float(np.max(np.abs(ws.grad_interior(u[1:-1]))))
+        u, g, best, log_m, dlog_m = un, gn, rn, log_mn, dlog_mn
+    return u, g, nfev
 
 
 def mountain_pass(
@@ -519,7 +498,8 @@ def mountain_pass(
     maximal-energy state (endpoints fixed) and re-equidistributes the
     chain; once the maximizer's residual is small its critical point is
     polished by Newton steps on the gradient.  The returned
-    value satisfies energy(e) < 0 < beta <= energy_value.
+    value satisfies energy(e) < 0 < beta <= energy_value; a path whose
+    top state falls to energy <= 0 (or NaN) raises GeometryError.
     """
     _superlinear_gate(st, "mountain_pass")
     ws = _Workspace(st)
@@ -548,9 +528,11 @@ def mountain_pass(
     for sweeps in range(max_iter):
         energies = [energy(st, GridFunction(z, dirichlet=True)) for z in path]
         kmax = 1 + int(np.argmax(energies[1:-1]))
+        if not energies[kmax] > 0.0:
+            raise GeometryError(f"mountain-pass path collapsed to top energy {energies[kmax]}")
         z = path[kmax]
-        g = gradient(st, GridFunction(z, dirichlet=True)).values
-        res = ws.residual_of(g)
+        g = ws.grad(z)
+        res = ws.residual(g)
         if res <= polish_gate:
             break
         d = ws.descent_direction(g)
@@ -559,17 +541,11 @@ def mountain_pass(
         path[kmax] = zn
         path = _redistribute(path)
 
-    z, nfev = _polish_root(ws, path[kmax])
+    z, g, nfev = _polish_root(ws, path[kmax])
     sol = GridFunction(z, dirichlet=True)
-    res = ws.residual(sol)
+    res = ws.residual(g)
     E = energy(st, sol)
     converged = res <= tol and E >= beta and sup_norm(sol) > TRIVIAL_SUP
-    if not converged and res > tol:
-        # polish failed; report the raw maximizer
-        sol = GridFunction(path[kmax], dirichlet=True)
-        res = ws.residual(sol)
-        E = energy(st, sol)
-        converged = res <= tol and E >= beta
     return SolveReport(
         solution=sol,
         energy_value=E,
@@ -633,7 +609,7 @@ def multiplicity_search(
 
         if not found:
             rep = minimize_direct(
-                st, GridFunction(u0, dirichlet=True), tol=tol, max_iter=4000, seed=seed, _ws=ws
+                st, GridFunction(u0, dirichlet=True), tol=tol, max_iter=4000, seed=seed
             )
             u, res, E = rep.solution.values, rep.residual, rep.energy_value
             iters = rep.iterations
@@ -642,15 +618,14 @@ def multiplicity_search(
             # stage 1: deflated Newton escapes the basins of the found pairs;
             # stage 2: undeflated Newton, since the deflation factor's
             # curvature can stall the first stage short of full tolerance
-            u, nfev1 = _polish_root(ws, u0, known=found)
+            u, g, nfev1 = _polish_root(ws, u0, known=found)
             # the deflated merit can fall while max|g| runs away; Newton
             # from such a point lands on whichever root chance picks
-            if _max_abs_grad(ws, u) >= _max_abs_grad(ws, u0):
+            if np.max(np.abs(g)) >= np.max(np.abs(ws.grad(u0))):
                 u = u0
-            u, nfev2 = _polish_root(ws, u)
-            uf = GridFunction(u, dirichlet=True)
-            res = ws.residual(uf)
-            E = energy(st, uf)
+            u, g, nfev2 = _polish_root(ws, u)
+            res = ws.residual(g)
+            E = energy(st, GridFunction(u, dirichlet=True))
             iters = nfev1 + nfev2
             ok = res <= tol
 

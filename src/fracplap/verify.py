@@ -503,11 +503,12 @@ def verify(
     samples: int = 100,
     seed: int = 0,
 ) -> VerificationReport:
-    """Check a single property; precondition violations raise."""
+    """Check a single property; precondition violations raise.  The report
+    equals run_suite's record of prop for [params] with the same seed."""
     reason = _precondition(prop, params)
     if reason is not None:
         raise ValueError(f"{prop.value}: {reason}")
-    rng = np.random.default_rng([seed, list(PropertyId).index(prop)])
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(prop)])
     return _verify_with_rng(prop, params, build_operators(params, grid), samples, rng)
 
 

@@ -507,3 +507,65 @@ def test_runtime_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_solve_collapsed_mountain_pass_is_numerical_error(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        problem={"alpha": 1.0, "p": 3.0, "T": 1.0, "n": 64},
+        nonlinearity={"family": "SUPERLINEAR_POWER", "mu": 4.0},
+        **{"solver.method": "mountain_pass", "solver.max_iter": 600, "solver.seed": 3},
+    )
+    assert main(["solve", "--config", str(path)]) == 2
+    assert _one_line(capsys.readouterr().err).startswith("numerical error: mountain-pass path")
+    assert not (tmp_path / "sol.csv").exists() and not (tmp_path / "rep.json").exists()
+
+
+_TABLE = {"breakpoints": [-1.0, 0.0, 1.0], "values": [-1.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, where",
+    [
+        ({"family": "SUBLINEAR_POWER", "q": math.nan}, "nonlinearity: q"),
+        ({"family": "SUPERLINEAR_POWER", "mu": math.inf}, "nonlinearity: mu"),
+        ({"family": "SUPERLINEAR_POWER", "mu": 4.0, "r": math.nan}, "nonlinearity: r"),
+        ({"family": "SUPERLINEAR_POWER", "mu": 4.0, "b_const": -math.inf}, "nonlinearity: b_const"),
+        (
+            {"family": "TABLE", "table": dict(_TABLE, breakpoints=[-1.0, math.nan, 1.0])},
+            "nonlinearity: table_breakpoints",
+        ),
+        (
+            {"family": "TABLE", "table": dict(_TABLE, values=[-1.0, 0.0, math.inf])},
+            "nonlinearity: table_values",
+        ),
+        (
+            {"family": "SUBLINEAR_POWER", "q": 1.5, "a_coeff": {"kind": "constant", "value": math.nan}},
+            "nonlinearity.a_coeff: value",
+        ),
+        (
+            {
+                "family": "TABLE",
+                "table": _TABLE,
+                "b_coeff": {"kind": "sine", "frequency": math.inf},
+            },
+            "nonlinearity.b_coeff: frequency",
+        ),
+        (
+            {
+                "family": "SUBLINEAR_POWER",
+                "q": 1.5,
+                "a_coeff": {"kind": "table", "values": [1.0, math.nan]},
+            },
+            "nonlinearity.a_coeff: table_values",
+        ),
+    ],
+    ids=["q", "mu", "r", "b_const", "breakpoints", "values", "a_value", "b_frequency", "a_table"],
+)
+def test_load_config_rejects_nonfinite_nonlinearity(tmp_path, capsys, nonlinearity, where):
+    path = write_config(tmp_path, nonlinearity=nonlinearity)
+    with pytest.raises(ConfigError, match=f"^{where} must be finite$"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert _one_line(capsys.readouterr().err) == f"config error: {where} must be finite"
+    assert not (tmp_path / "sol.csv").exists()

@@ -146,6 +146,25 @@ def test_minimize_stops_when_energy_rises(monkeypatch):
     assert np.array_equal(rep.solution.values, init.values)
 
 
+def test_minimize_stops_on_nan_descent_direction(monkeypatch):
+    # a NaN slope used to run every Armijo halving and accept a NaN state,
+    # iteration after iteration, until max_iter
+    st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
+    init = bump_init(st)
+    monkeypatch.setattr(solvers._Workspace, "descent_direction", lambda self, g: np.full_like(g, np.nan))
+    rep = minimize_direct(st, init, tol=1e-8, max_iter=50)
+    assert rep.iterations == 0 and not rep.converged
+    assert np.all(np.isfinite(rep.solution.values))
+    assert rep.energy_value == energy(st, init)
+
+
+def test_minimize_reports_energy_of_its_solution():
+    st = make_state(0.6, 3.0, 128, sublinear_power(2.0))
+    rep = minimize_direct(st, bump_init(st), tol=1e-8, max_iter=4000)
+    assert rep.converged
+    assert rep.energy_value == energy(st, rep.solution)
+
+
 def test_minimize_p3_regime():
     st = make_state(0.5, 3.0, 96, sublinear_power(2.0))
     rep = minimize_direct(st, bump_init(st), tol=1e-6, max_iter=4000)
@@ -176,6 +195,14 @@ def test_mountain_pass_small_problem():
     assert rep.rim_value > 0.0
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
     assert not rep.trivial
+
+
+def test_mountain_pass_collapsed_path_is_geometry_error():
+    # the top state descends into the unbounded basin; the run used to end
+    # with energy 0, residual 0 and a trivial solution, as if exact
+    st = make_state(1.0, 3.0, 64, superlinear_power(4.0))
+    with pytest.raises(solvers.GeometryError, match="collapsed"):
+        mountain_pass(st, max_iter=600, seed=3)
 
 
 def test_mountain_pass_matches_fixed_point_oracle():
@@ -329,13 +356,14 @@ def test_weighted_metric_solver_matches_dense(alpha):
 def test_newton_step_matches_dense_hessian(p):
     # at the mountain-pass maximizer the Hessian is indefinite
     st = make_state(0.7, p, 64, superlinear_power(4.0))
-    x = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values[1:-1]
-    H = dense_hessian(st, x)
+    u = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values
+    H = dense_hessian(st, u[1:-1])
     eigs = np.linalg.eigvalsh(H)
     assert eigs[0] < 0.0 < eigs[-1]
-    b = np.random.default_rng(0).standard_normal(len(x))
-    ref = np.linalg.solve(H, b)
-    step = solvers._Workspace(st).newton_step(x, b)
+    b = np.zeros_like(u)
+    b[1:-1] = np.random.default_rng(0).standard_normal(len(u) - 2)
+    ref = np.linalg.solve(H, b[1:-1])
+    step = solvers._Workspace(st).newton_step(u, b)[1:-1]
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -347,9 +375,21 @@ def test_polish_survives_singular_newton_system(bad, monkeypatch):
     monkeypatch.setattr(solvers, "_minres", lambda A, b, M: minres(lambda v: bad * v, b, M))
     u0 = np.sin(np.pi * st.grid.nodes)
     u0[-1] = 0.0
-    u, nfev = solvers._polish_root(ws, u0)
+    u, _, nfev = solvers._polish_root(ws, u0)
     assert np.array_equal(u, u0)
     assert nfev == 1
+
+
+@pytest.mark.parametrize("n_known", [0, 1])
+def test_polish_returns_gradient_of_its_iterate(n_known):
+    st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
+    ws = solvers._Workspace(st)
+    t = st.grid.nodes
+    u0 = GridFunction(0.5 * np.sin(np.pi * t) ** 2, dirichlet=True).values
+    known = [GridFunction(0.1 * np.sin(2 * np.pi * t), dirichlet=True).values][:n_known]
+    u, g, nfev = solvers._polish_root(ws, u0, known=known)
+    assert nfev > 1 and not np.array_equal(u, u0)
+    assert np.array_equal(g, ws.grad(u))
 
 
 def _deflation_setup(n_known):
@@ -367,28 +407,28 @@ def _deflation_setup(n_known):
 @pytest.mark.parametrize("n_known", [1, 2])
 def test_deflated_step_matches_explicit_jacobian(n_known, monkeypatch):
     st, ws, x0, known = _deflation_setup(n_known)
-    g = ws.grad_interior(x0)
-    H = dense_hessian(st, x0)
-    log_m, dlog_m = ws.log_deflation(x0, known)
-    m = np.exp(log_m)
-    # Newton step of the deflated field M g with its full Jacobian
-    ref = np.linalg.solve(m * H + np.outer(g, m * dlog_m), m * g)
-    evaluated = []
-    grad = ws.grad_interior
-    monkeypatch.setattr(ws, "grad_interior", lambda ui: evaluated.append(ui) or grad(ui))
     u0 = np.zeros(st.grid.n + 1)
     u0[1:-1] = x0
+    g = ws.grad(u0)[1:-1]
+    H = dense_hessian(st, x0)
+    log_m, dlog_m = ws.log_deflation(u0, known)
+    m = np.exp(log_m)
+    # Newton step of the deflated field M g with its full Jacobian
+    ref = np.linalg.solve(m * H + np.outer(g, m * dlog_m[1:-1]), m * g)
+    evaluated = []
+    grad = ws.grad
+    monkeypatch.setattr(ws, "grad", lambda u: evaluated.append(u) or grad(u))
     solvers._polish_root(ws, u0, known=known)
-    step = x0 - evaluated[1]  # the first trial is the full step
+    step = (u0 - evaluated[1])[1:-1]  # the first trial is the full step
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n_known", [0, 1, 2])
 def test_log_deflation_value_and_gradient(n_known):
     st, ws, x0, known = _deflation_setup(n_known)
-    log_m, dlog_m = ws.log_deflation(x0, known)
     u = np.zeros(st.grid.n + 1)
     u[1:-1] = x0
+    log_m, dlog_m = ws.log_deflation(u, known)
     m = 1.0
     for uk in known:
         for v in (u - uk, u + uk):
@@ -397,11 +437,11 @@ def test_log_deflation_value_and_gradient(n_known):
     eps = 1e-6
     fd = np.empty_like(x0)
     for i in range(len(x0)):
-        e = np.zeros_like(x0)
-        e[i] = eps
-        up, down = ws.log_deflation(x0 + e, known), ws.log_deflation(x0 - e, known)
+        e = np.zeros_like(u)
+        e[i + 1] = eps
+        up, down = ws.log_deflation(u + e, known), ws.log_deflation(u - e, known)
         fd[i] = (up[0] - down[0]) / (2 * eps)
-    assert np.max(np.abs(fd - dlog_m)) <= 1e-6 * np.max(np.abs(dlog_m))
+    assert np.max(np.abs(fd - dlog_m[1:-1])) <= 1e-6 * np.max(np.abs(dlog_m[1:-1]))
 
 
 def test_multiplicity_pairs_independent_of_seed():
@@ -442,16 +482,16 @@ def test_multiplicity_plain_stage_restarts_after_runaway(monkeypatch):
     calls = []
 
     def spy(ws, u0, known=()):
-        u, nfev = polish(ws, u0, known)
+        u, g, nfev = polish(ws, u0, known)
         calls.append((u0, u, len(known)))
-        return u, nfev
+        return u, g, nfev
 
     monkeypatch.setattr(solvers, "_polish_root", spy)
     multiplicity_search(st, k=3, tol=1e-8, seed=0)
     ws = solvers._Workspace(st)
 
     def max_g(u):
-        return np.max(np.abs(ws.grad_interior(u[1:-1])))
+        return np.max(np.abs(ws.grad(u)))
 
     stages = list(zip(calls[::2], calls[1::2]))
     assert stages and all(d[2] > 0 and p[2] == 0 for d, p in stages)

@@ -1,0 +1,68 @@
+"""Static guard: no module of the package calls into threaded BLAS.
+
+Artifacts are byte-identical across BLAS thread counts only while every
+inner product is a plain numpy reduction; the subprocess byte tests see
+a violation only when a thread count happens to change the bits.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fracplap
+
+BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "tensordot", "einsum", "linalg"}
+SOURCES = sorted(Path(fracplap.__file__).parent.glob("*.py"))
+
+
+def blas_calls(source: str) -> list[str]:
+    """np.<BLAS name> uses, numpy imports of those names, and .dot( calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and node.attr in BLAS_NAMES
+        ):
+            found.append(f"line {node.lineno}: np.{node.attr}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dot"
+        ):
+            found.append(f"line {node.lineno}: .dot(")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {a.name for a in node.names} | set(node.module.split("."))
+            found += [f"line {node.lineno}: from {node.module} import {x}" for x in names & BLAS_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_blas_call_in_package(path):
+    assert blas_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "np.dot(a, b)",
+        "numpy.inner(a, b)",
+        "np.vdot(a, b)",
+        "np.matmul(a, b)",
+        "np.tensordot(a, b, 1)",
+        "np.einsum('i,i', a, b)",
+        "np.linalg.norm(a)",
+        "f = np.linalg.solve",
+        "a.dot(b)",
+        "from numpy.linalg import solve",
+        "from numpy import einsum",
+    ],
+)
+def test_guard_flags_blas_call(snippet):
+    assert blas_calls(snippet)
+
+
+def test_guard_sees_every_module():
+    assert {p.name for p in SOURCES} >= {"fracops.py", "solvers.py", "verify.py"}

@@ -148,3 +148,14 @@ def test_run_suite_builds_operators_once_per_parameter_set(monkeypatch):
     reports = run_suite(params, grid, seed=0, samples=4)
     assert len(reports) == 26
     assert sorted(calls) == [64, 64, 128, 128, 128, 128, 128, 128]
+
+
+@pytest.mark.parametrize("alpha, p, n", [(0.6, 2.0, 256), (0.3, 3.0, 64), (0.9, 1.5, 128)])
+def test_single_property_reproduces_suite_record(alpha, p, n):
+    params = FracParams(alpha=alpha, p=p, T=1.0)
+    grid = make_grid(1.0, n)
+    suite = run_suite([params], grid, seed=1, samples=20)
+    ran = [r for r in suite if r.status != "skipped"]
+    assert ran
+    for rec in ran:
+        assert verify(rec.property, params, grid, samples=20, seed=1) == rec
