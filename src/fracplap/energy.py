@@ -98,16 +98,19 @@ def energy(st: ProblemState, u: GridFunction) -> float:
 
 def gradient(st: ProblemState, u: GridFunction) -> GridFunction:
     """Riesz coefficient vector of I'(u) in the h-weighted pairing."""
-    v = st.require_dirichlet(u)
-    p = st.params.p
-    h = st.grid.h
+    g, _ = _gradient_and_du(st, st.require_dirichlet(u))
+    return GridFunction(g, dirichlet=True)
+
+
+def _gradient_and_du(st: ProblemState, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of the pinned v and the derivative image D v it used."""
     du = st.ops.left_deriv @ v
-    flux = phi(du, p, st.eps_reg)
-    g = (st.ops.right_deriv @ (st.ops.deriv_quad_weights * flux)) / h
+    flux = phi(du, st.params.p, st.eps_reg)
+    g = (st.ops.right_deriv @ (st.ops.deriv_quad_weights * flux)) / st.grid.h
     g -= st.spec.f_values(st.grid.nodes, v)
     g[0] = 0.0
     g[-1] = 0.0
-    return GridFunction(g, dirichlet=True)
+    return g, du
 
 
 def basis_alpha_norms(st: ProblemState) -> np.ndarray:

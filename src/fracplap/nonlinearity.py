@@ -80,6 +80,9 @@ class CoefficientFn:
         _require_finite(
             self, ("value", "slope", "amplitude", "frequency", "phase", "table_values", "table_T")
         )
+        # np.interp over a non-increasing grid returns the last value everywhere
+        if not self.table_T > 0.0:
+            raise ValueError(f"table_T must be positive, got {self.table_T}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -1,19 +1,21 @@
 """Constructive solution finders: direct minimization, mountain pass,
 deflated multiplicity search, and the almost-everywhere identity check.
 
-All three solvers share one first-order engine: descent in the metric of
-the linear part H = D^T diag(wd) D / h (Armijo backtracking, c1 = 1e-4,
-shrink 0.5, initial step 1).  Descent in that fixed metric removes the
-grid-induced stiffness of the fractional operator, stays deterministic,
-and makes no secant assumptions, so it is robust across p.  The metric
-is solved in closed form from the Toeplitz structure (see _Workspace).
-Critical points that are not minima (the higher symmetric pairs, and the
-mountain-pass maximizer) are finished by one backtracking Newton engine
-(_polish_root).  Its steps come from MINRES on Hessian-vector products,
-preconditioned by the same closed-form metric with the Hessian's own
-flux weights, so no dense matrix is formed.  The search for the higher
-pairs first runs it on the deflated field, whose Newton step is the
-plain one times a scalar.
+Every metric here is a node-weighted D^T diag(w) D, solved in closed form
+from the Toeplitz structure (see _Workspace), so changing its weights
+costs no matrix work.  The direct minimizer descends (Armijo backtracking,
+c1 = 1e-4, shrink 0.5, initial step 1) in the lagged-diffusivity metric
+rebuilt at every iterate from the flux's slopes at D u
+(_Workspace.descent_weights): it follows the curvature of the p-energy,
+so its iteration count stays flat in p and n, and at p = 2 it is the
+metric of the linear part, D^T diag(wd) D / h.  The mountain-pass sweeps
+descend in that fixed linear-part metric.  Critical points that are not
+minima (the higher symmetric pairs, and the mountain-pass maximizer) are
+finished by one backtracking Newton engine (_polish_root).  Its steps
+come from MINRES on Hessian-vector products, preconditioned by the
+closed-form metric with the Hessian's own flux weights, so no dense
+matrix is formed.  The search for the higher pairs first runs it on the
+deflated field, whose Newton step is the plain one times a scalar.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .energy import (
     ProblemState,
+    _gradient_and_du,
     _residual_from_gradient,
     basis_alpha_norms,
     energy,
@@ -119,55 +122,85 @@ class _Workspace:
     quadrature weight h, so for positive node weights w the interior block
     of the weighted metric D^T diag(w) D is
 
-        H_w = L^T diag(w_1 .. w_{n-1}) L + w_n r r^T,
+        H_w = L^T W L + w_n r r^T,    W = diag(w_1 .. w_{n-1}),
 
     with L the interior block of D and r row n of D on the interior
     columns.  Because D^a I^a = Id holds as matrices, L^{-1} is the
-    interior block of the left integral, so a metric solve is two Toeplitz
-    products around one division by w and one Sherman-Morrison correction
-    along z = (L^T diag(w) L)^{-1} r.  The descent metric is w = wd / h,
-    whose interior weights are exactly 1.
+    interior block of the left integral.  Sherman-Morrison then gives
+
+        H_w^{-1} g = L^{-1} W^{-1} (y_g - beta y_r),
+        y_g = L^{-T} g,  y_r = L^{-T} r,
+        beta = w_n (y_r . W^{-1} y_g) / (1 + w_n (y_r . W^{-1} y_r)),
+
+    and y_r (kept on the interior) does not depend on w, so it is computed
+    once: a metric solve is two Toeplitz products around O(n) work, and
+    building one for new weights costs no product.  linear_weights = wd / h
+    is the metric of the linear part, whose interior weights are exactly 1.
     """
 
     def __init__(self, st: ProblemState):
         self.st = st
         n = st.grid.n
-        self._r = np.zeros(n + 1)
-        self._r[1:n] = st.ops.left_deriv.col[n - 1 : 0 : -1]
-        self._descent_metric = self.metric_solver(st.ops.deriv_quad_weights / st.grid.h)
+        r = np.zeros(n + 1)
+        r[1:n] = st.ops.left_deriv.col[n - 1 : 0 : -1]
+        self._yr = (st.ops.right_int @ r)[1:n]
+        self.linear_weights = st.ops.deriv_quad_weights / st.grid.h
         self.basis_norms = basis_alpha_norms(st)
 
     def metric_solver(self, w: np.ndarray):
         """g -> H_w^{-1} g for a pinned g, for positive node weights w
         (w_0 is not used)."""
         ops = self.st.ops
-        r = self._r
-
-        def gram_solve(g: np.ndarray) -> np.ndarray:
-            y = ops.right_int @ g
-            y[0] = y[-1] = 0.0
-            y[1:-1] /= w[1:-1]
-            y = ops.left_int @ y
-            y[0] = y[-1] = 0.0
-            return y
-
+        yr = self._yr
+        wi = w[1:-1]
         c = w[-1]
-        z = gram_solve(r)
-        denom = 1.0 + c * np.sum(r * z)
+        wyr = yr / wi
+        denom = 1.0 + c * np.sum(yr * wyr)
 
         def solve(g: np.ndarray) -> np.ndarray:
-            x = gram_solve(g)
-            x -= (c * np.sum(r * x) / denom) * z
+            y = ops.right_int @ g
+            y[0] = y[-1] = 0.0
+            yi = y[1:-1]
+            yi /= wi
+            yi -= (c * np.sum(yr * yi) / denom) * wyr
+            x = ops.left_int @ y
+            x[0] = x[-1] = 0.0
             return x
 
         return solve
+
+    def descent_weights(self, du: np.ndarray) -> np.ndarray:
+        """Node weights of the p-adapted descent metric at the state whose
+        derivative image is du (lagged diffusivity; Huang, Li & Liu,
+        J. Sci. Comput. 2007).
+
+        Each weight is wd / h times the larger of the flux's tangent and
+        secant slopes at du: (p-1)|du|^(p-2) for p >= 2 and
+        (du^2 + eps^2)^((p-2)/2) for p < 2, so the metric follows the
+        energy's curvature for every p and is linear_weights at p = 2.
+        Weights are floored at PRECOND_FLOOR of the largest, as in
+        newton_step.  Node 0, where D u vanishes and which the metric does
+        not read, gets the floor.
+        """
+        st = self.st
+        p = st.params.p
+        s = du[1:]
+        if p >= 2.0:
+            slope = (p - 1.0) * np.abs(s) ** (p - 2.0)
+        else:
+            slope = (s * s + st.eps_reg * st.eps_reg) ** ((p - 2.0) / 2.0)
+        w = np.zeros_like(du)
+        w[1:] = self.linear_weights[1:] * slope
+        return np.maximum(w, PRECOND_FLOOR * np.max(w))
 
     def residual(self, g: np.ndarray) -> float:
         """Weak residual of the point whose gradient is g."""
         return _residual_from_gradient(self.st, g, self.basis_norms)
 
-    def descent_direction(self, g: np.ndarray) -> np.ndarray:
-        return -self._descent_metric(g)
+    def descent_direction(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """-H_w^{-1} g: the descent direction of the gradient g in the
+        metric with node weights w."""
+        return -self.metric_solver(w)(g)
 
     def grad(self, u: np.ndarray) -> np.ndarray:
         return gradient(self.st, GridFunction(u, dirichlet=True)).values
@@ -333,7 +366,12 @@ def minimize_direct(
     max_iter: int = 2000,
     seed: int = 0,
 ) -> SolveReport:
-    """Armijo descent on the energy in the linear-part metric.
+    """Armijo descent on the energy in the p-adapted metric.
+
+    Each direction solves D^T diag(w) D d = -g with the weights
+    _Workspace.descent_weights builds from the D u the gradient just
+    computed, so an iteration costs the gradient's two Toeplitz products,
+    the metric solve's two and one per energy call of the line search.
 
     Requires a sublinear-regime nonlinearity (coercive energy).  On
     convergence the weak residual is at or below tol; starting from a
@@ -350,11 +388,11 @@ def minimize_direct(
     res = math.inf
     steps = 0
     while True:
-        g = ws.grad(u)
+        g, du = _gradient_and_du(st, u)
         res = ws.residual(g)
         if res <= tol or steps >= max_iter:
             break
-        d = ws.descent_direction(g)
+        d = ws.descent_direction(g, ws.descent_weights(du))
         slope = float(np.sum(st.grid.h * g * d))
         if not slope < 0.0:  # no descent direction, or NaN
             break
@@ -535,7 +573,7 @@ def mountain_pass(
         res = ws.residual(g)
         if res <= polish_gate:
             break
-        d = ws.descent_direction(g)
+        d = ws.descent_direction(g, ws.linear_weights)
         slope = float(np.sum(st.grid.h * g * d))
         zn, _ = _armijo_step(st, z.copy(), energies[kmax], d, slope)
         path[kmax] = zn

@@ -521,6 +521,25 @@ def test_solve_collapsed_mountain_pass_is_numerical_error(tmp_path, capsys):
     assert not (tmp_path / "sol.csv").exists() and not (tmp_path / "rep.json").exists()
 
 
+@pytest.mark.parametrize("T", [-1.0, 0.0])
+def test_load_config_rejects_nonpositive_table_coefficient_range(tmp_path, capsys, T):
+    # a table over [0, T] with T <= 0 used to evaluate to its last value everywhere
+    path = write_config(
+        tmp_path,
+        nonlinearity={
+            "family": "SUBLINEAR_POWER",
+            "q": 1.5,
+            "a_coeff": {"kind": "table", "values": [1.0, 2.0, 3.0], "T": T},
+        },
+    )
+    where = f"nonlinearity.a_coeff: table_T must be positive, got {T}"
+    with pytest.raises(ConfigError, match=f"^{where}$"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert _one_line(capsys.readouterr().err) == f"config error: {where}"
+    assert not (tmp_path / "sol.csv").exists()
+
+
 _TABLE = {"breakpoints": [-1.0, 0.0, 1.0], "values": [-1.0, 0.0, 1.0]}
 
 

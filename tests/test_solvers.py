@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracplap import solvers
+from fracplap.energy import _gradient_and_du, phi
 
 from fracplap import (
     CoefficientFn,
@@ -151,11 +152,49 @@ def test_minimize_stops_on_nan_descent_direction(monkeypatch):
     # iteration after iteration, until max_iter
     st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
     init = bump_init(st)
-    monkeypatch.setattr(solvers._Workspace, "descent_direction", lambda self, g: np.full_like(g, np.nan))
+    monkeypatch.setattr(solvers._Workspace, "descent_direction", lambda self, g, w: np.full_like(g, np.nan))
     rep = minimize_direct(st, init, tol=1e-8, max_iter=50)
     assert rep.iterations == 0 and not rep.converged
     assert np.all(np.isfinite(rep.solution.values))
     assert rep.energy_value == energy(st, init)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("p, q", [(1.5, 1.2), (3.0, 2.0), (5.0, 2.0)])
+def test_minimize_iterations_flat_in_p_and_n(p, q, n):
+    # in the fixed p = 2 metric these took 317 iterations at (3, 2, 1024)
+    # and did not converge in 3000 at (1.5, 1.2, 1024) and (5, 2, 1024)
+    st = make_state(0.6, p, n, sublinear_power(q))
+    rep = minimize_direct(st, bump_init(st), tol=1e-8, max_iter=3000)
+    assert rep.converged and rep.iterations <= 60
+    if (p, q, n) == (3.0, 2.0, 256):
+        # the converged energy of the fixed-metric descent
+        assert rep.energy_value == pytest.approx(-0.05855153766741332, rel=1e-6)
+
+
+def test_minimize_product_budget(monkeypatch):
+    # set-up is one product (L^-T r) plus the gradient that ends the run;
+    # each iteration adds its gradient (2) and its metric solve (2), each
+    # energy call its derivative image (1)
+    st = make_state(0.6, 3.0, 128, sublinear_power(2.0))
+    counts = {"matmul": 0, "energy": 0}
+    matmul, energy_fn = solvers.Toeplitz.__matmul__, solvers.energy
+
+    def counted_matmul(self, x):
+        counts["matmul"] += 1
+        return matmul(self, x)
+
+    def counted_energy(st, u):
+        counts["energy"] += 1
+        return energy_fn(st, u)
+
+    monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
+    monkeypatch.setattr(solvers, "energy", counted_energy)
+    for max_iter in (3, 2000):
+        counts.update(matmul=0, energy=0)
+        rep = minimize_direct(st, bump_init(st), tol=1e-8, max_iter=max_iter)
+        assert (rep.iterations == 3) if max_iter == 3 else rep.converged
+        assert counts["matmul"] == 3 + 4 * rep.iterations + counts["energy"]
 
 
 def test_minimize_reports_energy_of_its_solution():
@@ -330,10 +369,46 @@ def test_closed_form_metric_solve_matches_dense(alpha):
     ws = solvers._Workspace(st)
     g = np.zeros(n + 1)
     g[1:n] = np.random.default_rng(1).standard_normal(n - 1)
-    d = ws.descent_direction(g)
+    d = ws.descent_direction(g, wd / st.grid.h)
     ref = np.linalg.solve(H_int, g[1:n])
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.max(np.abs(-d[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def max_rule_weights(st, du):
+    """wd / h times the larger of the flux's tangent and secant slopes on
+    nodes 1..n, floored at PRECOND_FLOOR of the largest."""
+    p, eps = st.params.p, st.eps_reg
+    s = du[1:]
+    if p >= 2.0:
+        tangent = (p - 1.0) * np.abs(s) ** (p - 2.0)
+    else:
+        tangent = (s * s + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
+    secant = phi(s, p, eps) / s
+    w = np.zeros_like(du)
+    w[1:] = st.ops.deriv_quad_weights[1:] / st.grid.h * np.maximum(tangent, secant)
+    return np.maximum(w, solvers.PRECOND_FLOOR * np.max(w))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_descent_direction_matches_dense_p_adapted_metric(alpha, p):
+    st = make_state(alpha, p, 64, sublinear_power(1.2))
+    n = st.grid.n
+    ws = solvers._Workspace(st)
+    g, du = _gradient_and_du(st, bump_init(st).values)
+    w = ws.descent_weights(du)
+    assert np.allclose(w, max_rule_weights(st, du), rtol=1e-14, atol=0.0)
+    D = np.asarray(st.ops.left_deriv)
+    H_w = ((D.T * w) @ D)[1:n, 1:n]
+    ref = -np.linalg.solve(H_w, g[1:n])
+    d = ws.descent_direction(g, w)
+    assert d[0] == 0.0 and d[-1] == 0.0
+    assert np.max(np.abs(d[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if p == 2.0:
+        # the metric of the linear part, bit for bit
+        assert np.array_equal(w[1:], ws.linear_weights[1:])
+        assert np.array_equal(d, ws.descent_direction(g, ws.linear_weights))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
