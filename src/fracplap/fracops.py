@@ -89,7 +89,10 @@ class Toeplitz:
     ``A @ x`` accepts a vector or a 2-D array (columns are transformed)
     and evaluates the product as a convolution by a real FFT zero-padded
     past 2m - 1, so nothing wraps around; the spectrum of the column is
-    computed once.  ``A.T`` is the upper-triangular transpose: it shares
+    computed once.  Each column of a 2-D product is bitwise equal to the
+    product with that column alone, whatever the memory layout of x, so
+    a batch of vectors can be applied in one call without changing a
+    bit.  ``A.T`` is the upper-triangular transpose: it shares
     the column and the spectrum, and applies by reversing its input and
     output.  ``np.asarray(A)`` gives the dense matrix.
     """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -57,10 +58,23 @@ class Grid:
     n: int
     h: float
     nodes: np.ndarray
+    _sines: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def T(self) -> float:
         return float(self.nodes[-1])
+
+    def sine_modes(self, k: int) -> np.ndarray:
+        """Rows sin(j pi t / T) at the nodes, j = 1..k.  The table is
+        computed once per grid and only grows when more modes are asked
+        for."""
+        if self._sines is None or len(self._sines) < k:
+            t, T = self.nodes, self.T
+            table = np.array([np.sin(j * np.pi * t / T) for j in range(1, k + 1)])
+            table = table.reshape(k, self.n + 1)
+            table.setflags(write=False)
+            object.__setattr__(self, "_sines", table)
+        return self._sines[:k]
 
 
 def make_grid(T: float, n: int) -> Grid:
@@ -136,10 +150,14 @@ def sup_norm(u) -> float:
 
 def sine_series(grid: Grid, coeffs) -> np.ndarray:
     """Nodal values of sum_j c_j sin(j pi t / T), j = 1, 2, ..., summed
-    mode by mode in coefficient order."""
-    t = grid.nodes
-    T = grid.T
-    u = np.zeros_like(t)
-    for j, c in enumerate(coeffs, start=1):
-        u += c * np.sin(j * np.pi * t / T)
+    mode by mode in coefficient order.
+
+    A (k, modes) coefficient array gives k rows, each bitwise equal to
+    the call on its own coefficient row.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    modes = grid.sine_modes(c.shape[-1])
+    u = np.zeros(c.shape[:-1] + (grid.n + 1,))
+    for j in range(c.shape[-1]):
+        u += c[..., j, None] * modes[j]
     return u

@@ -243,8 +243,13 @@ class _Workspace:
         if p >= 2.0:
             dphi = (p - 1.0) * np.abs(du) ** (p - 2.0)
         else:
-            s2 = du * du + eps * eps
-            dphi = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * du * du + eps * eps)
+            # node 0, where D u vanishes and the formula at eps_reg = 0 is
+            # 0^((p-4)/2) * 0 = NaN, gets weight 0: it only multiplies
+            # (D v)_0 = wd_0 v_0, which is 0 for a pinned v
+            s = du[1:]
+            s2 = s * s + eps * eps
+            dphi = np.zeros_like(du)
+            dphi[1:] = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
         w = st.ops.deriv_quad_weights * dphi / st.grid.h
         fu = st.spec.fu_values(st.grid.nodes, u)
 

@@ -11,6 +11,15 @@ the error ratio under one grid doubling.  Ensembles are half smooth
 (up to 8 random sine modes) and half rough (i.i.d. nodal noise); the
 inequalities hold on the whole discrete space, not just on smooth
 functions.
+
+The operator checks stream their ensemble in row blocks of at most
+_BLOCK_DOUBLES values: each block is drawn from the rng in sample order,
+each operator is applied to it once (a batched FFT product, bitwise equal
+to the per-vector one), norms and pairings are reduced row by row, and
+the worst margin is folded in sample order.  Reports therefore do not
+depend on the block size, and memory stays at a few blocks.  The energy
+checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY) go through energy and
+gradient one sample at a time.
 """
 
 from __future__ import annotations
@@ -26,11 +35,10 @@ import numpy as np
 from .energy import ProblemState, energy, gradient, monotonicity_gap
 from .fracops import (
     MAX_GRID_CELLS,
-    OpKind,
     OperatorSet,
     Toeplitz,
+    _caputo_correction,
     alpha_norm,
-    apply,
     build_operators,
     gamma,
     gl_weights,
@@ -39,7 +47,6 @@ from .grid import (
     FracParams,
     Grid,
     GridFunction,
-    lp_norm,
     make_grid,
     sine_series,
     sup_norm,
@@ -78,6 +85,10 @@ def _ledger_tolerance(n: int) -> float:
 _ROUNDOFF_FLOOR = 1e-13
 _RATIO_CAP = 0.75
 
+# values per ensemble block (128 KiB of doubles): a block holds
+# max(1, _BLOCK_DOUBLES // (n + 1)) samples
+_BLOCK_DOUBLES = 1 << 14
+
 
 @dataclass
 class VerificationReport:
@@ -106,26 +117,62 @@ class _Outcome:
 
 
 def _smooth(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """Sine modes c[:-2] plus c[-2] cos(pi t/T) + c[-1]: smooth and free
-    at both endpoints, realizable on any grid."""
-    return sine_series(grid, c[:-2]) + c[-2] * np.cos(np.pi * grid.nodes / grid.T) + c[-1]
+    """Sine modes c[..., :-2] plus c[..., -2] cos(pi t/T) + c[..., -1]:
+    smooth and free at both endpoints, realizable on any grid.  A 2-D c
+    gives one row per coefficient row."""
+    cos = np.cos(np.pi * grid.nodes / grid.T)
+    return sine_series(grid, c[..., :-2]) + c[..., -2:-1] * cos + c[..., -1:]
+
+
+def _draw(grid: Grid, rng: np.random.Generator, smooth, dirichlet: bool) -> np.ndarray:
+    """One row per flag in smooth, drawn from rng in row order: 8 sine
+    coefficients (dirichlet) or 10 _smooth coefficients for a smooth row,
+    i.i.d. nodal noise for a rough one.  Dirichlet rows are pinned."""
+    rows = np.empty((len(smooth), grid.n + 1))
+    smooth_rows, coeffs = [], []
+    for r, s in enumerate(smooth):
+        if s:
+            smooth_rows.append(r)
+            coeffs.append(rng.standard_normal(8 if dirichlet else 10))
+        else:
+            rows[r] = rng.standard_normal(grid.n + 1)
+    if coeffs:
+        c = np.array(coeffs)
+        rows[smooth_rows] = sine_series(grid, c) if dirichlet else _smooth(grid, c)
+    if dirichlet:
+        rows[:, 0] = 0.0
+        rows[:, -1] = 0.0
+    return rows
 
 
 def _random_function(grid: Grid, rng: np.random.Generator, smooth: bool, dirichlet: bool) -> GridFunction:
-    if not smooth:
-        u = rng.standard_normal(grid.n + 1)
-    elif dirichlet:
-        u = sine_series(grid, rng.standard_normal(8))
-    else:
-        u = _smooth(grid, rng.standard_normal(10))
-    return GridFunction(u, dirichlet=dirichlet)
+    return GridFunction(_draw(grid, rng, [smooth], dirichlet)[0], dirichlet=dirichlet)
+
+
+def _blocks(grid: Grid, count: int):
+    """(start, stop) of each block of count samples on this grid."""
+    b = max(1, _BLOCK_DOUBLES // (grid.n + 1))
+    for start in range(0, count, b):
+        yield start, min(start + b, count)
 
 
 def _ensemble(grid, rng, count, dirichlet):
-    return [
-        _random_function(grid, rng, smooth=(i % 2 == 0), dirichlet=dirichlet)
-        for i in range(count)
-    ]
+    """Row blocks of count samples, smooth at even and rough at odd
+    sample indices."""
+    for start, stop in _blocks(grid, count):
+        yield _draw(grid, rng, [i % 2 == 0 for i in range(start, stop)], dirichlet)
+
+
+def _rows(op, block: np.ndarray) -> np.ndarray:
+    """op applied to every row of block, as C-ordered rows, so that a
+    row-wise reduction adds in the same order as on one vector."""
+    return np.ascontiguousarray((op @ block.T).T)
+
+
+def _lp_rows(rows: np.ndarray, p: float, w: np.ndarray) -> list[float]:
+    """Row-wise (sum_i w_i |x_i|^p)^(1/p), each root taken as lp_norm
+    takes it."""
+    return [float(s ** (1.0 / p)) for s in np.sum(w * np.abs(rows) ** p, axis=1)]
 
 
 def _default_state(params: FracParams, ops: OperatorSet) -> ProblemState:
@@ -135,21 +182,29 @@ def _default_state(params: FracParams, ops: OperatorSet) -> ProblemState:
     )
 
 
+def _relative_error(params, ops, samples, rng, residual, pin_left=False) -> float:
+    """Worst ||residual(u)||_p / ||u||_p over a non-pinned ensemble, with
+    u(0) set to 0 first if pin_left; residual maps a row block to a row
+    block."""
+    w = trapezoid_weights(ops.grid)
+    worst = 0.0
+    for block in _ensemble(ops.grid, rng, samples, dirichlet=False):
+        if pin_left:
+            block[:, 0] = 0.0
+        for err, size in zip(_lp_rows(residual(block), params.p, w), _lp_rows(block, params.p, w)):
+            worst = max(worst, err / max(size, 1e-300))
+    return worst
+
+
 def _semigroup_error(params, ops, samples, rng) -> float:
     grid = ops.grid
     a = params.alpha
     # the composed order 2a may exceed 1, so build its weights directly
     I2 = Toeplitz(gl_weights(-2.0 * a, grid.n) * grid.h ** (2.0 * a))
-    worst = 0.0
-    for u in _ensemble(grid, rng, samples, dirichlet=False):
-        iu = apply(ops, OpKind.LEFT_INT, u)
-        iiu = apply(ops, OpKind.LEFT_INT, iu)
-        ref = I2 @ u.values
-        err = lp_norm(iiu.values - ref, params.p, grid) / max(
-            lp_norm(u, params.p, grid), 1e-300
-        )
-        worst = max(worst, err)
-    return worst
+    return _relative_error(
+        params, ops, samples, rng,
+        lambda x: _rows(ops.left_int, _rows(ops.left_int, x)) - _rows(I2, x),
+    )
 
 
 def _refinement_check(error, params, ops, *args) -> _Outcome:
@@ -174,68 +229,58 @@ def _refinement_check(error, params, ops, *args) -> _Outcome:
 
 
 def _left_inverse_error(params, ops, samples, rng) -> float:
-    grid = ops.grid
+    # u(0) = 0: vanishing at the left endpoint
+    return _relative_error(
+        params, ops, samples, rng,
+        lambda x: _rows(ops.left_deriv, _rows(ops.left_int, x)) - x,
+        pin_left=True,
+    )
+
+
+def _pairing_gap(weight, left, right, pairs) -> float:
+    """Worst relative gap of (left u, v) = (u, right v) in the weighted
+    pairing over the (u, v) row-block pairs, folded in order."""
     worst = 0.0
-    for u in _ensemble(grid, rng, samples, dirichlet=False):
-        v = u.values.copy()
-        v[0] = 0.0  # vanishing at the left endpoint
-        un = GridFunction(v)
-        du = apply(ops, OpKind.LEFT_DERIV, apply(ops, OpKind.LEFT_INT, un))
-        err = lp_norm(du.values - un.values, params.p, grid) / max(
-            lp_norm(un, params.p, grid), 1e-300
-        )
-        worst = max(worst, err)
+    for U, V in pairs:
+        lhs = np.sum(weight * _rows(left, U) * V, axis=1)
+        rhs = np.sum(weight * U * _rows(right, V), axis=1)
+        for l, r in zip(lhs.tolist(), rhs.tolist()):
+            worst = max(worst, abs(l - r) / max(abs(l), abs(r), 1.0))
     return worst
+
+
+def _random_pairs(grid, rng, samples, dirichlet):
+    """Row blocks of (smooth u, rough v) pairs; each sample draws u, then v."""
+    for start, stop in _blocks(grid, samples):
+        uv = _draw(grid, rng, [True, False] * (stop - start), dirichlet)
+        yield uv[0::2], uv[1::2]
 
 
 def _check_ibp_exact(params, ops, samples, rng):
-    grid = ops.grid
-    h = grid.h
-    worst = 0.0
-    for _ in range(samples):
-        u = _random_function(grid, rng, smooth=True, dirichlet=True)
-        v = _random_function(grid, rng, smooth=False, dirichlet=True)
-        lhs = float(np.sum(h * (ops.left_deriv @ u.values) * v.values))
-        rhs = float(np.sum(h * u.values * (ops.right_deriv @ v.values)))
-        gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, gap)
+    pairs = _random_pairs(ops.grid, rng, samples, dirichlet=True)
+    worst = _pairing_gap(ops.grid.h, ops.left_deriv, ops.right_deriv, pairs)
     return _Outcome(-worst, IDENTITY_TOL)
-
-
-def _ibp_integral_gap(ops, pairs) -> float:
-    """Worst relative gap of (I u, v) = (u, I_right v) in the trapezoid
-    pairing over the (u, v) value pairs."""
-    w = trapezoid_weights(ops.grid)
-    worst = 0.0
-    for u, v in pairs:
-        lhs = float(np.sum(w * (ops.left_int @ u) * v))
-        rhs = float(np.sum(w * u * (ops.right_int @ v)))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-    return worst
 
 
 def _ibp_integral_matched(params, ops, coeff_pairs) -> float:
     # the same smooth pairs on every grid, so refinement ratios compare
     # like with like
     g = ops.grid
-    return _ibp_integral_gap(ops, ((_smooth(g, cu), _smooth(g, cv)) for cu, cv in coeff_pairs))
+    pairs = (
+        (_smooth(g, coeff_pairs[start:stop, 0]), _smooth(g, coeff_pairs[start:stop, 1]))
+        for start, stop in _blocks(g, len(coeff_pairs))
+    )
+    return _pairing_gap(trapezoid_weights(g), ops.left_int, ops.right_int, pairs)
 
 
 def _check_ibp_integral(params, ops, samples, rng):
     grid = ops.grid
-    random_pairs = (
-        (
-            _random_function(grid, rng, smooth=True, dirichlet=False).values,
-            _random_function(grid, rng, smooth=False, dirichlet=False).values,
-        )
-        for _ in range(samples)
-    )
-    gap = _ibp_integral_gap(ops, random_pairs)
-    # refinement ratio on matched smooth pairs, identical at both resolutions
-    coeff_pairs = [
-        (rng.standard_normal(10), rng.standard_normal(10))
-        for _ in range(max(8, samples // 4))
-    ]
+    pairs = _random_pairs(grid, rng, samples, dirichlet=False)
+    gap = _pairing_gap(trapezoid_weights(grid), ops.left_int, ops.right_int, pairs)
+    # refinement ratio on matched smooth pairs, identical at both
+    # resolutions: coeff_pairs[k] holds the _smooth coefficients of u_k
+    # and then v_k
+    coeff_pairs = rng.standard_normal((max(8, samples // 4), 2, 10))
     return replace(_refinement_check(_ibp_integral_matched, params, ops, coeff_pairs), margin=-gap)
 
 
@@ -244,30 +289,32 @@ def _check_rl_caputo(params, ops, samples, rng):
     a = params.alpha
     worst = 0.0
     coef = 0.0 if a >= 1.0 else 1.0 / gamma(1.0 - a)
-    for i in range(samples):
-        u = _random_function(grid, rng, smooth=(i % 2 == 0), dirichlet=False)
-        v = u.values.copy()
-        if abs(v[0]) < 0.5:
-            v[0] = 1.5  # the relation is only informative with u(0) != 0
-        un = GridFunction(v)
-        cap = apply(ops, OpKind.CAPUTO_LEFT, un).values
-        rl = apply(ops, OpKind.LEFT_DERIV, un).values
-        corr = v[0] * coef * grid.nodes[1:] ** (-a) if a < 1.0 else 0.0
-        gap = np.abs(cap[1:] + corr - rl[1:])
-        scale = np.maximum(np.abs(rl[1:]), 1.0)
-        worst = max(worst, float(np.max(gap / scale)))
+    caputo = _caputo_correction(ops, left=True)
+    decay = grid.nodes[1:] ** (-a)
+    for block in _ensemble(grid, rng, samples, dirichlet=False):
+        u0 = block[:, :1]
+        # the relation is only informative with u(0) != 0
+        u0[np.abs(u0) < 0.5] = 1.5
+        rl = _rows(ops.left_deriv, block)
+        cap = rl - u0 * caputo
+        corr = (u0 * coef) * decay if a < 1.0 else 0.0
+        gap = np.abs(cap[:, 1:] + corr - rl[:, 1:])
+        scale = np.maximum(np.abs(rl[:, 1:]), 1.0)
+        for g in np.max(gap / scale, axis=1).tolist():
+            worst = max(worst, g)
     return _Outcome(-worst, IDENTITY_TOL)
 
 
 def _ensemble_bound(constant, dirichlet, small, large, params, ops, samples, rng):
     """small(u) <= C large(u) on the ensemble, C = constant(params); the
     margin is the smallest slack relative to the right side.  small and
-    large are norms called as (ops, u, p)."""
+    large are row-wise norms called as (ops, block, p)."""
     C = constant(params)
     worst = math.inf
-    for u in _ensemble(ops.grid, rng, samples, dirichlet=dirichlet):
-        rhs = C * large(ops, u, params.p)
-        worst = min(worst, (rhs - small(ops, u, params.p)) / max(rhs, 1e-300))
+    for block in _ensemble(ops.grid, rng, samples, dirichlet=dirichlet):
+        for lg, sm in zip(large(ops, block, params.p), small(ops, block, params.p)):
+            rhs = C * lg
+            worst = min(worst, (rhs - sm) / max(rhs, 1e-300))
     return _Outcome(worst, _ledger_tolerance(ops.grid.n), bound=C)
 
 
@@ -280,23 +327,21 @@ def _sup_embed_constant(params: FracParams) -> float:
     return params.T ** (a - 1.0 / p) / (gamma(a) * ((a - 1.0) * q + 1.0) ** (1.0 / q))
 
 
-def _lp(ops, u, p) -> float:
-    return lp_norm(u, p, ops.grid)
+def _lp(ops, block, p) -> list[float]:
+    return _lp_rows(block, p, trapezoid_weights(ops.grid))
 
 
-def _lp_of_integral(ops, u, p) -> float:
-    return lp_norm(apply(ops, OpKind.LEFT_INT, u), p, ops.grid)
+def _lp_of_integral(ops, block, p) -> list[float]:
+    return _lp(ops, _rows(ops.left_int, block), p)
 
 
-def _sup(ops, u, p) -> float:
-    return sup_norm(u)
+def _sup(ops, block, p) -> list[float]:
+    return np.max(np.abs(block), axis=1).tolist()
 
 
-def _alpha(ops, u, p) -> float:
-    # the name alpha_norm is looked up per call, not bound into the
-    # checker table, so replacing it in this module (say, to trace it)
-    # reaches these checks too
-    return alpha_norm(ops, u, p)
+def _alpha(ops, block, p) -> list[float]:
+    """Row-wise alpha_norm of pinned rows."""
+    return _lp_rows(_rows(ops.left_deriv, block), p, ops.deriv_quad_weights)
 
 
 def _check_embed_lq(params, ops, samples, rng):
@@ -318,14 +363,17 @@ def _check_embed_lq(params, ops, samples, rng):
     worst = math.inf
     cmax = 0.0
     w = trapezoid_weights(grid)
-    for u in _ensemble(grid, rng, samples, dirichlet=True):
-        an = alpha_norm(ops, u, p)
-        for q in qs:
-            lq_p = float(np.sum(w * np.abs(u.values) ** q))
-            rhs = sup_norm(u) ** (q - p) * float(np.sum(w * np.abs(u.values) ** p))
-            worst = min(worst, (rhs - lq_p) / max(rhs, 1e-300))
-            if an > 0:
-                cmax = max(cmax, lq_p ** (1.0 / q) / an)
+    for block in _ensemble(grid, rng, samples, dirichlet=True):
+        mag = np.abs(block)
+        lp_p = np.sum(w * mag**p, axis=1).tolist()
+        lq_p = [np.sum(w * mag**q, axis=1).tolist() for q in qs]
+        sups = _sup(ops, block, p)
+        for r, an in enumerate(_alpha(ops, block, p)):
+            for q, lq in zip(qs, lq_p):
+                rhs = sups[r] ** (q - p) * lp_p[r]
+                worst = min(worst, (rhs - lq[r]) / max(rhs, 1e-300))
+                if an > 0:
+                    cmax = max(cmax, lq[r] ** (1.0 / q) / an)
     return _Outcome(worst, 1e-10, bound=cmax)
 
 
@@ -354,25 +402,21 @@ def _check_translation(params, ops, samples, rng):
     grid = ops.grid
     p = params.p
     n = grid.n
-    members = []
-    count = max(samples, 4)
-    for u in _ensemble(grid, rng, count, dirichlet=True):
-        an = alpha_norm(ops, u, p)
-        if an > 0:
-            members.append(GridFunction(u.values / an, dirichlet=True))
+    w = trapezoid_weights(grid)
     shifts = [max(1, n // 16), max(1, n // 32), max(1, n // 64)]
-    sups = []
+    sups = [0.0] * len(shifts)
+    for block in _ensemble(grid, rng, max(samples, 4), dirichlet=True):
+        an = np.array(_alpha(ops, block, p))
+        members = block[an > 0] / an[an > 0, None]
+        for k, m in enumerate(shifts):
+            tu = np.zeros_like(members)
+            tu[:, : n + 1 - m] = members[:, m:]
+            for s in _lp_rows(tu - members, p, w):
+                sups[k] = max(sups[k], s)
     margins = []
     bound = None
-    for m in shifts:
-        h_shift = m * grid.h
-        s = 0.0
-        for u in members:
-            tu = np.zeros(n + 1)
-            tu[: n + 1 - m] = u.values[m:]
-            s = max(s, lp_norm(tu - u.values, p, grid))
-        sups.append(s)
-        bound = translation_bound(params, h_shift)
+    for m, s in zip(shifts, sups):
+        bound = translation_bound(params, m * grid.h)
         margins.append((bound - s) / bound)
     # monotone decay of the sup as the shift shrinks
     for a, b in zip(sups, sups[1:]):

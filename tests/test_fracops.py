@@ -328,6 +328,27 @@ def test_toeplitz_products_match_dense(m):
         assert np.array_equal(np.asarray(op), dense)
 
 
+@pytest.mark.parametrize("n, nfft", [(1024, 2160), (2048, 4320)])
+def test_toeplitz_columns_bitwise_equal_vector_products(n, nfft):
+    # batched callers rely on each column of op @ X being exactly the
+    # product with that column alone, whatever the memory layout of X
+    _, ops = _ops(0.6, n)
+    assert ops.left_int._nfft == nfft
+    block = np.random.default_rng(n).standard_normal((6, n + 1))
+    layouts = {
+        "C": np.ascontiguousarray(block.T),
+        "F": np.asfortranarray(block.T),
+        "block.T": block.T,
+        "strided rows": block[1::2].T,
+    }
+    for op in (ops.left_deriv, ops.right_deriv, ops.left_int, ops.right_int):
+        for name, X in layouts.items():
+            Y = op @ X
+            for i in range(X.shape[1]):
+                assert np.array_equal(Y[:, i], op @ X[:, i]), (op.upper, name, i)
+                assert np.array_equal(Y[:, i], op @ np.ascontiguousarray(X[:, i]))
+
+
 def test_interior_blocks_are_inverse():
     # L^{-1} is the interior block of the left integral, to roundoff
     from fracplap.fracops import Toeplitz

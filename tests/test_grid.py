@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracplap import FracParams, GridFunction, lp_norm, make_grid, sup_norm
+from fracplap.grid import sine_series
 
 
 def test_make_grid_basic():
@@ -121,3 +122,26 @@ def test_lp_norm_second_order_convergence():
         errs.append(abs(lp_norm(np.sin(np.pi * g.nodes), 2.0, g) - exact))
     assert errs[1] <= 0.3 * errs[0]
     assert errs[2] <= 0.3 * errs[1]
+
+
+@pytest.mark.parametrize("n, modes", [(64, 8), (1024, 8), (300, 3), (16, 0)])
+def test_sine_series_rows_bitwise_equal_vector_calls(n, modes):
+    g = make_grid(2.0, n)
+    c = np.random.default_rng(n).standard_normal((5, modes))
+    rows = sine_series(g, c)
+    assert rows.shape == (5, n + 1)
+    for k in range(5):
+        assert np.array_equal(rows[k], sine_series(g, c[k]))
+        # the expression evaluated per mode before the table existed
+        direct = np.zeros(n + 1)
+        for j, cj in enumerate(c[k], start=1):
+            direct += cj * np.sin(j * np.pi * g.nodes / g.T)
+        assert np.array_equal(rows[k], direct)
+
+
+def test_sine_table_built_once_per_grid():
+    g = make_grid(1.0, 32)
+    assert g.sine_modes(8).base is g.sine_modes(3).base
+    wide = g.sine_modes(10)
+    assert np.array_equal(wide[:8], g.sine_modes(8))
+    assert not wide.flags.writeable

@@ -442,6 +442,24 @@ def test_newton_step_matches_dense_hessian(p):
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def test_newton_step_finite_without_regularization_below_p2():
+    # at node 0 D u = 0, and for p < 2 with eps_reg = 0 the weight formula
+    # there is 0^((p-4)/2) * 0 = NaN; the node carries no weight
+    params = FracParams(alpha=0.7, p=1.5, T=1.0)
+    grid = make_grid(1.0, 64)
+    st = ProblemState(
+        params=params, grid=grid, ops=build_operators(params, grid),
+        spec=superlinear_power(4.0), eps_reg=0.0,
+    )
+    ws = solvers._Workspace(st)
+    u0 = GridFunction(np.sin(np.pi * grid.nodes), dirichlet=True).values
+    g0 = ws.grad(u0)
+    assert np.all(np.isfinite(ws.newton_step(u0, g0)))
+    u, g, nfev = solvers._polish_root(ws, u0)
+    assert nfev > 1
+    assert np.max(np.abs(g)) < np.max(np.abs(g0))
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_polish_survives_singular_newton_system(bad, monkeypatch):
     st = make_state(0.7, 2.0, 32, superlinear_power(4.0))

@@ -159,3 +159,48 @@ def test_single_property_reproduces_suite_record(alpha, p, n):
     assert ran
     for rec in ran:
         assert verify(rec.property, params, grid, samples=20, seed=1) == rec
+
+
+_BATCHED = [
+    PropertyId.SEMIGROUP,
+    PropertyId.LEFT_INVERSE,
+    PropertyId.IBP_EXACT,
+    PropertyId.IBP_INTEGRAL,
+    PropertyId.RL_CAPUTO,
+    PropertyId.YOUNG_BOUND,
+    PropertyId.POINCARE,
+    PropertyId.SUP_EMBED,
+    PropertyId.EMBED_LQ,
+    PropertyId.TRANSLATION_COMPACT,
+]
+
+
+@pytest.mark.parametrize("samples", [11, 17])
+def test_reports_independent_of_block_size(samples, monkeypatch):
+    # blocks of 1, 2 and 3 rows against the default (one block here);
+    # odd counts put the smooth/rough alternation across block boundaries
+    verify_mod = importlib.import_module("fracplap.verify")
+    params = FracParams(alpha=0.8, p=1.5, T=1.0)
+    grid = make_grid(1.0, 64)
+    assert verify_mod._BLOCK_DOUBLES // (grid.n + 1) >= samples
+    ref = {prop: verify(prop, params, grid, samples=samples, seed=7) for prop in _BATCHED}
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(verify_mod, "_BLOCK_DOUBLES", rows * (grid.n + 1))
+        for prop in _BATCHED:
+            assert verify(prop, params, grid, samples=samples, seed=7) == ref[prop], (prop, rows)
+
+
+def test_verify_memory_stays_in_blocks():
+    # whole ensembles held as arrays would exceed this at n = 1024
+    import tracemalloc
+
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    for prop in PropertyId:
+        tracemalloc.start()
+        try:
+            verify(prop, params, grid, samples=100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, (prop.value, peak)
