@@ -17,6 +17,18 @@ which keeps solver step sizes mesh-independent.  By the chain rule
 at interior nodes (zero at the boundary), with phi(s) = |s|^(p-2) s.  For
 p < 2 the pointwise phi is not Lipschitz at 0, so the gradient uses the
 regularization (s^2 + eps^2)^((p-2)/2) s with a configurable eps.
+
+Energy, gradient and the monotonicity gap have one body each, written on
+pinned rows V (1-D, or (b, n+1) for b functions at once) and their
+derivative images DV = D V, reduced along the last axis.  The public
+functions are its one-row calls, and a caller that already holds D u
+(a solver, a verify block) passes it instead of taking the product
+again.  D is applied by batched products whose rows are bitwise equal
+to the one-vector product, and elementwise powers do not depend on a
+value's position, so row r of a block is bitwise the one-row result.
+The p-th roots of norms are the exception: an array power may differ
+from the scalar one in the last bit, so each root is taken per row, on
+that row's sum as a scalar (fracops._lp_rows).
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fracops import OperatorSet
+from .fracops import OperatorSet, _lp_rows, _rows
 from .grid import FracParams, Grid, GridFunction, trapezoid_weights
 from .nonlinearity import NonlinearitySpec
 
@@ -89,11 +101,7 @@ def phi(s: np.ndarray, p: float, eps_reg: float = 0.0) -> np.ndarray:
 def energy(st: ProblemState, u: GridFunction) -> float:
     """I(u) = (1/p) ||u||_{alpha,p}^p - quadrature of F(t, u)."""
     v = st.require_dirichlet(u)
-    p = st.params.p
-    du = st.ops.left_deriv @ v
-    grad_term = np.sum(st.ops.deriv_quad_weights * np.abs(du) ** p) / p
-    F = st.spec.F_values(st.grid.nodes, v)
-    return float(grad_term - np.sum(st._quad * F))
+    return float(_energy_rows(st, v, st.ops.left_deriv @ v))
 
 
 def gradient(st: ProblemState, u: GridFunction) -> GridFunction:
@@ -105,12 +113,26 @@ def gradient(st: ProblemState, u: GridFunction) -> GridFunction:
 def _gradient_and_du(st: ProblemState, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gradient of the pinned v and the derivative image D v it used."""
     du = st.ops.left_deriv @ v
-    flux = phi(du, st.params.p, st.eps_reg)
-    g = (st.ops.right_deriv @ (st.ops.deriv_quad_weights * flux)) / st.grid.h
-    g -= st.spec.f_values(st.grid.nodes, v)
-    g[0] = 0.0
-    g[-1] = 0.0
-    return g, du
+    return _gradient_rows(st, v, du), du
+
+
+def _energy_rows(st: ProblemState, V: np.ndarray, DV: np.ndarray) -> np.ndarray:
+    """Energy of each pinned row of V, given DV = D V row by row."""
+    p = st.params.p
+    grad_term = np.sum(st.ops.deriv_quad_weights * np.abs(DV) ** p, axis=-1) / p
+    F = st.spec.F_values(st.grid.nodes, V)
+    return grad_term - np.sum(st._quad * F, axis=-1)
+
+
+def _gradient_rows(st: ProblemState, V: np.ndarray, DV: np.ndarray) -> np.ndarray:
+    """Gradient of each pinned row of V, given DV = D V row by row."""
+    flux = phi(DV, st.params.p, st.eps_reg)
+    G = _rows(st.ops.right_deriv, st.ops.deriv_quad_weights * flux)
+    G /= st.grid.h
+    G -= st.spec.f_values(st.grid.nodes, V)
+    G[..., 0] = 0.0
+    G[..., -1] = 0.0
+    return G
 
 
 def basis_alpha_norms(st: ProblemState) -> np.ndarray:
@@ -155,11 +177,22 @@ def monotonicity_gap(st: ProblemState, u: GridFunction, v: GridFunction) -> floa
     """
     uu = st.require_dirichlet(u)
     vv = st.require_dirichlet(v)
+    gaps, _, _ = _gap_rows(st, st.ops.left_deriv @ uu, st.ops.left_deriv @ vv)
+    return gaps[0]
+
+
+def _gap_rows(
+    st: ProblemState, DU: np.ndarray, DV: np.ndarray
+) -> tuple[list[float], list[float], list[float]]:
+    """monotonicity_gap of each pair of rows whose derivative images are
+    DU and DV, with the alpha-norms of both rows."""
     p = st.params.p
     wd = st.ops.deriv_quad_weights
-    du = st.ops.left_deriv @ uu
-    dv = st.ops.left_deriv @ vv
-    pairing = float(np.sum(wd * (phi(du, p) - phi(dv, p)) * (du - dv)))
-    nu = float(np.sum(wd * np.abs(du) ** p) ** (1.0 / p))
-    nv = float(np.sum(wd * np.abs(dv) ** p) ** (1.0 / p))
-    return pairing - (nu ** (p - 1.0) - nv ** (p - 1.0)) * (nu - nv)
+    pairing = np.sum(wd * (phi(DU, p) - phi(DV, p)) * (DU - DV), axis=-1)
+    nu = _lp_rows(DU, p, wd)
+    nv = _lp_rows(DV, p, wd)
+    gaps = [
+        pr - (a ** (p - 1.0) - b ** (p - 1.0)) * (a - b)
+        for pr, a, b in zip(np.atleast_1d(pairing).tolist(), nu, nv)
+    ]
+    return gaps, nu, nv

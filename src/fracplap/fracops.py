@@ -130,6 +130,13 @@ class Toeplitz:
         return (dense.T if self.upper else dense).astype(dtype, copy=False)
 
 
+def _rows(op, block: np.ndarray) -> np.ndarray:
+    """op applied to every row of block (or to block itself if it is 1-D),
+    as C-ordered rows, so that a row-wise reduction adds in the same order
+    as on one vector."""
+    return np.ascontiguousarray((op @ block.T).T)
+
+
 class OpKind(enum.Enum):
     LEFT_INT = "LEFT_INT"
     RIGHT_INT = "RIGHT_INT"
@@ -255,4 +262,12 @@ def alpha_norm(ops: OperatorSet, u: GridFunction, p: float) -> float:
     if p < 1.0:
         raise ValueError(f"alpha_norm requires p >= 1, got {p}")
     du = ops.left_deriv @ ops.check_grid(u)
-    return float(np.sum(ops.deriv_quad_weights * np.abs(du) ** p) ** (1.0 / p))
+    return _lp_rows(du, p, ops.deriv_quad_weights)[0]
+
+
+def _lp_rows(rows: np.ndarray, p: float, w: np.ndarray) -> list[float]:
+    """Row-wise (sum_i w_i |x_i|^p)^(1/p) of a 1-D or 2-D array.  Each
+    root is a scalar power of that row's sum, as the one-vector formula
+    takes it: an array power may differ from it in the last bit."""
+    sums = np.atleast_1d(np.sum(w * np.abs(rows) ** p, axis=-1))
+    return [float(s ** (1.0 / p)) for s in sums]

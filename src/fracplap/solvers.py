@@ -28,14 +28,15 @@ import numpy as np
 
 from .energy import (
     ProblemState,
+    _energy_rows,
     _gradient_and_du,
+    _gradient_rows,
     _residual_from_gradient,
     basis_alpha_norms,
     energy,
-    gradient,
     phi,
 )
-from .fracops import Toeplitz, alpha_norm, gl_weights
+from .fracops import Toeplitz, _rows, alpha_norm, gl_weights
 from .grid import GridFunction, sine_series, sup_norm
 from .nonlinearity import Family
 
@@ -146,6 +147,7 @@ class _Workspace:
         self._yr = (st.ops.right_int @ r)[1:n]
         self.linear_weights = st.ops.deriv_quad_weights / st.grid.h
         self.basis_norms = basis_alpha_norms(st)
+        self.du: Optional[np.ndarray] = None
 
     def metric_solver(self, w: np.ndarray):
         """g -> H_w^{-1} g for a pinned g, for positive node weights w
@@ -203,7 +205,10 @@ class _Workspace:
         return -self.metric_solver(w)(g)
 
     def grad(self, u: np.ndarray) -> np.ndarray:
-        return gradient(self.st, GridFunction(u, dirichlet=True)).values
+        """The gradient at the pinned u.  Its derivative image D u stays in
+        self.du until the next call, so newton_step need not take it again."""
+        g, self.du = _gradient_and_du(self.st, u)
+        return g
 
     def log_deflation(self, u: np.ndarray, known) -> tuple[float, np.ndarray]:
         """log M and its gradient, where M is the product of
@@ -228,17 +233,21 @@ class _Workspace:
         grad[0] = grad[-1] = 0.0
         return log_m, grad
 
-    def newton_step(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def newton_step(
+        self, u: np.ndarray, g: np.ndarray, du: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """H^{-1} g for the Hessian H at u (boundary rows zero), by MINRES.
 
         H v = D^T(w D v) - f_u v with w = wd phi'(D u) / h, so the metric
         with the same weights is its exact principal part and preconditions
         it for every p; weights are floored at PRECOND_FLOOR of the largest
         to keep that metric positive definite where phi' vanishes (p > 2).
+        du is D u if the caller holds it.
         """
         st = self.st
         p = st.params.p
-        du = st.ops.left_deriv @ u
+        if du is None:
+            du = st.ops.left_deriv @ u
         eps = st.eps_reg
         if p >= 2.0:
             dphi = (p - 1.0) * np.abs(du) ** (p - 2.0)
@@ -325,17 +334,20 @@ def _armijo_step(
     E: float,
     d: np.ndarray,
     slope: float,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The last trial point u + s d, its energy and its derivative image,
+    halving s from 1 until the Armijo condition holds."""
     s = 1.0
     for _ in range(ARMIJO_MAX_HALVINGS):
         un = u + s * d
         un[0] = 0.0
         un[-1] = 0.0
-        En = energy(st, GridFunction(un, dirichlet=True))
+        dun = st.ops.left_deriv @ un
+        En = float(_energy_rows(st, un, dun))
         if En <= E + ARMIJO_C1 * s * slope:
-            return un, En
+            break
         s *= ARMIJO_SHRINK
-    return un, En
+    return un, En, dun
 
 
 def _sublinear_gate(st: ProblemState, caller: str) -> None:
@@ -374,9 +386,11 @@ def minimize_direct(
     """Armijo descent on the energy in the p-adapted metric.
 
     Each direction solves D^T diag(w) D d = -g with the weights
-    _Workspace.descent_weights builds from the D u the gradient just
-    computed, so an iteration costs the gradient's two Toeplitz products,
-    the metric solve's two and one per energy call of the line search.
+    _Workspace.descent_weights builds from D u.  The start's energy and
+    gradient share its derivative image, and the line search keeps the
+    image of the point it accepts for the next gradient, so an iteration
+    costs one Toeplitz product for the gradient, two for the metric solve
+    and one per energy call of the line search.
 
     Requires a sublinear-regime nonlinearity (coercive energy).  On
     convergence the weak residual is at or below tol; starting from a
@@ -389,11 +403,12 @@ def minimize_direct(
     u = init.values.copy()
     u[0] = 0.0
     u[-1] = 0.0
-    E = energy(st, GridFunction(u, dirichlet=True))
+    du = st.ops.left_deriv @ u
+    E = float(_energy_rows(st, u, du))
     res = math.inf
     steps = 0
     while True:
-        g, du = _gradient_and_du(st, u)
+        g = _gradient_rows(st, u, du)
         res = ws.residual(g)
         if res <= tol or steps >= max_iter:
             break
@@ -401,10 +416,10 @@ def minimize_direct(
         slope = float(np.sum(st.grid.h * g * d))
         if not slope < 0.0:  # no descent direction, or NaN
             break
-        un, En = _armijo_step(st, u, E, d, slope)
+        un, En, dun = _armijo_step(st, u, E, d, slope)
         if not En <= E:  # the line search failed; keep the last accepted point
             break
-        u, E = un, En
+        u, E, du = un, En, dun
         steps += 1
     sol = GridFunction(u, dirichlet=True)
     return SolveReport(
@@ -483,11 +498,11 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     """Newton polish of a critical point near the pinned u0.
 
     Each step solves the Hessian system by preconditioned MINRES
-    (_Workspace.newton_step) and halves the step until max|g| decreases.
-    The polish ends when no step length decreases it (the roundoff floor),
-    after POLISH_MAX_STEPS steps, or when the Newton solve breaks down or
-    is not finite; it returns the best iterate, its gradient and the number
-    of gradient evaluations.
+    (_Workspace.newton_step, on the D u its gradient took) and halves
+    the step until max|g| decreases.  The polish ends when no step length
+    decreases it (the roundoff floor), after POLISH_MAX_STEPS steps, or
+    when the Newton solve breaks down or is not finite; it returns the
+    best iterate, its gradient and the number of gradient evaluations.
 
     With known pairs the field is deflated to M g, M the product of
     (1 + ||u -+ u_k||^-p), so the known pairs stop being roots (Farrell,
@@ -497,12 +512,12 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     runs on max|M g|.
     """
     u = u0
-    g = ws.grad(u)
+    g, du = ws.grad(u), ws.du
     log_m, dlog_m = ws.log_deflation(u, known)
     best = float(np.max(np.abs(g)))
     nfev = 1
     for _ in range(POLISH_MAX_STEPS):
-        step = ws.newton_step(u, g)
+        step = ws.newton_step(u, g, du)
         if not np.all(np.isfinite(step)):
             break
         if known:
@@ -513,7 +528,7 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
         s = 1.0
         for _ in range(POLISH_MAX_HALVINGS):
             un = u - s * step
-            gn = ws.grad(un)
+            gn, dun = ws.grad(un), ws.du
             log_mn, dlog_mn = ws.log_deflation(un, known)
             nfev += 1
             rn = float(np.max(np.abs(gn)))
@@ -522,7 +537,7 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
             s *= 0.5
         else:
             break
-        u, g, best, log_m, dlog_m = un, gn, rn, log_mn, dlog_mn
+        u, g, du, best, log_m, dlog_m = un, gn, dun, rn, log_mn, dlog_mn
     return u, g, nfev
 
 
@@ -537,9 +552,10 @@ def mountain_pass(
 
     The rim value beta > 0 is certified by sampling a small sphere, the
     endpoint e by marching out the first sine ray until the energy turns
-    negative.  Each sweep applies one Armijo descent step to the path's
-    maximal-energy state (endpoints fixed) and re-equidistributes the
-    chain; once the maximizer's residual is small its critical point is
+    negative.  Each sweep evaluates the whole path as one row block
+    (energy.py's row body on one batched product), applies one Armijo
+    descent step to the path's maximal-energy state (endpoints fixed)
+    and re-equidistributes the chain; once the maximizer's residual is small its critical point is
     polished by Newton steps on the gradient.  The returned
     value satisfies energy(e) < 0 < beta <= energy_value; a path whose
     top state falls to energy <= 0 (or NaN) raises GeometryError.
@@ -569,7 +585,8 @@ def mountain_pass(
     res = math.inf
     kmax = 1
     for sweeps in range(max_iter):
-        energies = [energy(st, GridFunction(z, dirichlet=True)) for z in path]
+        P = np.array(path)
+        energies = _energy_rows(st, P, _rows(st.ops.left_deriv, P)).tolist()
         kmax = 1 + int(np.argmax(energies[1:-1]))
         if not energies[kmax] > 0.0:
             raise GeometryError(f"mountain-pass path collapsed to top energy {energies[kmax]}")
@@ -580,7 +597,7 @@ def mountain_pass(
             break
         d = ws.descent_direction(g, ws.linear_weights)
         slope = float(np.sum(st.grid.h * g * d))
-        zn, _ = _armijo_step(st, z.copy(), energies[kmax], d, slope)
+        zn, _, _ = _armijo_step(st, z.copy(), energies[kmax], d, slope)
         path[kmax] = zn
         path = _redistribute(path)
 

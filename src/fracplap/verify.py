@@ -12,14 +12,19 @@ the error ratio under one grid doubling.  Ensembles are half smooth
 inequalities hold on the whole discrete space, not just on smooth
 functions.
 
-The operator checks stream their ensemble in row blocks of at most
-_BLOCK_DOUBLES values: each block is drawn from the rng in sample order,
-each operator is applied to it once (a batched FFT product, bitwise equal
-to the per-vector one), norms and pairings are reduced row by row, and
-the worst margin is folded in sample order.  Reports therefore do not
-depend on the block size, and memory stays at a few blocks.  The energy
-checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY) go through energy and
-gradient one sample at a time.
+Every check streams its ensemble in row blocks of at most _BLOCK_DOUBLES
+values (a check that holds several rows per sample takes that many times
+fewer samples per block): each block is drawn from the rng in sample
+order, each operator is applied to it once (a batched FFT product,
+bitwise equal to the per-vector one), norms and pairings are reduced row
+by row, and the worst margin is folded in sample order.  The energy
+checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY) evaluate the energy, its
+gradient and the monotonicity gap with energy.py's row bodies on the
+block and its derivative image, and take every p-th root per row as a
+scalar.  Reports therefore do not depend on the block size, and memory
+stays at a few blocks.  No check calls energy, gradient,
+monotonicity_gap or alpha_norm: tests/test_static.py keeps per-sample
+loops out.
 """
 
 from __future__ import annotations
@@ -32,26 +37,19 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import ProblemState, energy, gradient, monotonicity_gap
+from .energy import ProblemState, _energy_rows, _gap_rows, _gradient_rows
 from .fracops import (
     MAX_GRID_CELLS,
     OperatorSet,
     Toeplitz,
     _caputo_correction,
-    alpha_norm,
+    _lp_rows,
+    _rows,
     build_operators,
     gamma,
     gl_weights,
 )
-from .grid import (
-    FracParams,
-    Grid,
-    GridFunction,
-    make_grid,
-    sine_series,
-    sup_norm,
-    trapezoid_weights,
-)
+from .grid import FracParams, Grid, make_grid, sine_series, trapezoid_weights
 from .nonlinearity import sublinear_power
 
 __all__ = ["PropertyId", "VerificationReport", "verify", "run_suite"]
@@ -145,13 +143,14 @@ def _draw(grid: Grid, rng: np.random.Generator, smooth, dirichlet: bool) -> np.n
     return rows
 
 
-def _random_function(grid: Grid, rng: np.random.Generator, smooth: bool, dirichlet: bool) -> GridFunction:
-    return GridFunction(_draw(grid, rng, [smooth], dirichlet)[0], dirichlet=dirichlet)
+def _block_len(grid: Grid, rows: int) -> int:
+    """Samples per block on this grid for samples of rows rows each."""
+    return max(1, _BLOCK_DOUBLES // (rows * (grid.n + 1)))
 
 
-def _blocks(grid: Grid, count: int):
-    """(start, stop) of each block of count samples on this grid."""
-    b = max(1, _BLOCK_DOUBLES // (grid.n + 1))
+def _blocks(grid: Grid, count: int, rows: int = 1):
+    """(start, stop) of each block of count samples of rows rows each."""
+    b = _block_len(grid, rows)
     for start in range(0, count, b):
         yield start, min(start + b, count)
 
@@ -161,18 +160,6 @@ def _ensemble(grid, rng, count, dirichlet):
     sample indices."""
     for start, stop in _blocks(grid, count):
         yield _draw(grid, rng, [i % 2 == 0 for i in range(start, stop)], dirichlet)
-
-
-def _rows(op, block: np.ndarray) -> np.ndarray:
-    """op applied to every row of block, as C-ordered rows, so that a
-    row-wise reduction adds in the same order as on one vector."""
-    return np.ascontiguousarray((op @ block.T).T)
-
-
-def _lp_rows(rows: np.ndarray, p: float, w: np.ndarray) -> list[float]:
-    """Row-wise (sum_i w_i |x_i|^p)^(1/p), each root taken as lp_norm
-    takes it."""
-    return [float(s ** (1.0 / p)) for s in np.sum(w * np.abs(rows) ** p, axis=1)]
 
 
 def _default_state(params: FracParams, ops: OperatorSet) -> ProblemState:
@@ -251,7 +238,7 @@ def _pairing_gap(weight, left, right, pairs) -> float:
 
 def _random_pairs(grid, rng, samples, dirichlet):
     """Row blocks of (smooth u, rough v) pairs; each sample draws u, then v."""
-    for start, stop in _blocks(grid, samples):
+    for start, stop in _blocks(grid, samples, rows=2):
         uv = _draw(grid, rng, [True, False] * (stop - start), dirichlet)
         yield uv[0::2], uv[1::2]
 
@@ -268,7 +255,7 @@ def _ibp_integral_matched(params, ops, coeff_pairs) -> float:
     g = ops.grid
     pairs = (
         (_smooth(g, coeff_pairs[start:stop, 0]), _smooth(g, coeff_pairs[start:stop, 1]))
-        for start, stop in _blocks(g, len(coeff_pairs))
+        for start, stop in _blocks(g, len(coeff_pairs), rows=2)
     )
     return _pairing_gap(trapezoid_weights(g), ops.left_int, ops.right_int, pairs)
 
@@ -428,17 +415,51 @@ def _check_translation(params, ops, samples, rng):
 def _check_monotone_gap(params, ops, samples, rng):
     grid = ops.grid
     st = _default_state(params, ops)
+    p = params.p
     worst = math.inf
-    for i in range(samples):
-        u = _random_function(grid, rng, smooth=(i % 2 == 0), dirichlet=True)
-        v = _random_function(grid, rng, smooth=(i % 2 == 1), dirichlet=True)
-        gap = monotonicity_gap(st, u, v)
-        scale = (
-            alpha_norm(ops, u, params.p) ** params.p
-            + alpha_norm(ops, v, params.p) ** params.p
-        )
-        worst = min(worst, gap / (1.0 + scale))
+    for start, stop in _blocks(grid, samples, rows=2):
+        # sample i draws u, then v, smooth and rough in turn
+        flags = [s for i in range(start, stop) for s in (i % 2 == 0, i % 2 == 1)]
+        DUV = _rows(ops.left_deriv, _draw(grid, rng, flags, dirichlet=True))
+        # the gap's norms are alpha_norm's, so they scale it too
+        gaps, nu, nv = _gap_rows(st, DUV[0::2], DUV[1::2])
+        for gap, a, b in zip(gaps, nu, nv):
+            worst = min(worst, gap / (1.0 + (a**p + b**p)))
     return _Outcome(worst, IDENTITY_TOL)
+
+
+def _cleared_pairs(ops, rng, samples, clearance):
+    """Row blocks (U, DU, V) of GRAD_FD's samples, with DU = D U.
+
+    Each sample redraws a smooth u until it clears (at most 50 tries,
+    the last one kept) and then draws a smooth v.  Every draw takes 8
+    sine coefficients, so candidates come in blocks drawn in that stream
+    and never past the draws still needed; each block goes through D
+    once and is walked in order, a u waiting across blocks for its v.
+    """
+    grid = ops.grid
+    b = _block_len(grid, rows=1)
+    done, tries, u = 0, 0, None
+    while done < samples:
+        need = 2 * (samples - done) - (u is not None)
+        C = _draw(grid, rng, [True] * min(b, need), dirichlet=True)
+        DC = _rows(ops.left_deriv, C)
+        sup = np.maximum(np.max(np.abs(C), axis=1), 1.0)
+        clear = (np.min(np.abs(C[:, 1:-1]), axis=1) > clearance * sup) & (
+            np.min(np.abs(DC[:, 1:]), axis=1) > clearance * np.max(np.abs(DC), axis=1)
+        )
+        pairs = []
+        for r, ok in enumerate(clear.tolist()):
+            if u is None:
+                tries += 1
+                if ok or tries == 50:
+                    u, du, tries = C[r], DC[r], 0
+            else:
+                pairs.append((u, du, C[r]))
+                u = None
+        if pairs:
+            done += len(pairs)
+            yield tuple(np.array(rows) for rows in zip(*pairs))
 
 
 def _check_grad_fd(params, ops, samples, rng):
@@ -447,30 +468,20 @@ def _check_grad_fd(params, ops, samples, rng):
     Samples whose nodal values (or derivative samples) sit within ~100*eps
     of zero are redrawn: the integrands have |.|^(q-1)-type kinks there and
     central differences of the energy lose their O(eps^2) validity, which
-    would measure the instrument, not the gradient.
+    would measure the instrument, not the gradient.  The gradient at u
+    reuses u's derivative image; the energies at u +- eps v are taken on
+    their own images, in one product.
     """
-    grid = ops.grid
     st = _default_state(params, ops)
-    h = grid.h
     eps = 1e-6
-    clearance = 100.0 * eps
     worst = 0.0
-    for _ in range(samples):
-        for _try in range(50):
-            u = _random_function(grid, rng, smooth=True, dirichlet=True)
-            du = ops.left_deriv @ u.values
-            if (
-                np.min(np.abs(u.values[1:-1])) > clearance * max(1.0, sup_norm(u))
-                and np.min(np.abs(du[1:])) > clearance * np.max(np.abs(du))
-            ):
-                break
-        v = _random_function(grid, rng, smooth=True, dirichlet=True)
-        g = gradient(st, u).values
-        pair = float(np.sum(h * g * v.values))
-        ep = energy(st, GridFunction(u.values + eps * v.values, dirichlet=True))
-        em = energy(st, GridFunction(u.values - eps * v.values, dirichlet=True))
-        fd = (ep - em) / (2.0 * eps)
-        worst = max(worst, abs(fd - pair) / max(abs(fd), abs(pair), 1e-12))
+    for U, DU, V in _cleared_pairs(ops, rng, samples, 100.0 * eps):
+        pair = np.sum(ops.grid.h * _gradient_rows(st, U, DU) * V, axis=1).tolist()
+        W = np.concatenate((U + eps * V, U - eps * V))
+        E = _energy_rows(st, W, _rows(ops.left_deriv, W)).tolist()
+        for r, pr in enumerate(pair):
+            fd = (E[r] - E[len(pair) + r]) / (2.0 * eps)
+            worst = max(worst, abs(fd - pr) / max(abs(fd), abs(pr), 1e-12))
     return _Outcome(-worst, 1e-5 if params.p >= 2.0 else 1e-4)
 
 
@@ -478,14 +489,22 @@ def _check_even_energy(params, ops, samples, rng):
     grid = ops.grid
     st = _default_state(params, ops)
     worst = 0.0
-    for i in range(samples):
-        u = _random_function(grid, rng, smooth=(i % 2 == 0), dirichlet=True)
-        um = GridFunction(-u.values, dirichlet=True)
-        e1, e2 = energy(st, u), energy(st, um)
-        worst = max(worst, abs(e1 - e2) / max(abs(e1), 1.0))
-        g1, g2 = gradient(st, u).values, gradient(st, um).values
-        scale = max(float(np.max(np.abs(g1))), 1.0)
-        worst = max(worst, float(np.max(np.abs(g1 + g2))) / scale)
+    for start, stop in _blocks(grid, samples, rows=2):
+        U = _draw(grid, rng, [i % 2 == 0 for i in range(start, stop)], dirichlet=True)
+        # -u goes through the operator itself, not through -(D u), so the
+        # check still tests the whole pipeline; energy and gradient at one
+        # point share its image
+        X = np.concatenate((U, -U))
+        X[:, 0] = X[:, -1] = 0.0
+        DX = _rows(ops.left_deriv, X)
+        E = _energy_rows(st, X, DX).tolist()
+        G = _gradient_rows(st, X, DX)
+        b = stop - start
+        gmax = np.max(np.abs(G[:b]), axis=1).tolist()
+        gsum = np.max(np.abs(G[:b] + G[b:]), axis=1).tolist()
+        for r in range(b):
+            worst = max(worst, abs(E[r] - E[b + r]) / max(abs(E[r]), 1.0))
+            worst = max(worst, gsum[r] / max(gmax[r], 1.0))
     return _Outcome(-worst, IDENTITY_TOL)
 
 

@@ -16,6 +16,9 @@ from fracplap import (
     table_spec,
     weak_residual,
 )
+from fracplap.energy import _energy_rows, _gap_rows, _gradient_rows
+from fracplap.fracops import _rows, alpha_norm
+from fracplap.grid import sine_series
 
 
 def make_state(alpha, p, n, spec, T=1.0, eps_reg=None):
@@ -212,3 +215,33 @@ def test_basis_norms_match_dense_columns(alpha, p):
     wd = st.ops.deriv_quad_weights
     dense = np.sum(wd[:, None] * np.abs(D[:, 1:-1]) ** p, axis=0) ** (1.0 / p)
     assert np.max(np.abs(basis_alpha_norms(st) - dense) / dense) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 1023])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+def test_row_bodies_bitwise_equal_one_row_calls(p, n):
+    # rough, smooth and small rows through one batched product give, row
+    # by row, the bits of the one-function calls; at p < 2 the flux is
+    # regularized
+    st = make_state(0.7, p, n, sublinear_power((1.0 + p) / 2.0))
+    assert (st.eps_reg > 0.0) == (p < 2.0)
+    rng = np.random.default_rng(11)
+    U = np.concatenate((
+        rng.standard_normal((3, n + 1)),
+        sine_series(st.grid, rng.standard_normal((3, 8))),
+        1e-6 * rng.standard_normal((2, n + 1)),
+    ))
+    U[:, 0] = U[:, -1] = 0.0
+    DU = _rows(st.ops.left_deriv, U)
+    E = _energy_rows(st, U, DU)
+    G = _gradient_rows(st, U, DU)
+    half = len(U) // 2
+    gaps, nu, nv = _gap_rows(st, DU[:half], DU[half:])
+    fns = [GridFunction(u, dirichlet=True) for u in U]
+    for r, u in enumerate(fns):
+        assert E[r] == energy(st, u), r
+        assert np.array_equal(G[r], gradient(st, u).values), r
+    for r in range(half):
+        u, v = fns[r], fns[half + r]
+        assert gaps[r] == monotonicity_gap(st, u, v), r
+        assert (nu[r], nv[r]) == (alpha_norm(st.ops, u, p), alpha_norm(st.ops, v, p)), r

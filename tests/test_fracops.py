@@ -18,7 +18,7 @@ from fracplap import (
     lp_norm,
     make_grid,
 )
-from fracplap.fracops import MAX_GRID_CELLS
+from fracplap.fracops import MAX_GRID_CELLS, _lp_rows
 
 
 def _ops(alpha, n, T=1.0, p=2.0):
@@ -370,3 +370,16 @@ def test_fast_len_matches_scipy():
 
     for target in range(1, 2 * MAX_GRID_CELLS + 2):
         assert _fast_len(target) == next_fast_len(target, real=True), target
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 2.5, 3.0, 5.0])
+def test_lp_rows_take_scalar_roots(p):
+    # an array power differs from the scalar one in the last bit for about
+    # one value in a hundred here, so every row's root must be the scalar
+    # power of its own sum, as the one-vector norms take it
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((400, 17)) * rng.uniform(0.1, 10.0, (400, 1))
+    w = rng.uniform(0.5, 1.5, 17)
+    ref = [float(np.sum(w * np.abs(r) ** p) ** (1.0 / p)) for r in rows]
+    assert _lp_rows(rows, p, w) == ref
+    assert [_lp_rows(r, p, w)[0] for r in rows] == ref

@@ -140,7 +140,7 @@ def test_minimize_nonconverged_report():
 def test_minimize_stops_when_energy_rises(monkeypatch):
     st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
     init = bump_init(st)
-    monkeypatch.setattr(solvers, "_armijo_step", lambda st, u, E, d, slope: (u + d, E + 1.0))
+    monkeypatch.setattr(solvers, "_armijo_step", lambda st, u, E, d, slope: (u + d, E + 1.0, None))
     rep = minimize_direct(st, init, tol=1e-8)
     assert not rep.converged
     assert rep.iterations == 0
@@ -173,12 +173,13 @@ def test_minimize_iterations_flat_in_p_and_n(p, q, n):
 
 
 def test_minimize_product_budget(monkeypatch):
-    # set-up is one product (L^-T r) plus the gradient that ends the run;
-    # each iteration adds its gradient (2) and its metric solve (2), each
-    # energy call its derivative image (1)
+    # set-up is one product (L^-T r); every energy call takes its point's
+    # derivative image (1), which the next gradient reuses, so a gradient
+    # costs its D^T product (1) and an iteration adds one gradient and its
+    # metric solve (2); the start's energy and gradient share its image
     st = make_state(0.6, 3.0, 128, sublinear_power(2.0))
     counts = {"matmul": 0, "energy": 0}
-    matmul, energy_fn = solvers.Toeplitz.__matmul__, solvers.energy
+    matmul, energy_fn, rows_fn = solvers.Toeplitz.__matmul__, solvers.energy, solvers._energy_rows
 
     def counted_matmul(self, x):
         counts["matmul"] += 1
@@ -188,13 +189,18 @@ def test_minimize_product_budget(monkeypatch):
         counts["energy"] += 1
         return energy_fn(st, u)
 
+    def counted_rows(st, V, DV):
+        counts["energy"] += 1
+        return rows_fn(st, V, DV)
+
     monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers, "energy", counted_energy)
+    monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
     for max_iter in (3, 2000):
         counts.update(matmul=0, energy=0)
         rep = minimize_direct(st, bump_init(st), tol=1e-8, max_iter=max_iter)
         assert (rep.iterations == 3) if max_iter == 3 else rep.converged
-        assert counts["matmul"] == 3 + 4 * rep.iterations + counts["energy"]
+        assert counts["matmul"] == 2 + 3 * rep.iterations + counts["energy"]
 
 
 def test_minimize_reports_energy_of_its_solution():

@@ -1,8 +1,13 @@
-"""Static guard: no module of the package calls into threaded BLAS.
+"""Static guards.
 
-Artifacts are byte-identical across BLAS thread counts only while every
-inner product is a plain numpy reduction; the subprocess byte tests see
-a violation only when a thread count happens to change the bits.
+No module of the package calls into threaded BLAS: artifacts are
+byte-identical across BLAS thread counts only while every inner product
+is a plain numpy reduction; the subprocess byte tests see a violation
+only when a thread count happens to change the bits.
+
+verify.py calls none of the one-function energy entry points: its checks
+evaluate whole row blocks, and a checker that falls back to one sample at
+a time still passes every report test, only slower.
 """
 
 import ast
@@ -66,3 +71,47 @@ def test_guard_flags_blas_call(snippet):
 
 def test_guard_sees_every_module():
     assert {p.name for p in SOURCES} >= {"fracops.py", "solvers.py", "verify.py"}
+
+
+PER_SAMPLE_NAMES = {"energy", "gradient", "monotonicity_gap", "alpha_norm"}
+VERIFY_SOURCE = Path(fracplap.__file__).parent / "verify.py"
+
+
+def per_sample_calls(source: str) -> list[str]:
+    """Calls of the per-sample energy functions, by name or attribute, and
+    imports of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in PER_SAMPLE_NAMES:
+                found.append(f"line {node.lineno}: {name}(")
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names} & PER_SAMPLE_NAMES
+            found += [f"line {node.lineno}: import {x}" for x in sorted(names)]
+    return found
+
+
+def test_verify_calls_no_per_sample_energy_function():
+    assert per_sample_calls(VERIFY_SOURCE.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "energy(st, u)",
+        "gradient(st, u).values",
+        "monotonicity_gap(st, u, v)",
+        "alpha_norm(ops, u, p) ** p",
+        "en.energy(st, GridFunction(u, dirichlet=True))",
+        "from .energy import ProblemState, gradient",
+        "from .fracops import alpha_norm",
+    ],
+)
+def test_per_sample_guard_flags_call(snippet):
+    assert per_sample_calls(snippet)
+
+
+def test_per_sample_guard_passes_row_bodies():
+    assert per_sample_calls("E = _energy_rows(st, U, _rows(ops.left_deriv, U))") == []

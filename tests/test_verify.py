@@ -172,30 +172,65 @@ _BATCHED = [
     PropertyId.SUP_EMBED,
     PropertyId.EMBED_LQ,
     PropertyId.TRANSLATION_COMPACT,
+    PropertyId.MONOTONE_GAP,
+    PropertyId.GRAD_FD,
+    PropertyId.EVEN_ENERGY,
 ]
 
 
 @pytest.mark.parametrize("samples", [11, 17])
 def test_reports_independent_of_block_size(samples, monkeypatch):
-    # blocks of 1, 2 and 3 rows against the default (one block here);
-    # odd counts put the smooth/rough alternation across block boundaries
+    # blocks of 1, 2, 3, 4 and 6 rows against the default (one block
+    # here); checks holding two rows per sample then take 1, 1, 1, 2 and
+    # 3 samples per block, and odd counts put the smooth/rough
+    # alternation across block boundaries
     verify_mod = importlib.import_module("fracplap.verify")
     params = FracParams(alpha=0.8, p=1.5, T=1.0)
     grid = make_grid(1.0, 64)
-    assert verify_mod._BLOCK_DOUBLES // (grid.n + 1) >= samples
+    assert verify_mod._BLOCK_DOUBLES // (2 * (grid.n + 1)) >= samples
     ref = {prop: verify(prop, params, grid, samples=samples, seed=7) for prop in _BATCHED}
-    for rows in (1, 2, 3):
+    for rows in (1, 2, 3, 4, 6):
         monkeypatch.setattr(verify_mod, "_BLOCK_DOUBLES", rows * (grid.n + 1))
         for prop in _BATCHED:
             assert verify(prop, params, grid, samples=samples, seed=7) == ref[prop], (prop, rows)
 
 
+def test_grad_fd_redraw_independent_of_block_size(monkeypatch):
+    # a config whose clearance test rejects candidates, so a u redraws,
+    # possibly across a block boundary, while v draws never do
+    verify_mod = importlib.import_module("fracplap.verify")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 64)
+    samples = 11
+    draw = verify_mod._draw
+    drawn = []
+
+    def counting(grid, rng, smooth, dirichlet):
+        drawn.append(len(smooth))
+        return draw(grid, rng, smooth, dirichlet)
+
+    monkeypatch.setattr(verify_mod, "_draw", counting)
+    ref = verify(PropertyId.GRAD_FD, params, grid, samples=samples, seed=9)
+    assert ref.passed
+    assert sum(drawn) > 2 * samples
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(verify_mod, "_BLOCK_DOUBLES", rows * (grid.n + 1))
+        drawn.clear()
+        assert verify(PropertyId.GRAD_FD, params, grid, samples=samples, seed=9) == ref, rows
+        assert max(drawn) == rows and sum(drawn) > 2 * samples
+
+
 def test_verify_memory_stays_in_blocks():
-    # whole ensembles held as arrays would exceed this at n = 1024
+    # whole ensembles held as arrays would exceed this at n = 1024; a small
+    # run of every property first keeps first-use allocations (FFT plans,
+    # sine tables at n and 2n) out of the measured peaks, so the result
+    # does not depend on which tests ran before
     import tracemalloc
 
     params = FracParams(alpha=0.6, p=2.0, T=1.0)
     grid = make_grid(1.0, 1024)
+    for prop in PropertyId:
+        verify(prop, params, grid, samples=2, seed=1)
     for prop in PropertyId:
         tracemalloc.start()
         try:
