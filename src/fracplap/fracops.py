@@ -130,11 +130,28 @@ class Toeplitz:
         return (dense.T if self.upper else dense).astype(dtype, copy=False)
 
 
+# values per row block (128 KiB of doubles): a block holds
+# max(1, _BLOCK_DOUBLES // (n + 1)) functions
+_BLOCK_DOUBLES = 1 << 14
+
+
 def _rows(op, block: np.ndarray) -> np.ndarray:
     """op applied to every row of block (or to block itself if it is 1-D),
     as C-ordered rows, so that a row-wise reduction adds in the same order
     as on one vector."""
     return np.ascontiguousarray((op @ block.T).T)
+
+
+def _block_len(grid: Grid, rows: int) -> int:
+    """Items per row block on this grid for items of rows rows each."""
+    return max(1, _BLOCK_DOUBLES // (rows * (grid.n + 1)))
+
+
+def _blocks(grid: Grid, count: int, rows: int = 1):
+    """(start, stop) of each block of count items of rows rows each."""
+    b = _block_len(grid, rows)
+    for start in range(0, count, b):
+        yield start, min(start + b, count)
 
 
 class OpKind(enum.Enum):
@@ -261,8 +278,12 @@ def alpha_norm(ops: OperatorSet, u: GridFunction, p: float) -> float:
         raise ValueError("alpha_norm is defined for dirichlet grid functions")
     if p < 1.0:
         raise ValueError(f"alpha_norm requires p >= 1, got {p}")
-    du = ops.left_deriv @ ops.check_grid(u)
-    return _lp_rows(du, p, ops.deriv_quad_weights)[0]
+    return _alpha_rows(ops, ops.check_grid(u), p)[0]
+
+
+def _alpha_rows(ops: OperatorSet, V: np.ndarray, p: float) -> list[float]:
+    """alpha_norm of each pinned row of V (or of V itself if it is 1-D)."""
+    return _lp_rows(_rows(ops.left_deriv, V), p, ops.deriv_quad_weights)
 
 
 def _lp_rows(rows: np.ndarray, p: float, w: np.ndarray) -> list[float]:

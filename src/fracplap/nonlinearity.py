@@ -245,9 +245,6 @@ def point_values(spec: NonlinearitySpec, t: float, u: float) -> tuple[float, flo
     return float(spec.f_values(t, u)), float(spec.F_values(t, u))
 
 
-eval = point_values  # deprecated alias, kept out of __all__: it shadows the builtin
-
-
 @dataclass(frozen=True)
 class HypothesisRecord:
     id: str

@@ -16,6 +16,16 @@ come from MINRES on Hessian-vector products, preconditioned by the
 closed-form metric with the Hessian's own flux weights, so no dense
 matrix is formed.  The search for the higher pairs first runs it on the
 deflated field, whose Newton step is the plain one times a scalar.
+
+Every energy, gradient and norm here is evaluated by the row layer
+(energy._energy_rows, energy._gradient_rows, fracops._alpha_rows) on
+pinned arrays, reusing the derivative images already at hand: a sweep's
+top state takes its gradient from the sweep's block, the rim directions
+and the separation and distance checks go through D as row blocks.  The
+mountain-pass endpoint march and the multiplicity ray scan take one D v
+and scale it, since their scales are powers of two and D(2^k v) equals
+2^k (D v) bitwise (every floating-point step of the product is exact
+under a power-of-two scale, short of overflow and underflow).
 """
 
 from __future__ import annotations
@@ -33,10 +43,9 @@ from .energy import (
     _gradient_rows,
     _residual_from_gradient,
     basis_alpha_norms,
-    energy,
     phi,
 )
-from .fracops import Toeplitz, _rows, alpha_norm, gl_weights
+from .fracops import Toeplitz, _alpha_rows, _blocks, _rows, gl_weights
 from .grid import GridFunction, sine_series, sup_norm
 from .nonlinearity import Family
 
@@ -147,7 +156,6 @@ class _Workspace:
         self._yr = (st.ops.right_int @ r)[1:n]
         self.linear_weights = st.ops.deriv_quad_weights / st.grid.h
         self.basis_norms = basis_alpha_norms(st)
-        self.du: Optional[np.ndarray] = None
 
     def metric_solver(self, w: np.ndarray):
         """g -> H_w^{-1} g for a pinned g, for positive node weights w
@@ -199,17 +207,6 @@ class _Workspace:
         """Weak residual of the point whose gradient is g."""
         return _residual_from_gradient(self.st, g, self.basis_norms)
 
-    def descent_direction(self, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """-H_w^{-1} g: the descent direction of the gradient g in the
-        metric with node weights w."""
-        return -self.metric_solver(w)(g)
-
-    def grad(self, u: np.ndarray) -> np.ndarray:
-        """The gradient at the pinned u.  Its derivative image D u stays in
-        self.du until the next call, so newton_step need not take it again."""
-        g, self.du = _gradient_and_du(self.st, u)
-        return g
-
     def log_deflation(self, u: np.ndarray, known) -> tuple[float, np.ndarray]:
         """log M and its gradient, where M is the product of
         (1 + ||u -+ u_k||^-p) over the known pairs u_k.
@@ -224,12 +221,14 @@ class _Workspace:
         wd = st.ops.deriv_quad_weights
         log_m = 0.0
         grad = np.zeros_like(u)
-        for uk in known:
-            for v in (u - uk, u + uk):
-                dv = st.ops.left_deriv @ v
-                N = np.sum(wd * np.abs(dv) ** p)
-                log_m += np.log1p(N) - np.log(N)
-                grad -= (p / (N * (N + 1.0))) * (st.ops.right_deriv @ (wd * phi(dv, p)))
+        if not known:
+            return log_m, grad
+        V = np.array([v for uk in known for v in (u - uk, u + uk)])
+        DV = _rows(st.ops.left_deriv, V)
+        Ns = np.sum(wd * np.abs(DV) ** p, axis=-1)
+        for N, r in zip(Ns, _rows(st.ops.right_deriv, wd * phi(DV, p))):
+            log_m += np.log1p(N) - np.log(N)
+            grad -= (p / (N * (N + 1.0))) * r
         grad[0] = grad[-1] = 0.0
         return log_m, grad
 
@@ -412,7 +411,7 @@ def minimize_direct(
         res = ws.residual(g)
         if res <= tol or steps >= max_iter:
             break
-        d = ws.descent_direction(g, ws.descent_weights(du))
+        d = -ws.metric_solver(ws.descent_weights(du))(g)
         slope = float(np.sum(st.grid.h * g * d))
         if not slope < 0.0:  # no descent direction, or NaN
             break
@@ -435,13 +434,15 @@ def minimize_direct(
     )
 
 
-def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> GridFunction:
-    """The sine series with these coefficients, scaled to unit alpha-norm."""
-    u = GridFunction(sine_series(st.grid, coeffs), dirichlet=True)
-    nrm = alpha_norm(st.ops, u, st.params.p)
-    if nrm <= 0.0:
+def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> np.ndarray:
+    """The sine series of each coefficient row, pinned and scaled to unit
+    alpha-norm."""
+    V = sine_series(st.grid, coeffs)
+    V[:, 0] = V[:, -1] = 0.0
+    norms = np.array(_alpha_rows(st.ops, V, st.params.p))
+    if np.any(norms <= 0.0):
         raise ValueError("cannot normalize the zero function")
-    return GridFunction(u.values / nrm, dirichlet=True)
+    return V / norms[:, None]
 
 
 def _redistribute(path: list[np.ndarray]) -> list[np.ndarray]:
@@ -474,13 +475,13 @@ def _rim_value(st: ProblemState, rng: np.random.Generator) -> tuple[float, float
     until that minimum is positive."""
     rho = 0.1 * st.grid.T ** st.params.alpha
     for _ in range(80):
+        C = rng.standard_normal((RIM_DIRECTIONS, 6))
+        C[~C.any(axis=1), 0] = 1.0
         worst = math.inf
-        for _ in range(RIM_DIRECTIONS):
-            c = rng.standard_normal(6)
-            if not np.any(c):
-                c[0] = 1.0
-            v = _unit_sines(st, c)
-            worst = min(worst, energy(st, GridFunction(rho * v.values, dirichlet=True)))
+        for start, stop in _blocks(st.grid, RIM_DIRECTIONS):
+            X = rho * _unit_sines(st, C[start:stop])
+            for e in _energy_rows(st, X, _rows(st.ops.left_deriv, X)).tolist():
+                worst = min(worst, e)
         if worst > 0.0:
             return float(worst), rho
         rho *= 0.5
@@ -511,8 +512,9 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     plain one scaled by 1 / (1 + grad(log M) . step), and the halving
     runs on max|M g|.
     """
+    st = ws.st
     u = u0
-    g, du = ws.grad(u), ws.du
+    g, du = _gradient_and_du(st, u)
     log_m, dlog_m = ws.log_deflation(u, known)
     best = float(np.max(np.abs(g)))
     nfev = 1
@@ -528,7 +530,7 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
         s = 1.0
         for _ in range(POLISH_MAX_HALVINGS):
             un = u - s * step
-            gn, dun = ws.grad(un), ws.du
+            gn, dun = _gradient_and_du(st, un)
             log_mn, dlog_mn = ws.log_deflation(un, known)
             nfev += 1
             rn = float(np.max(np.abs(gn)))
@@ -565,37 +567,39 @@ def mountain_pass(
     rng = np.random.default_rng(seed)
     beta, _rho = _rim_value(st, rng)
 
-    w0 = _unit_sines(st, np.array([1.0]))
+    # the endpoint march scales one image: D(s w0) == s (D w0) bitwise for
+    # powers of two s
+    w0 = _unit_sines(st, np.ones((1, 1)))[0]
+    dw0 = st.ops.left_deriv @ w0
     s = 1.0
-    e = None
     for _ in range(80):
-        cand = GridFunction(s * w0.values, dirichlet=True)
-        if energy(st, cand) < 0.0:
-            e = cand
+        endpoint_energy = float(_energy_rows(st, s * w0, s * dw0))
+        if endpoint_energy < 0.0:
             break
         s *= 2.0
-    if e is None:
+    else:
         raise GeometryError("no negative-energy endpoint within the ray budget")
-    endpoint_energy = energy(st, e)
+    e = s * w0
 
     lams = np.linspace(0.0, 1.0, path_points)
-    path = [lam * e.values for lam in lams]
+    path = [lam * e for lam in lams]
     polish_gate = max(100.0 * tol, 1e-3)
     sweeps = 0
     res = math.inf
     kmax = 1
     for sweeps in range(max_iter):
         P = np.array(path)
-        energies = _energy_rows(st, P, _rows(st.ops.left_deriv, P)).tolist()
+        DP = _rows(st.ops.left_deriv, P)
+        energies = _energy_rows(st, P, DP).tolist()
         kmax = 1 + int(np.argmax(energies[1:-1]))
         if not energies[kmax] > 0.0:
             raise GeometryError(f"mountain-pass path collapsed to top energy {energies[kmax]}")
         z = path[kmax]
-        g = ws.grad(z)
+        g = _gradient_rows(st, z, DP[kmax])
         res = ws.residual(g)
         if res <= polish_gate:
             break
-        d = ws.descent_direction(g, ws.linear_weights)
+        d = -ws.metric_solver(ws.linear_weights)(g)
         slope = float(np.sum(st.grid.h * g * d))
         zn, _, _ = _armijo_step(st, z.copy(), energies[kmax], d, slope)
         path[kmax] = zn
@@ -604,7 +608,7 @@ def mountain_pass(
     z, g, nfev = _polish_root(ws, path[kmax])
     sol = GridFunction(z, dirichlet=True)
     res = ws.residual(g)
-    E = energy(st, sol)
+    E = float(_energy_rows(st, z, st.ops.left_deriv @ z))
     converged = res <= tol and E >= beta and sup_norm(sol) > TRIVIAL_SUP
     return SolveReport(
         solution=sol,
@@ -662,10 +666,12 @@ def multiplicity_search(
             if not np.any(coeffs):
                 coeffs[0] = 1.0
         trials += 1
-        v = _unit_sines(st, coeffs)
-        sigmas = 2.0 ** np.arange(3.0, -13.0, -1.0)
-        ray = [energy(st, GridFunction(sg * v.values, dirichlet=True)) for sg in sigmas]
-        u0 = float(sigmas[int(np.argmin(ray))]) * v.values
+        v = _unit_sines(st, coeffs[None])[0]
+        # the ray scales one image: D(sigma v) == sigma (D v) bitwise for
+        # powers of two sigma
+        sigmas = 2.0 ** np.arange(3.0, -13.0, -1.0)[:, None]
+        ray = _energy_rows(st, sigmas * v, sigmas * (st.ops.left_deriv @ v))
+        u0 = float(sigmas[int(np.argmin(ray)), 0]) * v
 
         if not found:
             rep = minimize_direct(
@@ -681,25 +687,21 @@ def multiplicity_search(
             u, g, nfev1 = _polish_root(ws, u0, known=found)
             # the deflated merit can fall while max|g| runs away; Newton
             # from such a point lands on whichever root chance picks
-            if np.max(np.abs(g)) >= np.max(np.abs(ws.grad(u0))):
+            if np.max(np.abs(g)) >= np.max(np.abs(_gradient_and_du(st, u0)[0])):
                 u = u0
             u, g, nfev2 = _polish_root(ws, u)
             res = ws.residual(g)
-            E = energy(st, GridFunction(u, dirichlet=True))
+            E = float(_energy_rows(st, u, st.ops.left_deriv @ u))
             iters = nfev1 + nfev2
             ok = res <= tol
 
         if not ok or E >= 0.0 or sup_norm(u) <= 1e-8:
             continue
-        dists = [
-            min(
-                alpha_norm(st.ops, GridFunction(u - uk, dirichlet=True), p),
-                alpha_norm(st.ops, GridFunction(u + uk, dirichlet=True), p),
-            )
-            for uk in found
-        ]
-        if any(d < sep for d in dists):
-            continue
+        if found:
+            F = np.array(found)
+            norms = _alpha_rows(st.ops, np.concatenate((u - F, u + F)), p)
+            if any(min(a, b) < sep for a, b in zip(norms[: len(F)], norms[len(F) :])):
+                continue
         found.append(u)
         reports.append(
             SolveReport(
@@ -715,14 +717,13 @@ def multiplicity_search(
             )
         )
 
+    # one block of m rows per pair, so memory stays O(m n); the diagonal
+    # rows are zero, and so are their norms
     m = len(found)
+    F = np.array(found)
     dist = np.zeros((m, m))
     for i in range(m):
-        for j in range(m):
-            if i != j:
-                dist[i, j] = alpha_norm(
-                    st.ops, GridFunction(found[i] - found[j], dirichlet=True), p
-                )
+        dist[i] = _alpha_rows(st.ops, F[i] - F, p)
     return MultiplicityReport(
         pairs=reports,
         pairwise_distances=dist,

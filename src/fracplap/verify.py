@@ -12,8 +12,8 @@ the error ratio under one grid doubling.  Ensembles are half smooth
 inequalities hold on the whole discrete space, not just on smooth
 functions.
 
-Every check streams its ensemble in row blocks of at most _BLOCK_DOUBLES
-values (a check that holds several rows per sample takes that many times
+Every check streams its ensemble in row blocks of at most
+fracops._BLOCK_DOUBLES values (a check that holds several rows per sample takes that many times
 fewer samples per block): each block is drawn from the rng in sample
 order, each operator is applied to it once (a batched FFT product,
 bitwise equal to the per-vector one), norms and pairings are reduced row
@@ -42,6 +42,9 @@ from .fracops import (
     MAX_GRID_CELLS,
     OperatorSet,
     Toeplitz,
+    _alpha_rows,
+    _block_len,
+    _blocks,
     _caputo_correction,
     _lp_rows,
     _rows,
@@ -82,10 +85,6 @@ def _ledger_tolerance(n: int) -> float:
 # refinement ratio is reported as 0
 _ROUNDOFF_FLOOR = 1e-13
 _RATIO_CAP = 0.75
-
-# values per ensemble block (128 KiB of doubles): a block holds
-# max(1, _BLOCK_DOUBLES // (n + 1)) samples
-_BLOCK_DOUBLES = 1 << 14
 
 
 @dataclass
@@ -141,18 +140,6 @@ def _draw(grid: Grid, rng: np.random.Generator, smooth, dirichlet: bool) -> np.n
         rows[:, 0] = 0.0
         rows[:, -1] = 0.0
     return rows
-
-
-def _block_len(grid: Grid, rows: int) -> int:
-    """Samples per block on this grid for samples of rows rows each."""
-    return max(1, _BLOCK_DOUBLES // (rows * (grid.n + 1)))
-
-
-def _blocks(grid: Grid, count: int, rows: int = 1):
-    """(start, stop) of each block of count samples of rows rows each."""
-    b = _block_len(grid, rows)
-    for start in range(0, count, b):
-        yield start, min(start + b, count)
 
 
 def _ensemble(grid, rng, count, dirichlet):
@@ -326,11 +313,6 @@ def _sup(ops, block, p) -> list[float]:
     return np.max(np.abs(block), axis=1).tolist()
 
 
-def _alpha(ops, block, p) -> list[float]:
-    """Row-wise alpha_norm of pinned rows."""
-    return _lp_rows(_rows(ops.left_deriv, block), p, ops.deriv_quad_weights)
-
-
 def _check_embed_lq(params, ops, samples, rng):
     """Interpolation bound ||u||_q^q <= ||u||_inf^(q-p) ||u||_p^p on a
     geometric ladder of q, plus the empirical embedding constant
@@ -355,7 +337,7 @@ def _check_embed_lq(params, ops, samples, rng):
         lp_p = np.sum(w * mag**p, axis=1).tolist()
         lq_p = [np.sum(w * mag**q, axis=1).tolist() for q in qs]
         sups = _sup(ops, block, p)
-        for r, an in enumerate(_alpha(ops, block, p)):
+        for r, an in enumerate(_alpha_rows(ops, block, p)):
             for q, lq in zip(qs, lq_p):
                 rhs = sups[r] ** (q - p) * lp_p[r]
                 worst = min(worst, (rhs - lq[r]) / max(rhs, 1e-300))
@@ -393,7 +375,7 @@ def _check_translation(params, ops, samples, rng):
     shifts = [max(1, n // 16), max(1, n // 32), max(1, n // 64)]
     sups = [0.0] * len(shifts)
     for block in _ensemble(grid, rng, max(samples, 4), dirichlet=True):
-        an = np.array(_alpha(ops, block, p))
+        an = np.array(_alpha_rows(ops, block, p))
         members = block[an > 0] / an[an > 0, None]
         for k, m in enumerate(shifts):
             tu = np.zeros_like(members)
@@ -521,8 +503,8 @@ _CHECKERS = {
     PropertyId.IBP_INTEGRAL: _check_ibp_integral,
     PropertyId.RL_CAPUTO: _check_rl_caputo,
     PropertyId.YOUNG_BOUND: partial(_ensemble_bound, _young_constant, False, _lp_of_integral, _lp),
-    PropertyId.POINCARE: partial(_ensemble_bound, _young_constant, True, _lp, _alpha),
-    PropertyId.SUP_EMBED: partial(_ensemble_bound, _sup_embed_constant, True, _sup, _alpha),
+    PropertyId.POINCARE: partial(_ensemble_bound, _young_constant, True, _lp, _alpha_rows),
+    PropertyId.SUP_EMBED: partial(_ensemble_bound, _sup_embed_constant, True, _sup, _alpha_rows),
     PropertyId.EMBED_LQ: _check_embed_lq,
     PropertyId.TRANSLATION_COMPACT: _check_translation,
     PropertyId.MONOTONE_GAP: _check_monotone_gap,

@@ -12,27 +12,27 @@ from fracplap import (
     table_spec,
     validate_hypotheses,
 )
-from fracplap.nonlinearity import eval as nl_eval
+from fracplap.nonlinearity import point_values
 
 PARAMS = FracParams(alpha=0.6, p=2.0, T=1.0)
 
 
 def test_zero_maps_to_zero():
     for spec in (sublinear_power(1.5), superlinear_power(4.0)):
-        f, F = nl_eval(spec, 0.3, 0.0)
+        f, F = point_values(spec, 0.3, 0.0)
         assert f == 0.0 and F == 0.0
 
 
 def test_sublinear_example():
     # q = 1.5, a = 1, u = 4: f = 1.5 * 4^0.5 = 3, F = 4^1.5 = 8
-    f, F = nl_eval(sublinear_power(1.5), 0.0, 4.0)
+    f, F = point_values(sublinear_power(1.5), 0.0, 4.0)
     assert f == pytest.approx(3.0, rel=1e-14)
     assert F == pytest.approx(8.0, rel=1e-14)
 
 
 def test_superlinear_example():
     # mu = 4, u = -2: f = |u|^2 u = -8, F = |u|^4/4 = 4
-    f, F = nl_eval(superlinear_power(4.0), 0.0, -2.0)
+    f, F = point_values(superlinear_power(4.0), 0.0, -2.0)
     assert f == pytest.approx(-8.0, rel=1e-14)
     assert F == pytest.approx(4.0, rel=1e-14)
 
@@ -46,8 +46,8 @@ def test_superlinear_example():
 )
 def test_odd_f_even_F(u, t, q, mu):
     for spec in (sublinear_power(q), superlinear_power(mu)):
-        fp_, Fp = nl_eval(spec, t, u)
-        fm, Fm = nl_eval(spec, t, -u)
+        fp_, Fp = point_values(spec, t, u)
+        fm, Fm = point_values(spec, t, -u)
         assert fm == -fp_
         assert Fm == Fp
 
@@ -61,9 +61,9 @@ def test_antiderivative_consistency():
             u = float(rng.uniform(0.1, 50.0) * rng.choice([-1.0, 1.0]))
             t = float(rng.uniform(0.0, 1.0))
             eps = 1e-5 * max(1.0, abs(u))
-            _, Fp = nl_eval(spec, t, u + eps)
-            _, Fm = nl_eval(spec, t, u - eps)
-            f, _ = nl_eval(spec, t, u)
+            _, Fp = point_values(spec, t, u + eps)
+            _, Fm = point_values(spec, t, u - eps)
+            f, _ = point_values(spec, t, u)
             fd = (Fp - Fm) / (2.0 * eps)
             assert fd == pytest.approx(f, rel=1e-6, abs=1e-12)
 
@@ -71,7 +71,7 @@ def test_antiderivative_consistency():
 def test_table_family_matches_linear_profile():
     # table encoding of f(u) = u reproduces F(u) = u^2/2 exactly
     spec = table_spec(np.linspace(-2.0, 2.0, 9), np.linspace(-2.0, 2.0, 9))
-    f, F = nl_eval(spec, 0.0, 0.75)
+    f, F = point_values(spec, 0.0, 0.75)
     assert f == pytest.approx(0.75, rel=1e-14)
     assert F == pytest.approx(0.75**2 / 2.0, rel=1e-13)
 
@@ -79,14 +79,14 @@ def test_table_family_matches_linear_profile():
 def test_table_extrapolation_rejected():
     spec = table_spec([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ExtrapolationError):
-        nl_eval(spec, 0.0, 2.0)
+        point_values(spec, 0.0, 2.0)
 
 
 def test_table_with_time_coefficient():
     # f(t, u) = pi^2 sin(pi t), F = pi^2 sin(pi t) u: the classical source
     a = CoefficientFn(kind="sine", value=0.0, amplitude=np.pi**2, frequency=np.pi)
     spec = table_spec([-10.0, 10.0], [1.0, 1.0], a_coeff=a)
-    f, F = nl_eval(spec, 0.5, 3.0)
+    f, F = point_values(spec, 0.5, 3.0)
     assert f == pytest.approx(np.pi**2, rel=1e-14)
     assert F == pytest.approx(3.0 * np.pi**2, rel=1e-14)
 

@@ -152,7 +152,7 @@ def test_minimize_stops_on_nan_descent_direction(monkeypatch):
     # iteration after iteration, until max_iter
     st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
     init = bump_init(st)
-    monkeypatch.setattr(solvers._Workspace, "descent_direction", lambda self, g, w: np.full_like(g, np.nan))
+    monkeypatch.setattr(solvers._Workspace, "metric_solver", lambda self, w: lambda g: np.full_like(g, np.nan))
     rep = minimize_direct(st, init, tol=1e-8, max_iter=50)
     assert rep.iterations == 0 and not rep.converged
     assert np.all(np.isfinite(rep.solution.values))
@@ -179,22 +179,17 @@ def test_minimize_product_budget(monkeypatch):
     # metric solve (2); the start's energy and gradient share its image
     st = make_state(0.6, 3.0, 128, sublinear_power(2.0))
     counts = {"matmul": 0, "energy": 0}
-    matmul, energy_fn, rows_fn = solvers.Toeplitz.__matmul__, solvers.energy, solvers._energy_rows
+    matmul, rows_fn = solvers.Toeplitz.__matmul__, solvers._energy_rows
 
     def counted_matmul(self, x):
         counts["matmul"] += 1
         return matmul(self, x)
-
-    def counted_energy(st, u):
-        counts["energy"] += 1
-        return energy_fn(st, u)
 
     def counted_rows(st, V, DV):
         counts["energy"] += 1
         return rows_fn(st, V, DV)
 
     monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
-    monkeypatch.setattr(solvers, "energy", counted_energy)
     monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
     for max_iter in (3, 2000):
         counts.update(matmul=0, energy=0)
@@ -302,6 +297,26 @@ def test_multiplicity_rejects_superlinear():
         multiplicity_search(st, k=2)
 
 
+def test_multiplicity_distances_with_no_pair_and_one_pair(monkeypatch):
+    # the distance matrix is filled one row block per pair, so it must
+    # also come out right when there are no rows at all
+    st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
+    one = multiplicity_search(st, k=1, tol=1e-8, seed=0)
+    assert one.converged_count == 1
+    assert one.pairwise_distances.shape == (1, 1) and one.pairwise_distances[0, 0] == 0.0
+
+    def never_converges(st, init, tol, max_iter, seed):
+        return solvers.SolveReport(
+            solution=init, energy_value=-1.0, residual=1.0, iterations=max_iter,
+            converged=False, method="direct", seed=seed, eps_reg_used=st.eps_reg, trivial=False,
+        )
+
+    monkeypatch.setattr(solvers, "minimize_direct", never_converges)
+    none = multiplicity_search(st, k=1, tol=1e-8, seed=0)
+    assert none.converged_count == 0 and none.pairs == []
+    assert none.pairwise_distances.shape == (0, 0)
+
+
 # -------------------------------------------------------- regularity_check ---
 
 
@@ -375,7 +390,7 @@ def test_closed_form_metric_solve_matches_dense(alpha):
     ws = solvers._Workspace(st)
     g = np.zeros(n + 1)
     g[1:n] = np.random.default_rng(1).standard_normal(n - 1)
-    d = ws.descent_direction(g, wd / st.grid.h)
+    d = -ws.metric_solver(wd / st.grid.h)(g)
     ref = np.linalg.solve(H_int, g[1:n])
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.max(np.abs(-d[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -408,13 +423,13 @@ def test_descent_direction_matches_dense_p_adapted_metric(alpha, p):
     D = np.asarray(st.ops.left_deriv)
     H_w = ((D.T * w) @ D)[1:n, 1:n]
     ref = -np.linalg.solve(H_w, g[1:n])
-    d = ws.descent_direction(g, w)
+    d = -ws.metric_solver(w)(g)
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.max(np.abs(d[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
     if p == 2.0:
         # the metric of the linear part, bit for bit
         assert np.array_equal(w[1:], ws.linear_weights[1:])
-        assert np.array_equal(d, ws.descent_direction(g, ws.linear_weights))
+        assert np.array_equal(d, -ws.metric_solver(ws.linear_weights)(g))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -459,7 +474,7 @@ def test_newton_step_finite_without_regularization_below_p2():
     )
     ws = solvers._Workspace(st)
     u0 = GridFunction(np.sin(np.pi * grid.nodes), dirichlet=True).values
-    g0 = ws.grad(u0)
+    g0, _ = _gradient_and_du(st, u0)
     assert np.all(np.isfinite(ws.newton_step(u0, g0)))
     u, g, nfev = solvers._polish_root(ws, u0)
     assert nfev > 1
@@ -488,7 +503,7 @@ def test_polish_returns_gradient_of_its_iterate(n_known):
     known = [GridFunction(0.1 * np.sin(2 * np.pi * t), dirichlet=True).values][:n_known]
     u, g, nfev = solvers._polish_root(ws, u0, known=known)
     assert nfev > 1 and not np.array_equal(u, u0)
-    assert np.array_equal(g, ws.grad(u))
+    assert np.array_equal(g, _gradient_and_du(st, u)[0])
 
 
 def _deflation_setup(n_known):
@@ -508,15 +523,16 @@ def test_deflated_step_matches_explicit_jacobian(n_known, monkeypatch):
     st, ws, x0, known = _deflation_setup(n_known)
     u0 = np.zeros(st.grid.n + 1)
     u0[1:-1] = x0
-    g = ws.grad(u0)[1:-1]
+    g = _gradient_and_du(st, u0)[0][1:-1]
     H = dense_hessian(st, x0)
     log_m, dlog_m = ws.log_deflation(u0, known)
     m = np.exp(log_m)
     # Newton step of the deflated field M g with its full Jacobian
     ref = np.linalg.solve(m * H + np.outer(g, m * dlog_m[1:-1]), m * g)
     evaluated = []
-    grad = ws.grad
-    monkeypatch.setattr(ws, "grad", lambda u: evaluated.append(u) or grad(u))
+    monkeypatch.setattr(
+        solvers, "_gradient_and_du", lambda st, u: evaluated.append(u) or _gradient_and_du(st, u)
+    )
     solvers._polish_root(ws, u0, known=known)
     step = (u0 - evaluated[1])[1:-1]  # the first trial is the full step
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -587,10 +603,9 @@ def test_multiplicity_plain_stage_restarts_after_runaway(monkeypatch):
 
     monkeypatch.setattr(solvers, "_polish_root", spy)
     multiplicity_search(st, k=3, tol=1e-8, seed=0)
-    ws = solvers._Workspace(st)
 
     def max_g(u):
-        return np.max(np.abs(ws.grad(u)))
+        return np.max(np.abs(_gradient_and_du(st, u)[0]))
 
     stages = list(zip(calls[::2], calls[1::2]))
     assert stages and all(d[2] > 0 and p[2] == 0 for d, p in stages)

@@ -5,9 +5,10 @@ byte-identical across BLAS thread counts only while every inner product
 is a plain numpy reduction; the subprocess byte tests see a violation
 only when a thread count happens to change the bits.
 
-verify.py calls none of the one-function energy entry points: its checks
-evaluate whole row blocks, and a checker that falls back to one sample at
-a time still passes every report test, only slower.
+verify.py and solvers.py call none of the one-function energy entry
+points: they evaluate row blocks and derivative images they already hold,
+and a caller that falls back to one wrapped sample at a time still passes
+every report and artifact test, only slower.
 """
 
 import ast
@@ -74,7 +75,7 @@ def test_guard_sees_every_module():
 
 
 PER_SAMPLE_NAMES = {"energy", "gradient", "monotonicity_gap", "alpha_norm"}
-VERIFY_SOURCE = Path(fracplap.__file__).parent / "verify.py"
+ROW_LAYER_SOURCES = [Path(fracplap.__file__).parent / name for name in ("verify.py", "solvers.py")]
 
 
 def per_sample_calls(source: str) -> list[str]:
@@ -93,8 +94,9 @@ def per_sample_calls(source: str) -> list[str]:
     return found
 
 
-def test_verify_calls_no_per_sample_energy_function():
-    assert per_sample_calls(VERIFY_SOURCE.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", ROW_LAYER_SOURCES, ids=lambda p: p.name)
+def test_module_calls_no_per_sample_energy_function(path):
+    assert per_sample_calls(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize(

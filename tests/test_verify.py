@@ -184,13 +184,13 @@ def test_reports_independent_of_block_size(samples, monkeypatch):
     # here); checks holding two rows per sample then take 1, 1, 1, 2 and
     # 3 samples per block, and odd counts put the smooth/rough
     # alternation across block boundaries
-    verify_mod = importlib.import_module("fracplap.verify")
+    fracops = importlib.import_module("fracplap.fracops")
     params = FracParams(alpha=0.8, p=1.5, T=1.0)
     grid = make_grid(1.0, 64)
-    assert verify_mod._BLOCK_DOUBLES // (2 * (grid.n + 1)) >= samples
+    assert fracops._BLOCK_DOUBLES // (2 * (grid.n + 1)) >= samples
     ref = {prop: verify(prop, params, grid, samples=samples, seed=7) for prop in _BATCHED}
     for rows in (1, 2, 3, 4, 6):
-        monkeypatch.setattr(verify_mod, "_BLOCK_DOUBLES", rows * (grid.n + 1))
+        monkeypatch.setattr(fracops, "_BLOCK_DOUBLES", rows * (grid.n + 1))
         for prop in _BATCHED:
             assert verify(prop, params, grid, samples=samples, seed=7) == ref[prop], (prop, rows)
 
@@ -199,6 +199,7 @@ def test_grad_fd_redraw_independent_of_block_size(monkeypatch):
     # a config whose clearance test rejects candidates, so a u redraws,
     # possibly across a block boundary, while v draws never do
     verify_mod = importlib.import_module("fracplap.verify")
+    fracops = importlib.import_module("fracplap.fracops")
     params = FracParams(alpha=0.6, p=2.0, T=1.0)
     grid = make_grid(1.0, 64)
     samples = 11
@@ -214,7 +215,7 @@ def test_grad_fd_redraw_independent_of_block_size(monkeypatch):
     assert ref.passed
     assert sum(drawn) > 2 * samples
     for rows in (1, 2, 3):
-        monkeypatch.setattr(verify_mod, "_BLOCK_DOUBLES", rows * (grid.n + 1))
+        monkeypatch.setattr(fracops, "_BLOCK_DOUBLES", rows * (grid.n + 1))
         drawn.clear()
         assert verify(PropertyId.GRAD_FD, params, grid, samples=samples, seed=9) == ref, rows
         assert max(drawn) == rows and sum(drawn) > 2 * samples
