@@ -501,9 +501,10 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     Each step solves the Hessian system by preconditioned MINRES
     (_Workspace.newton_step, on the D u its gradient took) and halves
     the step until max|g| decreases.  The polish ends when no step length
-    decreases it (the roundoff floor), after POLISH_MAX_STEPS steps, or
-    when the Newton solve breaks down or is not finite; it returns the
-    best iterate, its gradient and the number of gradient evaluations.
+    decreases it (the roundoff floor; a halved step that no longer moves u
+    ends it at once), after POLISH_MAX_STEPS steps, or when the Newton
+    solve breaks down or is not finite; it returns the best iterate, its
+    gradient and the number of gradient evaluations.
 
     With known pairs the field is deflated to M g, M the product of
     (1 + ||u -+ u_k||^-p), so the known pairs stop being roots (Farrell,
@@ -530,6 +531,9 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
         s = 1.0
         for _ in range(POLISH_MAX_HALVINGS):
             un = u - s * step
+            if np.array_equal(un, u):
+                # every further halving gives u again, which cannot lower the merit
+                return u, g, nfev
             gn, dun = _gradient_and_du(st, un)
             log_mn, dlog_mn = ws.log_deflation(un, known)
             nfev += 1

@@ -481,6 +481,21 @@ def test_newton_step_finite_without_regularization_below_p2():
     assert np.max(np.abs(g)) < np.max(np.abs(g0))
 
 
+def test_polish_never_reevaluates_a_point(monkeypatch):
+    # from a point at the roundoff floor the halved steps soon stop moving
+    # u; each such trial used to cost a gradient, up to POLISH_MAX_HALVINGS
+    st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
+    u0 = mountain_pass(st, tol=1e-8, max_iter=600, seed=3).solution.values
+    evaluated = []
+    monkeypatch.setattr(
+        solvers, "_gradient_and_du",
+        lambda st, u: evaluated.append(u.tobytes()) or _gradient_and_du(st, u),
+    )
+    u, _, nfev = solvers._polish_root(solvers._Workspace(st), u0)
+    assert nfev == len(evaluated) == len(set(evaluated))
+    assert np.array_equal(u, u0)
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan])
 def test_polish_survives_singular_newton_system(bad, monkeypatch):
     st = make_state(0.7, 2.0, 32, superlinear_power(4.0))
