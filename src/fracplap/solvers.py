@@ -17,15 +17,12 @@ closed-form metric with the Hessian's own flux weights, so no dense
 matrix is formed.  The search for the higher pairs first runs it on the
 deflated field, whose Newton step is the plain one times a scalar.
 
-Every energy, gradient and norm here is evaluated by the row layer
-(energy._energy_rows, energy._gradient_rows, fracops._alpha_rows) on
-pinned arrays, reusing the derivative images already at hand: a sweep's
-top state takes its gradient from the sweep's block, the rim directions
-and the separation and distance checks go through D as row blocks.  The
-mountain-pass endpoint march and the multiplicity ray scan take one D v
-and scale it, since their scales are powers of two and D(2^k v) equals
-2^k (D v) bitwise (every floating-point step of the product is exact
-under a power-of-two scale, short of overflow and underflow).
+Every evaluation goes through the row layer (energy._energy_rows,
+energy._gradient_rows, fracops._alpha_rows) on pinned arrays and the D
+images at hand.  The endpoint march and the multiplicity rays take one
+D v and scale it: their scales are powers of two, and D(2^k v) equals
+2^k (D v) bitwise, since every step of the FFT product is exact under
+such a scale (short of overflow and underflow).
 """
 
 from __future__ import annotations
@@ -232,21 +229,17 @@ class _Workspace:
         grad[0] = grad[-1] = 0.0
         return log_m, grad
 
-    def newton_step(
-        self, u: np.ndarray, g: np.ndarray, du: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def newton_step(self, u: np.ndarray, g: np.ndarray, du: np.ndarray) -> np.ndarray:
         """H^{-1} g for the Hessian H at u (boundary rows zero), by MINRES.
 
         H v = D^T(w D v) - f_u v with w = wd phi'(D u) / h, so the metric
         with the same weights is its exact principal part and preconditions
         it for every p; weights are floored at PRECOND_FLOOR of the largest
         to keep that metric positive definite where phi' vanishes (p > 2).
-        du is D u if the caller holds it.
+        du is D u.
         """
         st = self.st
         p = st.params.p
-        if du is None:
-            du = st.ops.left_deriv @ u
         eps = st.eps_reg
         # node 0 gets weight 0: it only multiplies (D v)_0 = wd_0 v_0, which
         # is 0 for a pinned v, and there D u vanishes, where the p < 2
@@ -570,8 +563,7 @@ def mountain_pass(
     rng = np.random.default_rng(seed)
     beta, _rho = _rim_value(st, rng)
 
-    # the endpoint march scales one image: D(s w0) == s (D w0) bitwise for
-    # powers of two s
+    # D(s w0) == s (D w0) bitwise: s is a power of two
     w0 = _unit_sines(st, np.ones((1, 1)))[0]
     dw0 = st.ops.left_deriv @ w0
     s = 1.0
@@ -599,6 +591,7 @@ def mountain_pass(
             raise GeometryError(f"mountain-pass path collapsed to top energy {energies[kmax]}")
         z = path[kmax]
         g = _gradient_rows(st, z, DP[kmax])
+        del DP  # held through the step, the block's images raised peak RSS
         res = ws.residual(g)
         if res <= polish_gate:
             break
@@ -670,8 +663,7 @@ def multiplicity_search(
                 coeffs[0] = 1.0
         trials += 1
         v = _unit_sines(st, coeffs[None])[0]
-        # the ray scales one image: D(sigma v) == sigma (D v) bitwise for
-        # powers of two sigma
+        # D(sigma v) == sigma (D v) bitwise: sigma is a power of two
         sigmas = 2.0 ** np.arange(3.0, -13.0, -1.0)[:, None]
         ray = _energy_rows(st, sigmas * v, sigmas * (st.ops.left_deriv @ v))
         u0 = float(sigmas[int(np.argmin(ray)), 0]) * v
@@ -720,8 +712,7 @@ def multiplicity_search(
             )
         )
 
-    # one block of m rows per pair, so memory stays O(m n); the diagonal
-    # rows are zero, and so are their norms
+    # one block of m rows per pair, so memory stays O(m n)
     m = len(found)
     F = np.array(found)
     dist = np.zeros((m, m))

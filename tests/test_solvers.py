@@ -459,7 +459,7 @@ def test_newton_step_matches_dense_hessian(p):
     b = np.zeros_like(u)
     b[1:-1] = np.random.default_rng(0).standard_normal(len(u) - 2)
     ref = np.linalg.solve(H, b[1:-1])
-    step = solvers._Workspace(st).newton_step(u, b)[1:-1]
+    step = solvers._Workspace(st).newton_step(u, b, st.ops.left_deriv @ u)[1:-1]
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -474,8 +474,8 @@ def test_newton_step_finite_without_regularization_below_p2():
     )
     ws = solvers._Workspace(st)
     u0 = GridFunction(np.sin(np.pi * grid.nodes), dirichlet=True).values
-    g0, _ = _gradient_and_du(st, u0)
-    assert np.all(np.isfinite(ws.newton_step(u0, g0)))
+    g0, du0 = _gradient_and_du(st, u0)
+    assert np.all(np.isfinite(ws.newton_step(u0, g0, du0)))
     u, g, nfev = solvers._polish_root(ws, u0)
     assert nfev > 1
     assert np.max(np.abs(g)) < np.max(np.abs(g0))
