@@ -13,18 +13,18 @@ inequalities hold on the whole discrete space, not just on smooth
 functions.
 
 Every check streams its ensemble in row blocks of at most
-fracops._BLOCK_DOUBLES values (a check that holds several rows per sample takes that many times
-fewer samples per block): each block is drawn from the rng in sample
-order, each operator is applied to it once (a batched FFT product,
-bitwise equal to the per-vector one), norms and pairings are reduced row
-by row, and the worst margin is folded in sample order.  The energy
-checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY) evaluate the energy, its
-gradient and the monotonicity gap with energy.py's row bodies on the
-block and its derivative image, and take every p-th root per row as a
-scalar.  Reports therefore do not depend on the block size, and memory
-stays at a few blocks.  No check calls energy, gradient,
-monotonicity_gap or alpha_norm: tests/test_static.py keeps per-sample
-loops out.
+fracops._BLOCK_DOUBLES values (a check that holds several rows per
+sample takes that many times fewer samples per block): each block is
+drawn from the rng in sample order, each operator is applied to it once
+(a batched FFT product, bitwise equal to the per-vector one), norms and
+pairings are reduced row by row, and the worst margin is folded in
+sample order.  The energy checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY)
+evaluate the energy, its gradient and the monotonicity gap with
+energy.py's row bodies on the block and its derivative image, and take
+every p-th root per row as a scalar.  Reports therefore do not depend on
+the block size, and memory stays at a few blocks.  No check calls
+energy, gradient, monotonicity_gap or alpha_norm: tests/test_static.py
+keeps per-sample loops out.
 """
 
 from __future__ import annotations
