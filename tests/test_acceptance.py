@@ -105,10 +105,17 @@ def test_criterion_02_identity_suite():
     params = FracParams(alpha=0.5, p=2.0, T=1.0)
     grid = make_grid(1.0, 256)
     worst = 0.0
-    for prop in (PropertyId.IBP_EXACT, PropertyId.RL_CAPUTO, PropertyId.EVEN_ENERGY):
+    for prop in (
+        PropertyId.SEMIGROUP,
+        PropertyId.LEFT_INVERSE,
+        PropertyId.IBP_EXACT,
+        PropertyId.RL_CAPUTO,
+        PropertyId.EVEN_ENERGY,
+    ):
         rep = verify(prop, params, grid, samples=100, seed=42)
         assert rep.passed, f"{prop.value}: margin {rep.worst_margin}"
         assert abs(rep.worst_margin) <= 1e-12
+        assert rep.tolerance_used == 1e-12
         worst = max(worst, abs(rep.worst_margin))
     report(2, f"worst identity gap {worst:.2e}")
 

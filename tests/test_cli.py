@@ -171,15 +171,23 @@ def test_solve_rejects_n_above_grid_cap(tmp_path, capsys):
     assert "problem.n" in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("prop", [[], ["--property", "SEMIGROUP"]])
+@pytest.mark.parametrize("prop", [[], ["--property", "IBP_INTEGRAL"]])
 def test_verify_refinement_above_grid_cap_is_config_error(capsys, prop):
-    # the refinement checks double the grid: n = 5000 would need 10000 cells
+    # the refinement check doubles the grid: n = 5000 would need 10000 cells
     code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1", "--n", "5000",
                  "--samples", "2", *prop])
     assert code == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "n=5000" in err and "10000" not in err
+
+
+@pytest.mark.parametrize("prop", ["SEMIGROUP", "LEFT_INVERSE"])
+def test_verify_identity_runs_up_to_grid_cap(prop):
+    # exact identities build no doubled grid
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1", "--n", "5000",
+                 "--samples", "2", "--property", prop])
+    assert code == 0
 
 
 def test_solve_config_error_exit(tmp_path, capsys):
@@ -412,14 +420,20 @@ def test_geometry_error_is_numerical_error(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_nonfinite_margin_fails(tmp_path):
-    # at p = 400 every sample of these ensembles overflows
+    # at p = 400 each of these ensembles holds overflowed samples; the
+    # identities take their norms on max-scaled rows, so they still measure
     out = tmp_path / "v.json"
-    code = main(["verify", "--alpha", "0.6", "--p", "400", "--T", "1", "--n", "64",
-                 "--samples", "4", "--out", str(out)])
+    with pytest.warns(RuntimeWarning):
+        code = main(["verify", "--alpha", "0.6", "--p", "400", "--T", "1", "--n", "64",
+                     "--samples", "4", "--out", str(out)])
     assert code == 2
-    status = {r["property"]: r["status"] for r in json.loads(out.read_text())}
-    for prop in ("POINCARE", "SUP_EMBED", "MONOTONE_GAP"):
-        assert status[prop] == "failed"
+    records = {r["property"]: r for r in json.loads(out.read_text())}
+    for prop in ("YOUNG_BOUND", "POINCARE", "SUP_EMBED", "EMBED_LQ", "TRANSLATION_COMPACT",
+                 "MONOTONE_GAP", "GRAD_FD", "EVEN_ENERGY"):
+        assert records[prop]["status"] == "failed", prop
+        assert records[prop]["worst_margin"] == "nan", prop
+    for prop in ("SEMIGROUP", "LEFT_INVERSE"):
+        assert records[prop]["passed"] and 0.0 < -records[prop]["worst_margin"] <= 1e-12
 
 
 def test_verification_report_dict_nonfinite_forces_failed():

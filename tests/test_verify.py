@@ -15,7 +15,13 @@ def test_checker_coverage_matches_enumeration():
 def test_identity_properties_machine_exact():
     params = FracParams(alpha=0.5, p=2.0, T=1.0)
     grid = make_grid(1.0, 128)
-    for prop in (PropertyId.IBP_EXACT, PropertyId.RL_CAPUTO, PropertyId.EVEN_ENERGY):
+    for prop in (
+        PropertyId.SEMIGROUP,
+        PropertyId.LEFT_INVERSE,
+        PropertyId.IBP_EXACT,
+        PropertyId.RL_CAPUTO,
+        PropertyId.EVEN_ENERGY,
+    ):
         rep = verify(prop, params, grid, samples=100, seed=42)
         assert rep.passed
         assert abs(rep.worst_margin) <= 1e-12
@@ -130,8 +136,8 @@ def test_bound_constants_closed_forms():
 
 
 def test_run_suite_builds_operators_once_per_parameter_set(monkeypatch):
-    # one set per parameter set, plus the 2n set of each of the three
-    # refinement checks; the package attribute fracplap.verify is the
+    # one set per parameter set, plus the 2n set of IBP_INTEGRAL, the one
+    # refinement check; the package attribute fracplap.verify is the
     # function, so fetch the module itself
     verify_mod = importlib.import_module("fracplap.verify")
 
@@ -147,7 +153,40 @@ def test_run_suite_builds_operators_once_per_parameter_set(monkeypatch):
     params = [FracParams(alpha=0.6, p=2.0, T=1.0), FracParams(alpha=0.3, p=2.0, T=1.0)]
     reports = run_suite(params, grid, seed=0, samples=4)
     assert len(reports) == 26
-    assert sorted(calls) == [64, 64, 128, 128, 128, 128, 128, 128]
+    assert sorted(calls) == [64, 64, 128, 128]
+
+
+@pytest.mark.parametrize(
+    "T, n, alpha, p, props",
+    [
+        (1.0, 1024, 1.0, 2.0, ("LEFT_INVERSE",)),
+        (10.0, 1024, 0.9, 3.0, ("SEMIGROUP", "LEFT_INVERSE")),
+        (100.0, 256, 0.9, 1.5, ("SEMIGROUP",)),
+    ],
+)
+def test_exact_identities_pass_at_any_scale(T, n, alpha, p, props):
+    # errors here sit at the rounding level, where a refinement ratio
+    # would compare two rounding errors
+    params = FracParams(alpha=alpha, p=p, T=T)
+    for prop in props:
+        rep = verify(PropertyId(prop), params, make_grid(T, n), samples=100, seed=0)
+        assert rep.passed, (prop, rep.worst_margin)
+        assert rep.refinement_ratio is None and rep.tolerance_used == 1e-12
+
+
+def test_identity_margins_independent_of_T():
+    # errors are relative to the exact side, so the T^(2 alpha) scale of
+    # I^(2 alpha) drops out
+    margins = {
+        T: [
+            verify(prop, FracParams(alpha=0.6, p=2.0, T=T), make_grid(T, 1024), seed=0).worst_margin
+            for prop in (PropertyId.SEMIGROUP, PropertyId.LEFT_INVERSE)
+        ]
+        for T in (0.01, 1.0, 100.0)
+    }
+    for T in (0.01, 100.0):
+        for m, ref in zip(margins[T], margins[1.0]):
+            assert 0.5 * ref >= m >= 2.0 * ref, (T, m, ref)
 
 
 @pytest.mark.parametrize("alpha, p, n", [(0.6, 2.0, 256), (0.3, 3.0, 64), (0.9, 1.5, 128)])
