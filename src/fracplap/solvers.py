@@ -462,7 +462,7 @@ def _redistribute(path: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _rim_value(st: ProblemState, rng: np.random.Generator) -> tuple[float, float]:
+def _rim_value(st: ProblemState, rng: np.random.Generator) -> float:
     """Smallest sampled energy on the sphere of radius rho, shrinking rho
     until that minimum is positive."""
     rho = 0.1 * st.grid.T ** st.params.alpha
@@ -475,7 +475,7 @@ def _rim_value(st: ProblemState, rng: np.random.Generator) -> tuple[float, float
             for e in _energy_rows(st, X, _rows(st.ops.left_deriv, X)).tolist():
                 worst = min(worst, e)
         if worst > 0.0:
-            return float(worst), rho
+            return float(worst)
         rho *= 0.5
     raise GeometryError("no positive rim found: energy is not positive near 0")
 
@@ -553,15 +553,16 @@ def mountain_pass(
     negative.  Each sweep evaluates the whole path as one row block
     (energy.py's row body on one batched product), applies one Armijo
     descent step to the path's maximal-energy state (endpoints fixed)
-    and re-equidistributes the chain; once the maximizer's residual is small its critical point is
-    polished by Newton steps on the gradient.  The returned
-    value satisfies energy(e) < 0 < beta <= energy_value; a path whose
-    top state falls to energy <= 0 (or NaN) raises GeometryError.
+    and re-equidistributes the chain; once the maximizer's residual is
+    small its critical point is polished by Newton steps on the gradient.
+    The returned value satisfies energy(e) < 0 < beta <= energy_value; a
+    path whose top state falls to energy <= 0 (or NaN) raises
+    GeometryError.
     """
     _superlinear_gate(st, "mountain_pass")
     ws = _Workspace(st)
     rng = np.random.default_rng(seed)
-    beta, _rho = _rim_value(st, rng)
+    beta = _rim_value(st, rng)
 
     # D(s w0) == s (D w0) bitwise: s is a power of two
     w0 = _unit_sines(st, np.ones((1, 1)))[0]
@@ -597,7 +598,7 @@ def mountain_pass(
             break
         d = -ws.metric_solver(ws.linear_weights)(g)
         slope = float(np.sum(st.grid.h * g * d))
-        zn, _, _ = _armijo_step(st, z.copy(), energies[kmax], d, slope)
+        zn, _, _ = _armijo_step(st, z, energies[kmax], d, slope)
         path[kmax] = zn
         path = _redistribute(path)
 
