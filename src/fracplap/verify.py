@@ -242,13 +242,13 @@ def _check_ibp_integral(params, ops, samples, rng):
     # coeff_pairs[k] holds the _smooth coefficients of u_k and then v_k
     coeff_pairs = rng.standard_normal((max(8, samples // 4), 2, 10))
 
-    def matched_gap(o):
-        g = o.grid
+    def matched_gap(operators):
+        g = operators.grid
         pairs = (
             (_smooth(g, coeff_pairs[start:stop, 0]), _smooth(g, coeff_pairs[start:stop, 1]))
             for start, stop in _blocks(g, len(coeff_pairs), rows=2)
         )
-        return _pairing_gap(trapezoid_weights(g), o.left_int, o.right_int, pairs)
+        return _pairing_gap(trapezoid_weights(g), operators.left_int, operators.right_int, pairs)
 
     e1 = matched_gap(ops)
     e2 = matched_gap(build_operators(params, make_grid(grid.T, 2 * n)))
