@@ -53,10 +53,6 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 # ---------------------------------------------------------------- config ---
 
 # Config keys of each coefficient kind with their defaults, in output
@@ -338,10 +334,8 @@ def _dump_json(obj) -> str:
 
 
 def write_solution_csv(path, grid: Grid, u: GridFunction) -> None:
-    lines = ["t,u"]
-    for t, v in zip(grid.nodes, u.values):
-        lines.append(f"{_fmt(t)},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = map("{:.17g},{:.17g}".format, grid.nodes.tolist(), u.values.tolist())
+    Path(path).write_text("\n".join(["t,u", *rows]) + "\n", encoding="utf-8", newline="\n")
 
 
 def solve_report_dict(rep: SolveReport, solution_path: str) -> dict:

@@ -14,8 +14,13 @@ minima (the higher symmetric pairs, and the mountain-pass maximizer) are
 finished by one backtracking Newton engine (_polish_root).  Its steps
 come from MINRES on Hessian-vector products, preconditioned by the
 closed-form metric with the Hessian's own flux weights, so no dense
-matrix is formed.  The search for the higher pairs first runs it on the
-deflated field, whose Newton step is the plain one times a scalar.
+matrix is formed.  It stops as soon as the weak residual meets the
+caller's tol, and it starts from the gradient and D u its caller
+already holds, so no solver takes a gradient twice.  The search for the
+higher pairs first runs it on the deflated field, whose Newton step is
+the plain one times a scalar.  The iterations of a mountain-pass report,
+and of a pair that Newton found, count the gradients its solve took;
+those of the direct minimizer count its accepted steps.
 
 Every evaluation goes through the row layer (energy._energy_rows,
 energy._gradient_rows, fracops._alpha_rows) on pinned arrays and the D
@@ -487,16 +492,22 @@ def _merit_below(r: float, log_m: float, best: float, best_log_m: float) -> bool
     return r * math.exp(d) < best if d <= 0.0 else r < best * math.exp(-d)
 
 
-def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, np.ndarray, int]:
+def _polish_root(
+    ws: _Workspace, u0: np.ndarray, known=(), tol: float = 0.0, start=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Newton polish of a critical point near the pinned u0.
 
     Each step solves the Hessian system by preconditioned MINRES
     (_Workspace.newton_step, on the D u its gradient took) and halves
-    the step until max|g| decreases.  The polish ends when no step length
-    decreases it (the roundoff floor; a halved step that no longer moves u
-    ends it at once), after POLISH_MAX_STEPS steps, or when the Newton
-    solve breaks down or is not finite; it returns the best iterate, its
-    gradient and the number of gradient evaluations.
+    the step until max|g| decreases.  The polish ends before a step once
+    the weak residual is at or below tol (Kelley, Solving Nonlinear
+    Equations with Newton's Method, SIAM 2003), when no step length
+    decreases max|g| (the roundoff floor; a halved step that no longer
+    moves u ends it at once), after POLISH_MAX_STEPS steps, or when the
+    Newton solve breaks down or is not finite.  tol = 0 polishes to the
+    floor.  start is the (gradient, D u) pair of u0 when the caller
+    already holds it.  Returns the best iterate, its gradient, its D u
+    and the number of gradients the polish took.
 
     With known pairs the field is deflated to M g, M the product of
     (1 + ||u -+ u_k||^-p), so the known pairs stop being roots (Farrell,
@@ -507,11 +518,17 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
     """
     st = ws.st
     u = u0
-    g, du = _gradient_and_du(st, u)
+    if start is None:
+        g, du = _gradient_and_du(st, u)
+        nfev = 1
+    else:
+        g, du = start
+        nfev = 0
     log_m, dlog_m = ws.log_deflation(u, known)
     best = float(np.max(np.abs(g)))
-    nfev = 1
     for _ in range(POLISH_MAX_STEPS):
+        if ws.residual(g) <= tol:
+            break
         step = ws.newton_step(u, g, du)
         if not np.all(np.isfinite(step)):
             break
@@ -525,7 +542,7 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
             un = u - s * step
             if np.array_equal(un, u):
                 # every further halving gives u again, which cannot lower the merit
-                return u, g, nfev
+                return u, g, du, nfev
             gn, dun = _gradient_and_du(st, un)
             log_mn, dlog_mn = ws.log_deflation(un, known)
             nfev += 1
@@ -536,7 +553,7 @@ def _polish_root(ws: _Workspace, u0: np.ndarray, known=()) -> tuple[np.ndarray, 
         else:
             break
         u, g, du, best, log_m, dlog_m = un, gn, dun, rn, log_mn, dlog_mn
-    return u, g, nfev
+    return u, g, du, nfev
 
 
 def mountain_pass(
@@ -554,7 +571,9 @@ def mountain_pass(
     (energy.py's row body on one batched product), applies one Armijo
     descent step to the path's maximal-energy state (endpoints fixed)
     and re-equidistributes the chain; once the maximizer's residual is
-    small its critical point is polished by Newton steps on the gradient.
+    small its critical point is polished by Newton steps on the gradient,
+    from the gradient and D u the last sweep took, until the residual
+    meets tol.
     The returned value satisfies energy(e) < 0 < beta <= energy_value; a
     path whose top state falls to energy <= 0 (or NaN) raises
     GeometryError.
@@ -583,7 +602,8 @@ def mountain_pass(
     sweeps = 0
     res = math.inf
     kmax = 1
-    for sweeps in range(max_iter):
+    start = None
+    for sweeps in range(1, max_iter + 1):
         P = np.array(path)
         DP = _rows(st.ops.left_deriv, P)
         energies = _energy_rows(st, P, DP).tolist()
@@ -591,10 +611,12 @@ def mountain_pass(
         if not energies[kmax] > 0.0:
             raise GeometryError(f"mountain-pass path collapsed to top energy {energies[kmax]}")
         z = path[kmax]
-        g = _gradient_rows(st, z, DP[kmax])
+        dz = DP[kmax].copy()
         del DP  # held through the step, the block's images raised peak RSS
+        g = _gradient_rows(st, z, dz)
         res = ws.residual(g)
         if res <= polish_gate:
+            start = (g, dz)
             break
         d = -ws.metric_solver(ws.linear_weights)(g)
         slope = float(np.sum(st.grid.h * g * d))
@@ -602,10 +624,10 @@ def mountain_pass(
         path[kmax] = zn
         path = _redistribute(path)
 
-    z, g, nfev = _polish_root(ws, path[kmax])
+    z, g, dz, nfev = _polish_root(ws, path[kmax], tol=tol, start=start)
     sol = GridFunction(z, dirichlet=True)
     res = ws.residual(g)
-    E = float(_energy_rows(st, z, st.ops.left_deriv @ z))
+    E = float(_energy_rows(st, z, dz))
     converged = res <= tol and E >= beta and sup_norm(sol) > TRIVIAL_SUP
     return SolveReport(
         solution=sol,
@@ -680,15 +702,16 @@ def multiplicity_search(
             # stage 1: deflated Newton escapes the basins of the found pairs;
             # stage 2: undeflated Newton, since the deflation factor's
             # curvature can stall the first stage short of full tolerance
-            u, g, nfev1 = _polish_root(ws, u0, known=found)
+            g0, du0 = _gradient_and_du(st, u0)
+            u, g, du, nfev1 = _polish_root(ws, u0, known=found, tol=tol, start=(g0, du0))
             # the deflated merit can fall while max|g| runs away; Newton
             # from such a point lands on whichever root chance picks
-            if np.max(np.abs(g)) >= np.max(np.abs(_gradient_and_du(st, u0)[0])):
-                u = u0
-            u, g, nfev2 = _polish_root(ws, u)
+            if np.max(np.abs(g)) >= np.max(np.abs(g0)):
+                u, g, du = u0, g0, du0
+            u, g, du, nfev2 = _polish_root(ws, u, tol=tol, start=(g, du))
             res = ws.residual(g)
-            E = float(_energy_rows(st, u, st.ops.left_deriv @ u))
-            iters = nfev1 + nfev2
+            E = float(_energy_rows(st, u, du))
+            iters = 1 + nfev1 + nfev2
             ok = res <= tol
 
         if not ok or E >= 0.0 or sup_norm(u) <= 1e-8:

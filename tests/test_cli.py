@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fracplap
-from fracplap.cli import ConfigError, load_config, main
+from fracplap.cli import ConfigError, load_config, main, write_solution_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -73,6 +74,22 @@ def test_solve_writes_artifacts(tmp_path):
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["converged"] is True
     assert rep["energy_value"] < 0.0
+
+
+def test_solution_csv_keeps_per_value_format_bytes(tmp_path):
+    # the writer formats whole rows at once; each value keeps the bytes of
+    # the per-value f"{x:.17g}" it replaced, edge values included
+    tiny = np.finfo(float).smallest_subnormal
+    edge = [0.0, -0.0, tiny, -tiny, 3.0 * tiny, np.finfo(float).tiny, np.finfo(float).max,
+            -np.finfo(float).max, np.inf, -np.inf, np.nan, -np.nan, 1.0 / 3.0, 1e16, 1e17]
+    rng = np.random.default_rng(0)
+    random = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+    values = np.concatenate((edge, random))
+    nodes = values[::-1].copy()
+    path = tmp_path / "s.csv"
+    write_solution_csv(path, SimpleNamespace(nodes=nodes), SimpleNamespace(values=values))
+    expected = "t,u\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(nodes, values))
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_solve_deterministic_bytes(tmp_path):

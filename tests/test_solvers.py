@@ -245,6 +245,53 @@ def test_mountain_pass_collapsed_path_is_geometry_error():
         mountain_pass(st, max_iter=600, seed=3)
 
 
+def test_mountain_pass_polish_stops_at_tol(monkeypatch):
+    # the benchmark's mountain-pass settings: the residual meets tol after
+    # three Newton solves, where polishing to the roundoff floor took ten
+    # solves and 559 products, and the energy stays that of the floor
+    st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
+    counts = {"matmul": 0, "newton": 0}
+    matmul, newton_step = solvers.Toeplitz.__matmul__, solvers._Workspace.newton_step
+
+    def counted_matmul(self, x):
+        counts["matmul"] += 1
+        return matmul(self, x)
+
+    def counted_newton_step(self, u, g, du):
+        counts["newton"] += 1
+        return newton_step(self, u, g, du)
+
+    monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
+    monkeypatch.setattr(solvers._Workspace, "newton_step", counted_newton_step)
+    rep = mountain_pass(st, tol=1e-8, path_points=21, seed=0)
+    assert rep.converged and rep.residual <= 1e-8
+    assert counts["newton"] == 3
+    assert counts["matmul"] <= 200
+    assert rep.energy_value == pytest.approx(2.079258717092121, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("solve", ["mountain_pass", "multiplicity_search"])
+def test_solvers_never_repeat_a_gradient(solve, monkeypatch):
+    evaluated = []
+    gradient_and_du, gradient_rows = solvers._gradient_and_du, solvers._gradient_rows
+    monkeypatch.setattr(
+        solvers, "_gradient_and_du",
+        lambda st, u: evaluated.append(u.tobytes()) or gradient_and_du(st, u),
+    )
+    monkeypatch.setattr(
+        solvers, "_gradient_rows",
+        lambda st, V, DV: evaluated.append(V.tobytes()) or gradient_rows(st, V, DV),
+    )
+    if solve == "mountain_pass":
+        st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
+        rep = mountain_pass(st, tol=1e-8, path_points=21, seed=0)
+        assert rep.converged and rep.iterations == len(evaluated)
+    else:
+        st = make_state(0.6, 2.0, 256, sublinear_power(1.5))
+        assert multiplicity_search(st, k=3, tol=1e-8, seed=0).converged_count == 3
+    assert evaluated and len(set(evaluated)) == len(evaluated)
+
+
 def test_mountain_pass_matches_fixed_point_oracle():
     st = make_state(1.0, 2.0, 64, superlinear_power(4.0))
     rep = mountain_pass(st, tol=1e-5, max_iter=600, seed=3)
@@ -476,24 +523,50 @@ def test_newton_step_finite_without_regularization_below_p2():
     u0 = GridFunction(np.sin(np.pi * grid.nodes), dirichlet=True).values
     g0, du0 = _gradient_and_du(st, u0)
     assert np.all(np.isfinite(ws.newton_step(u0, g0, du0)))
-    u, g, nfev = solvers._polish_root(ws, u0)
+    u, g, _, nfev = solvers._polish_root(ws, u0)
     assert nfev > 1
     assert np.max(np.abs(g)) < np.max(np.abs(g0))
 
 
 def test_polish_never_reevaluates_a_point(monkeypatch):
     # from a point at the roundoff floor the halved steps soon stop moving
-    # u; each such trial used to cost a gradient, up to POLISH_MAX_HALVINGS
+    # u; each such trial used to cost a gradient, up to POLISH_MAX_HALVINGS.
+    # mountain_pass stops at its tol, so the floor is reached here.
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
+    ws = solvers._Workspace(st)
     u0 = mountain_pass(st, tol=1e-8, max_iter=600, seed=3).solution.values
+    u0 = solvers._polish_root(ws, u0, tol=0.0)[0]
     evaluated = []
     monkeypatch.setattr(
         solvers, "_gradient_and_du",
         lambda st, u: evaluated.append(u.tobytes()) or _gradient_and_du(st, u),
     )
-    u, _, nfev = solvers._polish_root(solvers._Workspace(st), u0)
+    u, _, _, nfev = solvers._polish_root(ws, u0, tol=0.0)
     assert nfev == len(evaluated) == len(set(evaluated))
     assert np.array_equal(u, u0)
+
+
+def test_polish_stops_at_tolerance(monkeypatch):
+    st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
+    ws = solvers._Workspace(st)
+    u0 = mountain_pass(st, tol=1e-8, max_iter=600, seed=3).solution.values
+    g0, du0 = _gradient_and_du(st, u0)
+    res = ws.residual(g0)
+    assert res > 0.0
+    stepped = []
+    newton_step = solvers._Workspace.newton_step
+    monkeypatch.setattr(
+        solvers._Workspace, "newton_step",
+        lambda self, u, g, du: stepped.append(u) or newton_step(self, u, g, du),
+    )
+    u, g, du, nfev = solvers._polish_root(ws, u0, tol=res)
+    assert not stepped and nfev == 1
+    assert np.array_equal(u, u0) and np.array_equal(g, g0) and np.array_equal(du, du0)
+    u, g, du, nfev = solvers._polish_root(ws, u0, tol=res, start=(g0, du0))
+    assert not stepped and nfev == 0
+    assert u is u0 and g is g0 and du is du0
+    solvers._polish_root(ws, u0, tol=0.5 * res, start=(g0, du0))
+    assert stepped
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan])
@@ -504,7 +577,7 @@ def test_polish_survives_singular_newton_system(bad, monkeypatch):
     monkeypatch.setattr(solvers, "_minres", lambda A, b, M: minres(lambda v: bad * v, b, M))
     u0 = np.sin(np.pi * st.grid.nodes)
     u0[-1] = 0.0
-    u, _, nfev = solvers._polish_root(ws, u0)
+    u, _, _, nfev = solvers._polish_root(ws, u0)
     assert np.array_equal(u, u0)
     assert nfev == 1
 
@@ -516,9 +589,10 @@ def test_polish_returns_gradient_of_its_iterate(n_known):
     t = st.grid.nodes
     u0 = GridFunction(0.5 * np.sin(np.pi * t) ** 2, dirichlet=True).values
     known = [GridFunction(0.1 * np.sin(2 * np.pi * t), dirichlet=True).values][:n_known]
-    u, g, nfev = solvers._polish_root(ws, u0, known=known)
+    u, g, du, nfev = solvers._polish_root(ws, u0, known=known)
     assert nfev > 1 and not np.array_equal(u, u0)
-    assert np.array_equal(g, _gradient_and_du(st, u)[0])
+    g_ref, du_ref = _gradient_and_du(st, u)
+    assert np.array_equal(g, g_ref) and np.array_equal(du, du_ref)
 
 
 def _deflation_setup(n_known):
@@ -593,11 +667,13 @@ def test_multiplicity_pairs_survive_perturbed_polish_starts(monkeypatch):
     polish = solvers._polish_root
     for draw in range(4):
         rng = np.random.default_rng(draw)
+        # the caller's start gradient belongs to the unperturbed point, so
+        # the stub drops it and the polish takes the perturbed one
         monkeypatch.setattr(
             solvers,
             "_polish_root",
-            lambda ws, u0, known=(): polish(
-                ws, u0 * (1.0 + 1e-15 * rng.standard_normal(len(u0))), known
+            lambda ws, u0, known=(), tol=0.0, start=None: polish(
+                ws, u0 * (1.0 + 1e-15 * rng.standard_normal(len(u0))), known, tol
             ),
         )
         m = multiplicity_search(st, k=3, tol=1e-8, seed=0)
@@ -611,10 +687,10 @@ def test_multiplicity_plain_stage_restarts_after_runaway(monkeypatch):
     polish = solvers._polish_root
     calls = []
 
-    def spy(ws, u0, known=()):
-        u, g, nfev = polish(ws, u0, known)
-        calls.append((u0, u, len(known)))
-        return u, g, nfev
+    def spy(ws, u0, known=(), tol=0.0, start=None):
+        out = polish(ws, u0, known, tol, start)
+        calls.append((u0, out[0], len(known)))
+        return out
 
     monkeypatch.setattr(solvers, "_polish_root", spy)
     multiplicity_search(st, k=3, tol=1e-8, seed=0)
