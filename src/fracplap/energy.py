@@ -26,9 +26,9 @@ functions are its one-row calls, and a caller that already holds D u
 again.  D is applied by batched products whose rows are bitwise equal
 to the one-vector product, and elementwise powers do not depend on a
 value's position, so row r of a block is bitwise the one-row result.
-The p-th roots of norms are the exception: an array power may differ
-from the scalar one in the last bit, so each root is taken per row, on
-that row's sum as a scalar (fracops._lp_rows).
+The norms come from grid._lp_rows, which scales each row by its max
+|.| so that no p-th power overflows, and takes each root per row, as a
+scalar: an array power may differ from the scalar one in the last bit.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fracops import OperatorSet, _lp_rows, _rows
-from .grid import FracParams, Grid, GridFunction, trapezoid_weights
+from .fracops import OperatorSet, _rows
+from .grid import FracParams, Grid, GridFunction, _lp_rows, trapezoid_weights
 from .nonlinearity import NonlinearitySpec
 
 __all__ = [
@@ -191,8 +191,9 @@ def _gap_rows(
     pairing = np.sum(wd * (phi(DU, p) - phi(DV, p)) * (DU - DV), axis=-1)
     nu = _lp_rows(DU, p, wd)
     nv = _lp_rows(DV, p, wd)
+    # numpy powers give inf past 1e308, where Python floats raise
     gaps = [
-        pr - (a ** (p - 1.0) - b ** (p - 1.0)) * (a - b)
+        pr - float(np.float64(a) ** (p - 1.0) - np.float64(b) ** (p - 1.0)) * (a - b)
         for pr, a, b in zip(np.atleast_1d(pairing).tolist(), nu, nv)
     ]
     return gaps, nu, nv

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import FracParams, Grid, GridFunction, trapezoid_weights
+from .grid import FracParams, Grid, GridFunction, _lp_rows, trapezoid_weights
 
 __all__ = [
     "gamma",
@@ -94,7 +93,7 @@ class Toeplitz:
     a batch of vectors can be applied in one call without changing a
     bit.  ``A.T`` is the upper-triangular transpose: it shares
     the column and the spectrum, and applies by reversing its input and
-    output.  ``np.asarray(A)`` gives the dense matrix.
+    output.
     """
 
     def __init__(self, col: np.ndarray):
@@ -120,14 +119,6 @@ class Toeplitz:
         spec = self._spectrum if x.ndim == 1 else self._spectrum[:, None]
         y = np.fft.irfft(spec * np.fft.rfft(x, self._nfft, axis=0), self._nfft, axis=0)[:m]
         return y[::-1] if self.upper else y
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        # row i is col[i], ..., col[0] and then zeros: a reversed window of
-        # the column padded with m - 1 leading zeros
-        m = self.shape[0]
-        windows = sliding_window_view(np.concatenate((np.zeros(m - 1), self.col)), m)
-        dense = windows[:, ::-1].copy()
-        return (dense.T if self.upper else dense).astype(dtype, copy=False)
 
 
 # values per row block (128 KiB of doubles): a block holds
@@ -285,10 +276,3 @@ def _alpha_rows(ops: OperatorSet, V: np.ndarray, p: float) -> list[float]:
     """alpha_norm of each pinned row of V (or of V itself if it is 1-D)."""
     return _lp_rows(_rows(ops.left_deriv, V), p, ops.deriv_quad_weights)
 
-
-def _lp_rows(rows: np.ndarray, p: float, w: np.ndarray) -> list[float]:
-    """Row-wise (sum_i w_i |x_i|^p)^(1/p) of a 1-D or 2-D array.  Each
-    root is a scalar power of that row's sum, as the one-vector formula
-    takes it: an array power may differ from it in the last bit."""
-    sums = np.atleast_1d(np.sum(w * np.abs(rows) ** p, axis=-1))
-    return [float(s ** (1.0 / p)) for s in sums]

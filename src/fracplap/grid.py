@@ -138,8 +138,28 @@ def lp_norm(u, p: float, grid: Grid) -> float:
     v = _values(u)
     if len(v) != grid.n + 1:
         raise ValueError("grid function length does not match grid")
-    w = trapezoid_weights(grid)
-    return float(np.sum(w * np.abs(v) ** p) ** (1.0 / p))
+    return _lp_rows(v, p, trapezoid_weights(grid))[0]
+
+
+def _lp_rows(rows: np.ndarray, p: float, w: np.ndarray) -> list[float]:
+    """Row-wise (sum_i w_i |x_i|^p)^(1/p) of a 1-D or 2-D array: the
+    package's one norm kernel.  It takes the norm of each row over its
+    _max_scaled scale times that scale, so no p-th power over- or
+    underflows (Blue, ACM TOMS 4, 1978), and a row holding inf or nan
+    gives nan.  Each root is a scalar power of that row's sum, as the
+    one-vector call takes it: an array power may differ in the last bit."""
+    unit, scale = _max_scaled(rows)
+    sums = np.atleast_1d(np.sum(w * unit**p, axis=-1))
+    return [float(s ** (1.0 / p)) * c for s, c in zip(sums, scale)]
+
+
+def _max_scaled(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """|rows| over each row's scale, and the scales: a row's max |x_i|,
+    or 1 for a zero row."""
+    mag = np.abs(rows)
+    top = np.max(mag, axis=-1, keepdims=True)
+    scale = np.where(top > 0.0, top, 1.0)
+    return mag / scale, scale.ravel().tolist()
 
 
 def sup_norm(u) -> float:

@@ -160,12 +160,8 @@ class NonlinearitySpec:
         if self.family is Family.SUPERLINEAR_POWER:
             mu = self.mu
             return np.abs(u) ** (mu - 1.0) * np.sign(u)
-        bp = self.table_breakpoints
-        if np.any(u < bp[0]) or np.any(u > bp[-1]):
-            raise ExtrapolationError(
-                f"TABLE family evaluated outside [{bp[0]}, {bp[-1]}]"
-            )
-        return self.a_coeff(t) * np.interp(u, bp, self.table_values)
+        self._table_segment(u)  # raises outside the breakpoints
+        return self.a_coeff(t) * np.interp(u, self.table_breakpoints, self.table_values)
 
     def F_values(self, t, u):
         """Vectorized antiderivative F(t, u) = int_0^u f(t, s) ds."""
@@ -175,13 +171,9 @@ class NonlinearitySpec:
             return self.a_coeff(t) * np.abs(u) ** self.q
         if self.family is Family.SUPERLINEAR_POWER:
             return np.abs(u) ** self.mu / self.mu
+        idx = self._table_segment(u)
         bp = self.table_breakpoints
-        if np.any(u < bp[0]) or np.any(u > bp[-1]):
-            raise ExtrapolationError(
-                f"TABLE family evaluated outside [{bp[0]}, {bp[-1]}]"
-            )
         fv = self.table_values
-        idx = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(bp) - 2)
         du = u - bp[idx]
         slope = (fv[idx + 1] - fv[idx]) / (bp[idx + 1] - bp[idx])
         local = fv[idx] * du + 0.5 * slope * du * du
@@ -197,11 +189,19 @@ class NonlinearitySpec:
         if self.family is Family.SUPERLINEAR_POWER:
             mu = self.mu
             return (mu - 1.0) * (np.abs(u) + (_FU_FLOOR if mu < 2.0 else 0.0)) ** (mu - 2.0)
+        idx = self._table_segment(u)
         bp = self.table_breakpoints
         fv = self.table_values
-        idx = np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(bp) - 2)
         slope = (fv[idx + 1] - fv[idx]) / (bp[idx + 1] - bp[idx])
         return self.a_coeff(t) * slope
+
+    def _table_segment(self, u: np.ndarray) -> np.ndarray:
+        """Index of the TABLE segment that holds each u; raises
+        ExtrapolationError if a u lies outside the breakpoints."""
+        bp = self.table_breakpoints
+        if np.any(u < bp[0]) or np.any(u > bp[-1]):
+            raise ExtrapolationError(f"TABLE family evaluated outside [{bp[0]}, {bp[-1]}]")
+        return np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(bp) - 2)
 
     def is_even(self) -> bool:
         """Whether F(t, -u) = F(t, u); exact for the power families, probed

@@ -493,7 +493,7 @@ def _merit_below(r: float, log_m: float, best: float, best_log_m: float) -> bool
 
 
 def _polish_root(
-    ws: _Workspace, u0: np.ndarray, known=(), tol: float = 0.0, start=None
+    ws: _Workspace, u0: np.ndarray, *, tol: float, known=(), start=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Newton polish of a critical point near the pinned u0.
 

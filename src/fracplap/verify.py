@@ -19,9 +19,9 @@ Every check streams its ensemble in row blocks of at most
 fracops._BLOCK_DOUBLES values (a check that holds several rows per
 sample takes that many times fewer samples per block): each block is
 drawn from the rng in sample order, each operator is applied to it once
-(a batched FFT product, bitwise equal to the per-vector one), norms and
-pairings are reduced row by row, and the worst margin is folded in
-sample order.  The energy checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY)
+(a batched FFT product, bitwise equal to the per-vector one), norms
+(grid._lp_rows) and pairings are reduced row by row, and the worst
+margin is folded in sample order.  The energy checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY)
 evaluate the energy, its gradient and the monotonicity gap with
 energy.py's row bodies on the block and its derivative image, and take
 every p-th root per row as a scalar.  Reports therefore do not depend on
@@ -49,13 +49,12 @@ from .fracops import (
     _block_len,
     _blocks,
     _caputo_correction,
-    _lp_rows,
     _rows,
     build_operators,
     gamma,
     gl_weights,
 )
-from .grid import FracParams, Grid, make_grid, sine_series, trapezoid_weights
+from .grid import FracParams, Grid, _lp_rows, _max_scaled, make_grid, sine_series, trapezoid_weights
 from .nonlinearity import sublinear_power
 
 __all__ = ["PropertyId", "VerificationReport", "verify", "run_suite"]
@@ -162,14 +161,6 @@ def _fold(op, worst: float, *values: float) -> float:
     return worst
 
 
-def _lp_rows_scaled(rows: np.ndarray, p: float, w: np.ndarray) -> list[float]:
-    """_lp_rows of each row over its max |.|, times that max: no p-th
-    power under- or overflows, and a row holding inf gives NaN."""
-    top = np.max(np.abs(rows), axis=1)
-    unit = _lp_rows(rows / np.maximum(top, 1e-300)[:, None], p, w)
-    return [t * s for t, s in zip(top.tolist(), unit)]
-
-
 def _identity_check(params, ops, samples, rng, sides, pin_left=False) -> _Outcome:
     """Exact matrix identity lhs u = rhs u on a non-pinned ensemble, with
     u(0) set to 0 first if pin_left; sides(params, ops) returns the map
@@ -184,7 +175,7 @@ def _identity_check(params, ops, samples, rng, sides, pin_left=False) -> _Outcom
         if pin_left:
             block[:, 0] = 0.0
         lhs, rhs = both(block)
-        errs = zip(_lp_rows_scaled(lhs - rhs, params.p, w), _lp_rows_scaled(rhs, params.p, w))
+        errs = zip(_lp_rows(lhs - rhs, params.p, w), _lp_rows(rhs, params.p, w))
         worst = _fold(max, worst, *[e / max(size, 1e-300) for e, size in errs])
     return _Outcome(-worst, IDENTITY_TOL * max(1.0, ops.grid.n / 1024))
 
@@ -313,7 +304,9 @@ def _sup(ops, block, p) -> list[float]:
 def _check_embed_lq(params, ops, samples, rng):
     """Interpolation bound ||u||_q^q <= ||u||_inf^(q-p) ||u||_p^p on a
     geometric ladder of q, plus the empirical embedding constant
-    max ||u||_q / ||u||_{alpha,p}, which is reported, not asserted.
+    max ||u||_q / ||u||_{alpha,p}, which is reported, not asserted.  Both
+    take v = |u| / ||u||_inf, as the norm kernel does: the bound reads
+    sum w v^q <= sum w v^p, and ||u||_q = ||u||_inf (sum w v^q)^(1/q).
 
     For alpha*p < 1 the ladder stops at 0.9 * p/(1 - alpha*p), the top of
     the compact-embedding range; otherwise the embedding reaches every
@@ -330,16 +323,14 @@ def _check_embed_lq(params, ops, samples, rng):
     cmax = 0.0
     w = trapezoid_weights(grid)
     for block in _ensemble(grid, rng, samples, dirichlet=True):
-        mag = np.abs(block)
-        lp_p = np.sum(w * mag**p, axis=1).tolist()
-        lq_p = [np.sum(w * mag**q, axis=1).tolist() for q in qs]
-        sups = _sup(ops, block, p)
+        unit, sups = _max_scaled(block)
+        lp_p = np.sum(w * unit**p, axis=1).tolist()
+        lq_p = [np.sum(w * unit**q, axis=1).tolist() for q in qs]
         for r, an in enumerate(_alpha_rows(ops, block, p)):
             for q, lq in zip(qs, lq_p):
-                rhs = sups[r] ** (q - p) * lp_p[r]
-                worst = _fold(min, worst, (rhs - lq[r]) / max(rhs, 1e-300))
+                worst = _fold(min, worst, (lp_p[r] - lq[r]) / max(lp_p[r], 1e-300))
                 if an > 0:
-                    cmax = max(cmax, lq[r] ** (1.0 / q) / an)
+                    cmax = max(cmax, sups[r] * lq[r] ** (1.0 / q) / an)
     return _Outcome(worst, 1e-10, bound=cmax)
 
 
@@ -404,7 +395,8 @@ def _check_monotone_gap(params, ops, samples, rng):
         # the gap's norms are alpha_norm's, so they scale it too
         gaps, nu, nv = _gap_rows(st, DUV[0::2], DUV[1::2])
         for gap, a, b in zip(gaps, nu, nv):
-            worst = _fold(min, worst, gap / (1.0 + (a**p + b**p)))
+            # numpy powers give inf past 1e308, where Python floats raise
+            worst = _fold(min, worst, gap / (1.0 + float(np.float64(a) ** p + np.float64(b) ** p)))
     return _Outcome(worst, IDENTITY_TOL)
 
 

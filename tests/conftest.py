@@ -1,5 +1,15 @@
 import re
 
+import numpy as np
+
+
+def dense(op):
+    """The dense matrix of a fracops.Toeplitz operator: entry (i, j) of
+    the lower-triangular one is col[i - j], and its twin is the transpose."""
+    k = np.arange(op.shape[0])
+    lower = np.tril(op.col[np.abs(k[:, None] - k)])
+    return lower.T if op.upper else lower
+
 
 def pytest_runtest_logreport(report):
     # the acceptance tests print their own PASS lines; mirror failures so

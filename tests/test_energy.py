@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense
 from fracplap import (
     CoefficientFn,
     FracParams,
@@ -211,10 +212,10 @@ def test_basis_norms_match_dense_columns(alpha, p):
     from fracplap.energy import basis_alpha_norms
 
     st = make_state(alpha, p, 64, sublinear_power(1.2))
-    D = np.asarray(st.ops.left_deriv)
+    D = dense(st.ops.left_deriv)
     wd = st.ops.deriv_quad_weights
-    dense = np.sum(wd[:, None] * np.abs(D[:, 1:-1]) ** p, axis=0) ** (1.0 / p)
-    assert np.max(np.abs(basis_alpha_norms(st) - dense) / dense) <= 1e-13
+    ref = np.sum(wd[:, None] * np.abs(D[:, 1:-1]) ** p, axis=0) ** (1.0 / p)
+    assert np.max(np.abs(basis_alpha_norms(st) - ref) / ref) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [64, 1023])

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracplap import FracParams, GridFunction, lp_norm, make_grid, sup_norm
-from fracplap.grid import sine_series
+from fracplap.grid import _lp_rows, sine_series
 
 
 def test_make_grid_basic():
@@ -145,3 +147,22 @@ def test_sine_table_built_once_per_grid():
     wide = g.sine_modes(10)
     assert np.array_equal(wide[:8], g.sine_modes(8))
     assert not wide.flags.writeable
+
+
+@pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
+def test_lp_rows_scale_with_their_rows(c):
+    # a power of two scales every value exactly, so the norm scales
+    # exactly with it; unscaled p-th powers overflow or underflow here
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((6, 17))
+    w = rng.uniform(0.5, 1.5, 17)
+    for p in (1.5, 2.0, 3.0):
+        assert _lp_rows(c * rows, p, w) == [c * x for x in _lp_rows(rows, p, w)]
+
+
+def test_lp_rows_of_zero_and_nonfinite_rows():
+    rows = np.array([[1.0, np.inf, 2.0], [1.0, np.nan, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
+    with pytest.warns(RuntimeWarning):  # inf / inf
+        norms = _lp_rows(rows, 2.0, np.ones(3))
+    assert math.isnan(norms[0]) and math.isnan(norms[1])
+    assert norms[2:] == [0.0, 5.0]

@@ -80,6 +80,9 @@ def test_table_extrapolation_rejected():
     spec = table_spec([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ExtrapolationError):
         point_values(spec, 0.0, 2.0)
+    for values in (spec.F_values, spec.fu_values):
+        with pytest.raises(ExtrapolationError):
+            values(0.0, 2.0)
 
 
 def test_table_with_time_coefficient():

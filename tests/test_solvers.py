@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense
 from fracplap import solvers
 from fracplap.energy import _gradient_and_du, phi
 
@@ -41,7 +42,7 @@ def fixed_point_oracle(st, mu, iters=400):
     inverse iteration u = K^{-1} |u|^(mu-2) u followed by the homogeneity
     rescaling s = c^(-1/(mu-2))."""
     n = st.grid.n
-    D = st.ops.left_deriv
+    D = dense(st.ops.left_deriv)
     wd = st.ops.deriv_quad_weights
     K = ((D.T * wd) @ D / st.grid.h)[1:n, 1:n]
     w = np.sin(np.pi * st.grid.nodes / st.grid.T)[1:n]
@@ -72,7 +73,7 @@ def dense_hessian(st, ui):
     else:
         s2 = du * du + eps * eps
         dphi = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * du * du + eps * eps)
-    D = np.asarray(st.ops.left_deriv)
+    D = dense(st.ops.left_deriv)
     wd = st.ops.deriv_quad_weights
     H = (D.T * (wd * dphi)) @ D / st.grid.h
     fu = st.spec.fu_values(st.grid.nodes, u)
@@ -431,7 +432,7 @@ def test_regularity_linear_source_analogue():
 def test_closed_form_metric_solve_matches_dense(alpha):
     st = make_state(alpha, 2.0, 64, sublinear_power(1.5))
     n = st.grid.n
-    D = np.asarray(st.ops.left_deriv)
+    D = dense(st.ops.left_deriv)
     wd = st.ops.deriv_quad_weights
     H_int = ((D.T * wd) @ D / st.grid.h)[1:n, 1:n]
     ws = solvers._Workspace(st)
@@ -467,7 +468,7 @@ def test_descent_direction_matches_dense_p_adapted_metric(alpha, p):
     g, du = _gradient_and_du(st, bump_init(st).values)
     w = ws.descent_weights(du)
     assert np.allclose(w, max_rule_weights(st, du), rtol=1e-14, atol=0.0)
-    D = np.asarray(st.ops.left_deriv)
+    D = dense(st.ops.left_deriv)
     H_w = ((D.T * w) @ D)[1:n, 1:n]
     ref = -np.linalg.solve(H_w, g[1:n])
     d = -ws.metric_solver(w)(g)
@@ -485,7 +486,7 @@ def test_weighted_metric_solver_matches_dense(alpha):
     n = st.grid.n
     rng = np.random.default_rng(5)
     w = rng.uniform(0.1, 10.0, n + 1)
-    D = np.asarray(st.ops.left_deriv)
+    D = dense(st.ops.left_deriv)
     H_w = ((D.T * w) @ D)[1:n, 1:n]
     g = np.zeros(n + 1)
     g[1:n] = rng.standard_normal(n - 1)
@@ -523,7 +524,7 @@ def test_newton_step_finite_without_regularization_below_p2():
     u0 = GridFunction(np.sin(np.pi * grid.nodes), dirichlet=True).values
     g0, du0 = _gradient_and_du(st, u0)
     assert np.all(np.isfinite(ws.newton_step(u0, g0, du0)))
-    u, g, _, nfev = solvers._polish_root(ws, u0)
+    u, g, _, nfev = solvers._polish_root(ws, u0, tol=0.0)
     assert nfev > 1
     assert np.max(np.abs(g)) < np.max(np.abs(g0))
 
@@ -577,7 +578,7 @@ def test_polish_survives_singular_newton_system(bad, monkeypatch):
     monkeypatch.setattr(solvers, "_minres", lambda A, b, M: minres(lambda v: bad * v, b, M))
     u0 = np.sin(np.pi * st.grid.nodes)
     u0[-1] = 0.0
-    u, _, _, nfev = solvers._polish_root(ws, u0)
+    u, _, _, nfev = solvers._polish_root(ws, u0, tol=0.0)
     assert np.array_equal(u, u0)
     assert nfev == 1
 
@@ -589,7 +590,7 @@ def test_polish_returns_gradient_of_its_iterate(n_known):
     t = st.grid.nodes
     u0 = GridFunction(0.5 * np.sin(np.pi * t) ** 2, dirichlet=True).values
     known = [GridFunction(0.1 * np.sin(2 * np.pi * t), dirichlet=True).values][:n_known]
-    u, g, du, nfev = solvers._polish_root(ws, u0, known=known)
+    u, g, du, nfev = solvers._polish_root(ws, u0, tol=0.0, known=known)
     assert nfev > 1 and not np.array_equal(u, u0)
     g_ref, du_ref = _gradient_and_du(st, u)
     assert np.array_equal(g, g_ref) and np.array_equal(du, du_ref)
@@ -622,7 +623,7 @@ def test_deflated_step_matches_explicit_jacobian(n_known, monkeypatch):
     monkeypatch.setattr(
         solvers, "_gradient_and_du", lambda st, u: evaluated.append(u) or _gradient_and_du(st, u)
     )
-    solvers._polish_root(ws, u0, known=known)
+    solvers._polish_root(ws, u0, tol=0.0, known=known)
     step = (u0 - evaluated[1])[1:-1]  # the first trial is the full step
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -672,8 +673,8 @@ def test_multiplicity_pairs_survive_perturbed_polish_starts(monkeypatch):
         monkeypatch.setattr(
             solvers,
             "_polish_root",
-            lambda ws, u0, known=(), tol=0.0, start=None: polish(
-                ws, u0 * (1.0 + 1e-15 * rng.standard_normal(len(u0))), known, tol
+            lambda ws, u0, *, tol, known=(), start=None: polish(
+                ws, u0 * (1.0 + 1e-15 * rng.standard_normal(len(u0))), tol=tol, known=known
             ),
         )
         m = multiplicity_search(st, k=3, tol=1e-8, seed=0)
@@ -687,8 +688,8 @@ def test_multiplicity_plain_stage_restarts_after_runaway(monkeypatch):
     polish = solvers._polish_root
     calls = []
 
-    def spy(ws, u0, known=(), tol=0.0, start=None):
-        out = polish(ws, u0, known, tol, start)
+    def spy(ws, u0, *, tol, known=(), start=None):
+        out = polish(ws, u0, tol=tol, known=known, start=start)
         calls.append((u0, out[0], len(known)))
         return out
 

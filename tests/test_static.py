@@ -117,43 +117,3 @@ def test_per_sample_guard_flags_call(snippet):
 
 def test_per_sample_guard_passes_row_bodies():
     assert per_sample_calls("E = _energy_rows(st, U, _rows(ops.left_deriv, U))") == []
-
-
-# The Newton polish stops at the tol it is given and defaults to 0, the
-# roundoff floor; a solver call that forgets tol still converges, only
-# slower, so no report or artifact test notices.
-SOLVERS_SOURCE = Path(fracplap.__file__).parent / "solvers.py"
-
-
-def polish_calls_without_tol(source: str) -> list[str]:
-    """_polish_root calls, by name or attribute, that pass no tol= keyword."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "_polish_root" and "tol" not in {k.arg for k in node.keywords}:
-                found.append(f"line {node.lineno}: _polish_root(")
-    return found
-
-
-def test_solvers_pass_tol_to_every_polish():
-    source = SOLVERS_SOURCE.read_text(encoding="utf-8")
-    assert source.count("_polish_root(ws") >= 3
-    assert polish_calls_without_tol(source) == []
-
-
-@pytest.mark.parametrize(
-    "snippet",
-    [
-        "_polish_root(ws, u0)",
-        "u, g, du, nfev = _polish_root(ws, u, known=found, start=(g, du))",
-        "solvers._polish_root(ws, u0, (), 1e-8)",
-    ],
-)
-def test_polish_tol_guard_flags_call(snippet):
-    assert polish_calls_without_tol(snippet)
-
-
-def test_polish_tol_guard_passes_keyword_tol():
-    assert polish_calls_without_tol("_polish_root(ws, u, tol=tol, start=start)") == []

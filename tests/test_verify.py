@@ -46,6 +46,35 @@ def test_inequality_properties_pass():
         assert rep.passed, f"{prop.value} failed with margin {rep.worst_margin}"
 
 
+NORM_CHECKS = (
+    PropertyId.YOUNG_BOUND,
+    PropertyId.POINCARE,
+    PropertyId.SUP_EMBED,
+    PropertyId.EMBED_LQ,
+    PropertyId.TRANSLATION_COMPACT,
+)
+
+
+def test_norm_checks_pass_at_large_p():
+    # max |D u|^130 passes 1e308 on this ensemble, so unscaled p-th powers
+    # overflow; the energy checks do overflow, and warn
+    params = FracParams(alpha=0.6, p=130.0, T=1.0)
+    with pytest.warns(RuntimeWarning):
+        reports = run_suite([params], make_grid(1.0, 1024), samples=20)
+    for rep in reports:
+        if rep.property in NORM_CHECKS:
+            assert rep.passed and math.isfinite(rep.worst_margin), rep.property.value
+
+
+def test_monotone_gap_overflow_is_a_nan_record():
+    # the norms are finite here but their p-th powers are not, and a
+    # Python float power raises OverflowError there
+    params = FracParams(alpha=0.6, p=400.0, T=1.0)
+    with pytest.warns(RuntimeWarning):
+        rep = verify(PropertyId.MONOTONE_GAP, params, make_grid(1.0, 64), samples=4)
+    assert math.isnan(rep.worst_margin) and rep.status == "failed"
+
+
 def test_poincare_constant_recomputed():
     params = FracParams(alpha=0.5, p=2.0, T=1.0)
     grid = make_grid(1.0, 256)
