@@ -497,6 +497,13 @@ def _cmd_hypotheses(args) -> int:
         }
     )
     sys.stdout.write(_dump_json(payload))
+    for r in report.records:
+        if r.id == "table_range" and not r.holds:
+            print(
+                f"numerical error: TABLE family sampled outside its breakpoints, "
+                f"up to u = {float(r.witness[1])!r}; the other records use the samples inside",
+                file=sys.stderr,
+            )
     return 0 if payload["all_hold"] else 2
 
 

@@ -55,13 +55,17 @@ MAX_GRID_CELLS = 8192
 def gl_weights(order: float, m: int) -> np.ndarray:
     """Coefficients w_k of (1-z)^order, k = 0..m.
 
-    Computed with the stable recurrence w_k = w_{k-1} (k-1-order)/k.
+    Computed with the stable recurrence w_k = w_{k-1} (k-1-order)/k on
+    a Python float, which rounds as numpy's float64 does but costs less
+    than indexing the array for each w_{k-1}.
     order > 0 gives derivative weights, order < 0 integral weights.
     """
+    order = float(order)
     w = np.empty(m + 1)
-    w[0] = 1.0
+    x = w[0] = 1.0
     for k in range(1, m + 1):
-        w[k] = w[k - 1] * (k - 1.0 - order) / k
+        x = x * (k - 1.0 - order) / k
+        w[k] = x
     return w
 
 

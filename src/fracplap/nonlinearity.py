@@ -279,6 +279,16 @@ def _sample_points(params: FracParams, count: int, seed: int):
     return t, mag * sign
 
 
+def _covered(spec: NonlinearitySpec, u) -> np.ndarray:
+    """Mask of the u that spec can be evaluated at: every u for the power
+    families, those within the breakpoints for TABLE."""
+    u = np.asarray(u, dtype=float)
+    if spec.family is not Family.TABLE:
+        return np.ones(u.shape, dtype=bool)
+    bp = spec.table_breakpoints
+    return (u >= bp[0]) & (u <= bp[-1])
+
+
 def _finish(id_: str, margins, witnesses) -> HypothesisRecord:
     margins = np.asarray(margins, dtype=float)
     k = int(np.argmin(margins))
@@ -302,15 +312,31 @@ def validate_hypotheses(
     the two sides so a negative value is a genuine violation, not a
     rounding artifact.  Exponent-ordering requirements enter as structural
     margins with witness (0, 0).
+
+    A TABLE profile is defined only within its breakpoints.  If a sample
+    falls outside, a failed table_range record comes first, its margin
+    the overshoot over the table's width and its witness the farthest
+    sample, and every other record takes the samples the table covers;
+    a record left with none of them is left out.
     """
     regime = regime.upper()
     if regime not in ("SUBLINEAR", "SUPERLINEAR"):
         raise ValueError(f"unknown regime {regime!r}")
     t, u = _sample_points(params, sample_count, seed)
+    records = []
+    inside = _covered(spec, u)
+    if not np.all(inside):
+        bp = spec.table_breakpoints
+        excess = np.maximum(bp[0] - u, u - bp[-1])
+        records.append(_finish("table_range", -excess / (bp[-1] - bp[0]), list(zip(t, u))))
+        t, u = t[inside], u[inside]
+        if not len(u):
+            return HypothesisReport(
+                regime=regime, family=spec.family.value, records=tuple(records)
+            )
     f = spec.f_values(t, u)
     F = spec.F_values(t, u)
     p = params.p
-    records = []
 
     if spec.family is Family.SUBLINEAR_POWER:
         q_eff = mu_eff = spec.q
@@ -353,12 +379,15 @@ def validate_hypotheses(
                     list(zip(t, u)) + [(0.0, 0.0)],
                 )
             )
-        # evenness F(t,u) = F(t,-u)
-        Fm = spec.F_values(t, -u)
-        scale = np.maximum(np.abs(F), np.abs(Fm)) + 1e-300
-        records.append(
-            _finish("evenness", -np.abs(F - Fm) / scale, list(zip(t, u)))
-        )
+        # evenness F(t,u) = F(t,-u), where the spec covers -u too
+        sym = _covered(spec, -u)
+        if np.any(sym):
+            Fp = F[sym]
+            Fm = spec.F_values(t[sym], -u[sym])
+            scale = np.maximum(np.abs(Fp), np.abs(Fm)) + 1e-300
+            records.append(
+                _finish("evenness", -np.abs(Fp - Fm) / scale, list(zip(t[sym], u[sym])))
+            )
     else:
         # F(t, 0) = 0 and |f| <= q b |u|^(q-1) with q >= p
         F0 = spec.F_values(t, np.zeros_like(t))
@@ -380,6 +409,8 @@ def validate_hypotheses(
             tb, ub = t[big], u[big]
             if len(ub) == 0:
                 tb, ub = np.array([0.0]), np.array([spec.r])
+            ok = _covered(spec, ub)
+            tb, ub = tb[ok], ub[ok]
             fb = spec.f_values(tb, ub)
             Fb = spec.F_values(tb, ub)
             fu = fb * ub
@@ -396,17 +427,19 @@ def validate_hypotheses(
         # f(t, xi) = o(|xi|^(p-1)) as xi -> 0, tested on a dyadic ladder
         ks = np.arange(0, 41)
         xi = 2.0 ** (-ks)
-        t0 = float(t[0]) if len(t) else 0.0
-        ratios = np.abs(spec.f_values(np.full_like(xi, t0), xi)) / xi ** (p - 1.0)
-        decay = -np.maximum(np.diff(ratios), 0.0) / (np.abs(ratios[:-1]) + 1e-300)
-        tail = 1e-6 - ratios[-1]
-        records.append(
-            _finish(
-                "small_amplitude_decay",
-                np.concatenate([decay, [tail]]),
-                [(t0, float(x)) for x in xi[:-1]] + [(t0, float(xi[-1]))],
+        xi = xi[_covered(spec, xi)]
+        if len(xi):
+            t0 = float(t[0]) if len(t) else 0.0
+            ratios = np.abs(spec.f_values(np.full_like(xi, t0), xi)) / xi ** (p - 1.0)
+            decay = -np.maximum(np.diff(ratios), 0.0) / (np.abs(ratios[:-1]) + 1e-300)
+            tail = 1e-6 - ratios[-1]
+            records.append(
+                _finish(
+                    "small_amplitude_decay",
+                    np.concatenate([decay, [tail]]),
+                    [(t0, float(x)) for x in xi[:-1]] + [(t0, float(xi[-1]))],
+                )
             )
-        )
 
     return HypothesisReport(
         regime=regime, family=spec.family.value, records=tuple(records)

@@ -14,9 +14,12 @@ minima (the higher symmetric pairs, and the mountain-pass maximizer) are
 finished by one backtracking Newton engine (_polish_root).  Its steps
 come from MINRES on Hessian-vector products, preconditioned by the
 closed-form metric with the Hessian's own flux weights, so no dense
-matrix is formed.  It stops as soon as the weak residual meets the
-caller's tol, and it starts from the gradient and D u its caller
-already holds, so no solver takes a gradient twice.  The search for the
+matrix is formed: that metric is the Hessian's principal part, and each
+Lanczos vector is a metric solve, so MINRES reads the principal part's
+product off the solve and applies only the rest of the Hessian.  It
+stops as soon as the weak residual meets the caller's tol, and it
+starts from the gradient and D u its caller already holds, so no solver
+takes a gradient twice.  The search for the
 higher pairs first runs it on the deflated field, whose Newton step is
 the plain one times a scalar.  The iterations of a mountain-pass report,
 and of a pair that Newton found, count the gradients its solve took;
@@ -24,10 +27,14 @@ those of the direct minimizer count its accepted steps.
 
 Every evaluation goes through the row layer (energy._energy_rows,
 energy._gradient_rows, fracops._alpha_rows) on pinned arrays and the D
-images at hand.  The endpoint march and the multiplicity rays take one
-D v and scale it: their scales are powers of two, and D(2^k v) equals
+images at hand.  The unit sine
+directions of the rim, the endpoint march and the multiplicity rays
+come with the D image their normalization took, scaled alike; the
+endpoint and the rays scale it by powers of two, and D(2^k v) equals
 2^k (D v) bitwise, since every step of the FFT product is exact under
-such a scale (short of overflow and underflow).
+such a scale (short of overflow and underflow).  The mountain-pass path
+carries the D image of each state by linearity, as its states only
+move to combinations of their neighbours.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .energy import (
     phi,
 )
 from .fracops import Toeplitz, _alpha_rows, _blocks, _rows, gl_weights
-from .grid import GridFunction, sine_series, sup_norm
+from .grid import GridFunction, _lp_rows, sine_series, sup_norm
 from .nonlinearity import Family
 
 __all__ = [
@@ -148,6 +155,9 @@ class _Workspace:
     once: a metric solve is two Toeplitz products around O(n) work, and
     building one for new weights costs no product.  linear_weights = wd / h
     is the metric of the linear part, whose interior weights are exactly 1.
+    A MINRES iteration of newton_step costs one metric solve, plus two
+    products only where flooring raised an interior weight (never at
+    p = 2).
     """
 
     def __init__(self, st: ProblemState):
@@ -241,7 +251,9 @@ class _Workspace:
         with the same weights is its exact principal part and preconditions
         it for every p; weights are floored at PRECOND_FLOOR of the largest
         to keep that metric positive definite where phi' vanishes (p > 2).
-        du is D u.
+        _minres gets that metric's solve and the rest of H: -f_u v, plus
+        D^T((w - wf) D v) where the floored weights wf raised an interior
+        weight.  du is D u.
         """
         st = self.st
         p = st.params.p
@@ -256,25 +268,38 @@ class _Workspace:
         else:
             dphi[1:] = (s * s + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
         w = st.ops.deriv_quad_weights * dphi / st.grid.h
-        fu = st.spec.fu_values(st.grid.nodes, u)
+        wf = np.maximum(w, PRECOND_FLOOR * np.max(w))
+        nfu = -st.spec.fu_values(st.grid.nodes, u)
+        nfu[0] = nfu[-1] = 0.0
+        # dw vanishes unless flooring raised an interior weight (never at
+        # p = 2); node 0 counts in neither metric, as (D v)_0 = 0
+        dw = w - wf
+        dw[0] = 0.0
+        floored = bool(np.any(dw))
 
-        def hess(v: np.ndarray) -> np.ndarray:
-            hv = st.ops.right_deriv @ (w * (st.ops.left_deriv @ v)) - fu * v
-            hv[0] = hv[-1] = 0.0
+        def rest(v: np.ndarray) -> np.ndarray:
+            hv = nfu * v
+            if floored:
+                hv += st.ops.right_deriv @ (dw * (st.ops.left_deriv @ v))
+                hv[0] = hv[-1] = 0.0
             return hv
 
-        return _minres(hess, g, self.metric_solver(np.maximum(w, PRECOND_FLOOR * np.max(w))))
+        return _minres(rest, g, self.metric_solver(wf))
 
 
-def _minres(A, b: np.ndarray, M) -> np.ndarray:
+def _minres(rest, b: np.ndarray, M) -> np.ndarray:
     """Preconditioned MINRES (Paige & Saunders, SIAM J. Numer. Anal. 1975).
 
-    Solves A x = b for a symmetric, possibly indefinite A given as a
-    product, with M applying the inverse of a symmetric positive definite
-    preconditioner.  Stops once the preconditioned residual is
+    Solves (H_M + rest) x = b for a symmetric, possibly indefinite
+    operator, where M applies the inverse of the symmetric positive
+    definite H_M and rest is a symmetric product.  H_M is both the
+    preconditioner and a part of the operator: each Lanczos vector is
+    v = M(r) / beta, so H_M v = r / beta takes no work, and an iteration
+    costs one M and one rest.  Stops once the preconditioned residual is
     MINRES_RTOL of its start, or after MINRES_MAX_ITER iterations.  Inner
     products use np.sum, so no threaded BLAS call enters the result.  A
-    breakdown (singular A, indefinite M) or a non-finite value gives NaN.
+    breakdown (singular operator, indefinite M) or a non-finite value
+    gives NaN.
     """
     failed = np.full_like(b, np.nan)
     x = np.zeros_like(b)
@@ -293,7 +318,7 @@ def _minres(A, b: np.ndarray, M) -> np.ndarray:
     w = w2 = np.zeros_like(b)
     for itn in range(MINRES_MAX_ITER):
         v = y / beta
-        y = A(v)
+        y = r2 / beta + rest(v)
         if itn:
             y = y - (beta / oldb) * r1
         alfa = float(np.sum(v * y))
@@ -431,40 +456,43 @@ def minimize_direct(
     )
 
 
-def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> np.ndarray:
-    """The sine series of each coefficient row, pinned and scaled to unit
-    alpha-norm."""
+def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sine series V of each coefficient row, pinned and scaled to unit
+    alpha-norm, and D V, the image its norm took, scaled alike."""
     V = sine_series(st.grid, coeffs)
     V[:, 0] = V[:, -1] = 0.0
-    norms = np.array(_alpha_rows(st.ops, V, st.params.p))
+    DV = _rows(st.ops.left_deriv, V)
+    norms = np.array(_lp_rows(DV, st.params.p, st.ops.deriv_quad_weights))
     if np.any(norms <= 0.0):
         raise ValueError("cannot normalize the zero function")
-    return V / norms[:, None]
+    return V / norms[:, None], DV / norms[:, None]
 
 
-def _redistribute(path: list[np.ndarray]) -> list[np.ndarray]:
-    """Resample the polygonal path at uniform chord length.
+def _redistribute(P: np.ndarray, DP: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Resample the polygonal path P (one state a row) at uniform chord
+    length, and mix the D images DP of its states with the same weights.
 
     Keeps the states a connected chain from 0 to the far endpoint; without
     this the free states drain into the two basins and the running maximum
     ceases to witness the min-max level.
     """
-    P = np.asarray(path)
     chords = np.sqrt(((P[1:] - P[:-1]) ** 2).sum(axis=1))
     s = np.concatenate([[0.0], np.cumsum(chords)])
     total = s[-1]
     if total <= 0.0:
-        return path
+        return P, DP
     s /= total
-    targets = np.linspace(0.0, 1.0, len(path))
-    out = [path[0]]
-    for tgt in targets[1:-1]:
-        k = min(max(int(np.searchsorted(s, tgt)) - 1, 0), len(path) - 2)
-        width = s[k + 1] - s[k]
-        th = (tgt - s[k]) / width if width > 0 else 0.0
-        out.append((1.0 - th) * P[k] + th * P[k + 1])
-    out.append(path[-1])
-    return out
+    m = len(P)
+    targets = np.linspace(0.0, 1.0, m)[1:-1]
+    k = np.clip(np.searchsorted(s, targets) - 1, 0, m - 2)
+    width = s[k + 1] - s[k]
+    wide = width > 0.0
+    th = np.where(wide, (targets - s[k]) / np.where(wide, width, 1.0), 0.0)[:, None]
+
+    def mix(X: np.ndarray) -> np.ndarray:
+        return np.concatenate((X[:1], (1.0 - th) * X[k] + th * X[k + 1], X[-1:]))
+
+    return mix(P), mix(DP)
 
 
 def _rim_value(st: ProblemState, rng: np.random.Generator) -> float:
@@ -476,8 +504,8 @@ def _rim_value(st: ProblemState, rng: np.random.Generator) -> float:
         C[~C.any(axis=1), 0] = 1.0
         worst = math.inf
         for start, stop in _blocks(st.grid, RIM_DIRECTIONS):
-            X = rho * _unit_sines(st, C[start:stop])
-            for e in _energy_rows(st, X, _rows(st.ops.left_deriv, X)).tolist():
+            U, DU = _unit_sines(st, C[start:stop])
+            for e in _energy_rows(st, rho * U, rho * DU).tolist():
                 worst = min(worst, e)
         if worst > 0.0:
             return float(worst)
@@ -567,13 +595,15 @@ def mountain_pass(
 
     The rim value beta > 0 is certified by sampling a small sphere, the
     endpoint e by marching out the first sine ray until the energy turns
-    negative.  Each sweep evaluates the whole path as one row block
-    (energy.py's row body on one batched product), applies one Armijo
-    descent step to the path's maximal-energy state (endpoints fixed)
-    and re-equidistributes the chain; once the maximizer's residual is
-    small its critical point is polished by Newton steps on the gradient,
-    from the gradient and D u the last sweep took, until the residual
-    meets tol.
+    negative.  The path is an array of states with their D images, which
+    are carried by linearity: each sweep ranks the states by the energy
+    of the carried images (energy.py's row body, no product), takes the
+    top state's image fresh for its energy and gradient, applies one
+    Armijo descent step to that state (endpoints fixed), keeps the image
+    the step took, and re-equidistributes the chain, mixing the images
+    with the states.  Once the maximizer's residual is small its
+    critical point is polished by Newton steps on the gradient, from the
+    gradient and D u the last sweep took, until the residual meets tol.
     The returned value satisfies energy(e) < 0 < beta <= energy_value; a
     path whose top state falls to energy <= 0 (or NaN) raises
     GeometryError.
@@ -584,8 +614,8 @@ def mountain_pass(
     beta = _rim_value(st, rng)
 
     # D(s w0) == s (D w0) bitwise: s is a power of two
-    w0 = _unit_sines(st, np.ones((1, 1)))[0]
-    dw0 = st.ops.left_deriv @ w0
+    W0, DW0 = _unit_sines(st, np.ones((1, 1)))
+    w0, dw0 = W0[0], DW0[0]
     s = 1.0
     for _ in range(80):
         endpoint_energy = float(_energy_rows(st, s * w0, s * dw0))
@@ -594,25 +624,22 @@ def mountain_pass(
         s *= 2.0
     else:
         raise GeometryError("no negative-energy endpoint within the ray budget")
-    e = s * w0
-
-    lams = np.linspace(0.0, 1.0, path_points)
-    path = [lam * e for lam in lams]
+    lams = np.linspace(0.0, 1.0, path_points)[:, None]
+    P, DP = lams * (s * w0), lams * (s * dw0)
     polish_gate = max(100.0 * tol, 1e-3)
     sweeps = 0
     res = math.inf
     kmax = 1
     start = None
     for sweeps in range(1, max_iter + 1):
-        P = np.array(path)
-        DP = _rows(st.ops.left_deriv, P)
-        energies = _energy_rows(st, P, DP).tolist()
-        kmax = 1 + int(np.argmax(energies[1:-1]))
-        if not energies[kmax] > 0.0:
-            raise GeometryError(f"mountain-pass path collapsed to top energy {energies[kmax]}")
-        z = path[kmax]
-        dz = DP[kmax].copy()
-        del DP  # held through the step, the block's images raised peak RSS
+        kmax = 1 + int(np.argmax(_energy_rows(st, P[1:-1], DP[1:-1])))
+        # the carried images only rank the path: the step, its reference
+        # energy and the polish start all come from a true product
+        z = P[kmax]
+        dz = st.ops.left_deriv @ z
+        E = float(_energy_rows(st, z, dz))
+        if not E > 0.0:
+            raise GeometryError(f"mountain-pass path collapsed to top energy {E}")
         g = _gradient_rows(st, z, dz)
         res = ws.residual(g)
         if res <= polish_gate:
@@ -620,11 +647,10 @@ def mountain_pass(
             break
         d = -ws.metric_solver(ws.linear_weights)(g)
         slope = float(np.sum(st.grid.h * g * d))
-        zn, _, _ = _armijo_step(st, z, energies[kmax], d, slope)
-        path[kmax] = zn
-        path = _redistribute(path)
+        P[kmax], _, DP[kmax] = _armijo_step(st, z, E, d, slope)
+        P, DP = _redistribute(P, DP)
 
-    z, g, dz, nfev = _polish_root(ws, path[kmax], tol=tol, start=start)
+    z, g, dz, nfev = _polish_root(ws, P[kmax], tol=tol, start=start)
     sol = GridFunction(z, dirichlet=True)
     res = ws.residual(g)
     E = float(_energy_rows(st, z, dz))
@@ -685,11 +711,11 @@ def multiplicity_search(
             if not np.any(coeffs):
                 coeffs[0] = 1.0
         trials += 1
-        v = _unit_sines(st, coeffs[None])[0]
+        V, DV = _unit_sines(st, coeffs[None])
         # D(sigma v) == sigma (D v) bitwise: sigma is a power of two
         sigmas = 2.0 ** np.arange(3.0, -13.0, -1.0)[:, None]
-        ray = _energy_rows(st, sigmas * v, sigmas * (st.ops.left_deriv @ v))
-        u0 = float(sigmas[int(np.argmin(ray)), 0]) * v
+        ray = _energy_rows(st, sigmas * V, sigmas * DV)
+        u0 = float(sigmas[int(np.argmin(ray)), 0]) * V[0]
 
         if not found:
             rep = minimize_direct(

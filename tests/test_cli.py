@@ -409,6 +409,20 @@ def test_hypotheses_table_out_of_range_is_numerical_error(tmp_path, capsys):
     assert _one_line(capsys.readouterr().err).startswith("numerical error: TABLE")
 
 
+def test_hypotheses_table_out_of_range_writes_failed_record(tmp_path, capsys):
+    # the sampler's |u| reaches 1e3; the report is written all the same,
+    # with a failed table_range record at the farthest sample
+    path = write_config(tmp_path, nonlinearity=_TABLE_FAMILY)
+    assert main(["hypotheses", "--config", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["all_hold"] is False
+    first, *rest = payload["records"]
+    assert first["id"] == "table_range" and first["holds"] is False
+    assert abs(first["witness_u"]) > 1.0
+    assert first["worst_margin"] == -(abs(first["witness_u"]) - 1.0) / 2.0
+    assert rest and all(abs(r["witness_u"]) <= 1.0 for r in rest)
+
+
 def test_solve_table_out_of_range_is_numerical_error(tmp_path, capsys):
     nl = {
         "family": "TABLE",

@@ -87,6 +87,17 @@ def test_gl_weights_integral_signs():
     assert np.all(np.diff(g[1:]) <= 0.0)
 
 
+@pytest.mark.parametrize("m", [1024, 4096, 8192])
+@pytest.mark.parametrize("order", [0.6, -0.6, 0.7, -0.7, 1.0, -1.0, -1.2, 0.1])
+def test_gl_weights_bitwise_equal_to_array_recurrence(order, m):
+    # the recurrence run on numpy scalars in the array, as first written
+    ref = np.empty(m + 1)
+    ref[0] = 1.0
+    for k in range(1, m + 1):
+        ref[k] = ref[k - 1] * (k - 1.0 - order) / k
+    assert gl_weights(order, m).tobytes() == ref.tobytes()
+
+
 # ------------------------------------------------------------- operators ---
 
 

@@ -12,7 +12,7 @@ from fracplap import (
     table_spec,
     validate_hypotheses,
 )
-from fracplap.nonlinearity import point_values
+from fracplap.nonlinearity import _sample_points, point_values
 
 PARAMS = FracParams(alpha=0.6, p=2.0, T=1.0)
 
@@ -130,3 +130,31 @@ def test_evenness_detection():
     assert not asym.is_even()
     sym = table_spec([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
     assert sym.is_even()
+
+
+@pytest.mark.parametrize("regime", ["SUBLINEAR", "SUPERLINEAR"])
+def test_hypotheses_on_narrow_table_report_range_failure(regime):
+    spec = table_spec([-1.0, 0.0, 2.0], [1.0, 0.0, 1.0])
+    rep = validate_hypotheses(spec, PARAMS, regime, seed=3)
+    rec = rep.records[0]
+    assert rec.id == "table_range" and not rec.holds and not rep.all_hold
+    # the witness is the sample farthest outside [-1, 2]
+    _, u = _sample_points(PARAMS, 400, 3)
+    excess = np.maximum(-1.0 - u, u - 2.0)
+    assert rec.witness[1] == u[np.argmax(excess)]
+    assert rec.worst_margin == -np.max(excess) / 3.0
+    assert len(rep.records) > 1
+    assert all(-1.0 <= r.witness[1] <= 2.0 for r in rep.records[1:])
+
+
+def test_hypotheses_on_wide_table_have_no_range_record():
+    spec = table_spec([-2e3, 0.0, 2e3], [-2e3, 0.0, 2e3])
+    ids = [r.id for r in validate_hypotheses(spec, PARAMS, "SUPERLINEAR", seed=3).records]
+    assert "table_range" not in ids and "zero_at_origin" in ids
+
+
+def test_hypotheses_on_table_outside_every_sample():
+    # the sampler's |u| starts at 1e-6, so no sample lies inside
+    spec = table_spec([-1e-7, 0.0, 1e-7], [-1.0, 0.0, 1.0])
+    rep = validate_hypotheses(spec, PARAMS, "SUPERLINEAR", seed=3)
+    assert [r.id for r in rep.records] == ["table_range"] and not rep.all_hold

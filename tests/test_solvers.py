@@ -267,7 +267,7 @@ def test_mountain_pass_polish_stops_at_tol(monkeypatch):
     rep = mountain_pass(st, tol=1e-8, path_points=21, seed=0)
     assert rep.converged and rep.residual <= 1e-8
     assert counts["newton"] == 3
-    assert counts["matmul"] <= 200
+    assert counts["matmul"] <= 120
     assert rep.energy_value == pytest.approx(2.079258717092121, rel=1e-12, abs=0.0)
 
 
@@ -291,6 +291,55 @@ def test_solvers_never_repeat_a_gradient(solve, monkeypatch):
         st = make_state(0.6, 2.0, 256, sublinear_power(1.5))
         assert multiplicity_search(st, k=3, tol=1e-8, seed=0).converged_count == 3
     assert evaluated and len(set(evaluated)) == len(evaluated)
+
+
+def redistribute_by_state(P, DP):
+    """The resampling one state at a time, as first written, applied to
+    the states and, with the same weights, to their images."""
+    chords = np.sqrt(((P[1:] - P[:-1]) ** 2).sum(axis=1))
+    s = np.concatenate([[0.0], np.cumsum(chords)])
+    s /= s[-1]
+    out, dout = [P[0]], [DP[0]]
+    for tgt in np.linspace(0.0, 1.0, len(P))[1:-1]:
+        k = min(max(int(np.searchsorted(s, tgt)) - 1, 0), len(P) - 2)
+        width = s[k + 1] - s[k]
+        th = (tgt - s[k]) / width if width > 0 else 0.0
+        out.append((1.0 - th) * P[k] + th * P[k + 1])
+        dout.append((1.0 - th) * DP[k] + th * DP[k + 1])
+    out.append(P[-1])
+    dout.append(DP[-1])
+    return np.array(out), np.array(dout)
+
+
+def test_redistribute_matches_state_by_state_resampling():
+    rng = np.random.default_rng(4)
+    P = np.cumsum(rng.exponential(size=(21, 33)) * rng.uniform(0.1, 3.0, (21, 1)), axis=0)
+    P[0] = 0.0
+    P[7] = P[6]  # a zero-width chord
+    DP = rng.standard_normal(P.shape)
+    Q, DQ = solvers._redistribute(P, DP)
+    ref, dref = redistribute_by_state(P, DP)
+    assert Q.tobytes() == ref.tobytes() and DQ.tobytes() == dref.tobytes()
+
+
+def test_carried_path_images_stay_near_fresh_products(monkeypatch):
+    # at n 64 the sweeps never meet the polish gate, so all 2000 run: the
+    # longest chain of carried images among the tested configs
+    st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
+    calls, last = [0], [None]
+    redistribute = solvers._redistribute
+
+    def spy(P, DP):
+        calls[0] += 1
+        last[0] = redistribute(P, DP)
+        return last[0]
+
+    monkeypatch.setattr(solvers, "_redistribute", spy)
+    rep = mountain_pass(st, tol=1e-8, max_iter=2000, seed=0)
+    assert calls[0] == 2000 and rep.converged
+    P, DP = last[0]
+    fresh = (st.ops.left_deriv @ P.T).T
+    assert np.max(np.abs(DP - fresh)) <= 1e-11 * np.max(np.abs(fresh))
 
 
 def test_mountain_pass_matches_fixed_point_oracle():
@@ -511,6 +560,61 @@ def test_newton_step_matches_dense_hessian(p):
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("p, floor", [(3.0, 0.3), (3.0, 0.7), (1.5, 0.5)])
+def test_newton_step_with_floored_weights_matches_dense_hessian(p, floor, monkeypatch):
+    # a floor this high lifts many interior weights, so the metric is no
+    # longer H's whole flux part and MINRES must apply the difference
+    st = make_state(0.7, p, 64, superlinear_power(4.0))
+    u = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values
+    du = st.ops.left_deriv @ u
+    s, eps = du[1:], st.eps_reg
+    if p >= 2.0:
+        slope = (p - 1.0) * np.abs(s) ** (p - 2.0)
+    else:
+        slope = (s * s + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
+    w = st.ops.deriv_quad_weights[1:] * slope
+    assert np.any(w < floor * np.max(w))
+    H = dense_hessian(st, u[1:-1])
+    b = np.zeros_like(u)
+    b[1:-1] = np.random.default_rng(0).standard_normal(len(u) - 2)
+    ref = np.linalg.solve(H, b[1:-1])
+    monkeypatch.setattr(solvers, "PRECOND_FLOOR", floor)
+    step = solvers._Workspace(st).newton_step(u, b, du)[1:-1]
+    assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_newton_step_takes_only_metric_solves_at_p2(monkeypatch):
+    # no weight is floored at p = 2: the Hessian's flux part is the metric,
+    # whose product MINRES reads off the solve, so every product is a solve's
+    st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
+    u = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values
+    ws = solvers._Workspace(st)
+    du = st.ops.left_deriv @ u
+    counts = {"matmul": 0, "solve": 0}
+    matmul, metric_solver = solvers.Toeplitz.__matmul__, solvers._Workspace.metric_solver
+
+    def counted_matmul(self, x):
+        counts["matmul"] += 1
+        return matmul(self, x)
+
+    def counted_metric_solver(self, w):
+        solve = metric_solver(self, w)
+
+        def counted(g):
+            counts["solve"] += 1
+            return solve(g)
+
+        return counted
+
+    monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
+    monkeypatch.setattr(solvers._Workspace, "metric_solver", counted_metric_solver)
+    g = np.zeros_like(u)
+    g[1:-1] = np.random.default_rng(0).standard_normal(len(u) - 2)
+    ws.newton_step(u, g, du)
+    assert counts["solve"] > 2
+    assert counts["matmul"] == 2 * counts["solve"]
+
+
 def test_newton_step_finite_without_regularization_below_p2():
     # at node 0 D u = 0, and for p < 2 with eps_reg = 0 the weight formula
     # there is 0^((p-4)/2) * 0 = NaN; the node carries no weight
@@ -575,7 +679,11 @@ def test_polish_survives_singular_newton_system(bad, monkeypatch):
     st = make_state(0.7, 2.0, 32, superlinear_power(4.0))
     ws = solvers._Workspace(st)
     minres = solvers._minres
-    monkeypatch.setattr(solvers, "_minres", lambda A, b, M: minres(lambda v: bad * v, b, M))
+    # metric Id and rest (bad - 1) Id: the Newton operator is bad * Id
+    monkeypatch.setattr(
+        solvers, "_minres",
+        lambda rest, b, M: minres(lambda v: (bad - 1.0) * v, b, lambda r: r.copy()),
+    )
     u0 = np.sin(np.pi * st.grid.nodes)
     u0[-1] = 0.0
     u, _, _, nfev = solvers._polish_root(ws, u0, tol=0.0)

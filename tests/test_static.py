@@ -9,6 +9,10 @@ verify.py and solvers.py call none of the one-function energy entry
 points: they evaluate row blocks and derivative images they already hold,
 and a caller that falls back to one wrapped sample at a time still passes
 every report and artifact test, only slower.
+
+mountain_pass takes no block product in its sweep loop: the path's D
+images are carried by linearity, and a sweep that took them afresh would
+still pass every test, only slower.
 """
 
 import ast
@@ -117,3 +121,38 @@ def test_per_sample_guard_flags_call(snippet):
 
 def test_per_sample_guard_passes_row_bodies():
     assert per_sample_calls("E = _energy_rows(st, U, _rows(ops.left_deriv, U))") == []
+
+
+def sweep_block_products(source: str):
+    """_rows( calls inside a loop of mountain_pass; None if there is no
+    mountain_pass."""
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "mountain_pass":
+            return sorted(
+                {
+                    f"line {node.lineno}: _rows("
+                    for loop in ast.walk(fn)
+                    if isinstance(loop, (ast.For, ast.While))
+                    for node in ast.walk(loop)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_rows"
+                }
+            )
+    return None
+
+
+def test_mountain_pass_sweeps_take_no_block_product():
+    source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
+    assert sweep_block_products(source) == []
+
+
+def test_sweep_guard_flags_block_product():
+    snippet = """
+def mountain_pass(st):
+    for sweeps in range(3):
+        DP = _rows(st.ops.left_deriv, P)
+    return _rows(st.ops.left_deriv, P)
+"""
+    assert sweep_block_products(snippet) == ["line 4: _rows("]
+    assert sweep_block_products("def other():\n    _rows(op, P)\n") is None
