@@ -149,6 +149,16 @@ def _blocks(grid: Grid, count: int, rows: int = 1):
         yield start, min(start + b, count)
 
 
+def _gl_operator(order: float, grid: Grid) -> Toeplitz:
+    """Left-sided Grunwald-Letnikov operator of the given order on grid:
+    the derivative of that order if order > 0, the integral of order
+    -order if order < 0."""
+    w = gl_weights(order, grid.n)
+    w = w / grid.h**order if order > 0 else w * grid.h**-order
+    w.setflags(write=False)
+    return Toeplitz(w)
+
+
 class OpKind(enum.Enum):
     LEFT_INT = "LEFT_INT"
     RIGHT_INT = "RIGHT_INT"
@@ -196,20 +206,15 @@ def build_operators(params: FracParams, grid: Grid) -> OperatorSet:
     if n > MAX_GRID_CELLS:
         raise ValueError(f"n={n} exceeds the grid cap {MAX_GRID_CELLS}")
     a = params.alpha
-    h = grid.h
-    wd = gl_weights(a, n) / h**a
-    wi = gl_weights(-a, n) * h**a
-
     if a < 1.0:
         quad = trapezoid_weights(grid)
     else:
         # classical limit: samples are per-cell differences
-        quad = np.full(n + 1, h)
+        quad = np.full(n + 1, grid.h)
         quad[0] = 0.0
-    for m in (wd, wi, quad):
-        m.setflags(write=False)
-    left_deriv = Toeplitz(wd)
-    left_int = Toeplitz(wi)
+    quad.setflags(write=False)
+    left_deriv = _gl_operator(a, grid)
+    left_int = _gl_operator(-a, grid)
     return OperatorSet(
         alpha=a,
         grid=grid,

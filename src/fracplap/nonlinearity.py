@@ -7,7 +7,8 @@ Two analytic power families cover the sublinear and superlinear regimes:
 
 and TABLE carries a piecewise-linear profile in u (optionally scaled by a
 coefficient function of t) whose antiderivative is integrated exactly
-segment by segment, anchored at F(t, 0) = 0.
+segment by segment and expanded about the nearer end of each segment;
+u = 0 is always a node, so F(t, 0) = 0 exactly.
 
 validate_hypotheses samples the inequalities that each regime rests on
 and reports the worst signed margin per hypothesis together with the
@@ -117,7 +118,9 @@ class NonlinearitySpec:
     b_coeff: CoefficientFn = _CONST_ONE
     table_breakpoints: Optional[np.ndarray] = None
     table_values: Optional[np.ndarray] = None
-    _table_cumint: np.ndarray = field(init=False, default=None, repr=False)
+    # (nodes, values, slope of each segment, F at each node): the
+    # breakpoints with u = 0 among them
+    _table_nodes: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         _require_finite(self, ("q", "mu", "r", "b_const", "table_breakpoints", "table_values"))
@@ -143,12 +146,19 @@ class NonlinearitySpec:
             fv.setflags(write=False)
             object.__setattr__(self, "table_breakpoints", bp)
             object.__setattr__(self, "table_values", fv)
-            # exact antiderivative of the linear interpolant at each breakpoint
-            seg = 0.5 * (fv[1:] + fv[:-1]) * np.diff(bp)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            cum -= np.interp(0.0, bp, cum)  # anchor at u = 0
-            cum.setflags(write=False)
-            object.__setattr__(self, "_table_cumint", cum)
+            # F is expanded about nodes, so u = 0 is made one: the
+            # interpolant is unchanged and F(t, 0) = 0 holds exactly
+            slope = np.diff(fv) / np.diff(bp)
+            k = int(np.searchsorted(bp, 0.0))
+            if bp[k] != 0.0:
+                bp, fv = np.insert(bp, k, 0.0), np.insert(fv, k, np.interp(0.0, bp, fv))
+                slope = np.insert(slope, k, slope[k - 1])
+            # exact antiderivative of the linear interpolant at each node
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (fv[1:] + fv[:-1]) * np.diff(bp))])
+            cum -= cum[k]
+            for a in (bp, fv, slope, cum):
+                a.setflags(write=False)
+            object.__setattr__(self, "_table_nodes", (bp, fv, slope, cum))
 
     def f_values(self, t, u):
         """Vectorized f(t, u)."""
@@ -172,12 +182,11 @@ class NonlinearitySpec:
         if self.family is Family.SUPERLINEAR_POWER:
             return np.abs(u) ** self.mu / self.mu
         idx = self._table_segment(u)
-        bp = self.table_breakpoints
-        fv = self.table_values
-        du = u - bp[idx]
-        slope = (fv[idx + 1] - fv[idx]) / (bp[idx + 1] - bp[idx])
-        local = fv[idx] * du + 0.5 * slope * du * du
-        return self.a_coeff(t) * (self._table_cumint[idx] + local)
+        bp, fv, slope, cum = self._table_nodes
+        # expand about the nearer end of the segment, so nothing cancels
+        j = idx + (u - bp[idx] > bp[idx + 1] - u)
+        du = u - bp[j]
+        return self.a_coeff(t) * (cum[j] + (fv[j] * du + 0.5 * slope[idx] * du * du))
 
     def fu_values(self, t, u):
         """Vectorized df/du; |u| is floored where the power is singular."""
@@ -189,19 +198,16 @@ class NonlinearitySpec:
         if self.family is Family.SUPERLINEAR_POWER:
             mu = self.mu
             return (mu - 1.0) * (np.abs(u) + (_FU_FLOOR if mu < 2.0 else 0.0)) ** (mu - 2.0)
-        idx = self._table_segment(u)
-        bp = self.table_breakpoints
-        fv = self.table_values
-        slope = (fv[idx + 1] - fv[idx]) / (bp[idx + 1] - bp[idx])
-        return self.a_coeff(t) * slope
+        return self.a_coeff(t) * self._table_nodes[2][self._table_segment(u)]
 
     def _table_segment(self, u: np.ndarray) -> np.ndarray:
-        """Index of the TABLE segment that holds each u; raises
-        ExtrapolationError if a u lies outside the breakpoints."""
-        bp = self.table_breakpoints
-        if np.any(u < bp[0]) or np.any(u > bp[-1]):
+        """Index of the segment between _table_nodes that holds each u;
+        raises ExtrapolationError if a u lies outside the breakpoints."""
+        if not np.all(_covered(self, u)):
+            bp = self.table_breakpoints
             raise ExtrapolationError(f"TABLE family evaluated outside [{bp[0]}, {bp[-1]}]")
-        return np.clip(np.searchsorted(bp, u, side="right") - 1, 0, len(bp) - 2)
+        nodes = self._table_nodes[0]
+        return np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, len(nodes) - 2)
 
     def is_even(self) -> bool:
         """Whether F(t, -u) = F(t, u); exact for the power families, probed
@@ -281,20 +287,29 @@ def _sample_points(params: FracParams, count: int, seed: int):
 
 def _covered(spec: NonlinearitySpec, u) -> np.ndarray:
     """Mask of the u that spec can be evaluated at: every u for the power
-    families, those within the breakpoints for TABLE."""
+    families, those not outside the breakpoints for TABLE (a NaN is not
+    outside, so it propagates instead of raising)."""
     u = np.asarray(u, dtype=float)
     if spec.family is not Family.TABLE:
         return np.ones(u.shape, dtype=bool)
     bp = spec.table_breakpoints
-    return (u >= bp[0]) & (u <= bp[-1])
+    return ~((u < bp[0]) | (u > bp[-1]))
 
 
-def _finish(id_: str, margins, witnesses) -> HypothesisRecord:
-    margins = np.asarray(margins, dtype=float)
+def _slack(small, large):
+    """Signed slack of small <= large, relative to the larger side."""
+    return (large - small) / (np.maximum(np.abs(small), np.abs(large)) + 1e-300)
+
+
+def _finish(id_: str, margins, t, u, struct=None) -> HypothesisRecord:
+    """Record of the worst of margins, each witnessed by its (t, u); a
+    structural exponent margin struct enters at witness (0, 0)."""
+    if struct is not None:
+        margins, t, u = np.append(margins, struct), np.append(t, 0.0), np.append(u, 0.0)
     k = int(np.argmin(margins))
     worst = float(margins[k])
     return HypothesisRecord(
-        id=id_, holds=worst >= -1e-12, worst_margin=worst, witness=witnesses[k]
+        id=id_, holds=worst >= -1e-12, worst_margin=worst, witness=(float(t[k]), float(u[k]))
     )
 
 
@@ -308,10 +323,13 @@ def validate_hypotheses(
     """Sample the regime's hypothesis set and report worst signed margins.
 
     regime is "SUBLINEAR" (coercive minimization setting) or "SUPERLINEAR"
-    (mountain-pass setting).  Margins are normalized by the local scale of
-    the two sides so a negative value is a genuine violation, not a
-    rounding artifact.  Exponent-ordering requirements enter as structural
-    margins with witness (0, 0).
+    (mountain-pass setting).  Both regimes read one exponent q: mu for
+    SUPERLINEAR_POWER, q otherwise (TABLE reads q, if given, in both
+    regimes, and skips the records that need it if not).  An inequality
+    small <= large enters as the slack (large - small) / max(|small|,
+    |large|), relative to the larger side, so a negative value is a
+    genuine violation, not a rounding artifact.  Exponent-ordering
+    requirements enter as structural margins with witness (0, 0).
 
     A TABLE profile is defined only within its breakpoints.  If a sample
     falls outside, a failed table_range record comes first, its margin
@@ -328,7 +346,7 @@ def validate_hypotheses(
     if not np.all(inside):
         bp = spec.table_breakpoints
         excess = np.maximum(bp[0] - u, u - bp[-1])
-        records.append(_finish("table_range", -excess / (bp[-1] - bp[0]), list(zip(t, u))))
+        records.append(_finish("table_range", -excess / (bp[-1] - bp[0]), t, u))
         t, u = t[inside], u[inside]
         if not len(u):
             return HypothesisReport(
@@ -337,109 +355,54 @@ def validate_hypotheses(
     f = spec.f_values(t, u)
     F = spec.F_values(t, u)
     p = params.p
+    q = spec.mu if spec.family is Family.SUPERLINEAR_POWER else spec.q
 
-    if spec.family is Family.SUBLINEAR_POWER:
-        q_eff = mu_eff = spec.q
-    elif spec.family is Family.SUPERLINEAR_POWER:
-        q_eff = mu_eff = spec.mu
-    else:
-        q_eff = mu_eff = spec.q if spec.q is not None else None
+    def growth(b, struct=None):
+        # |f| <= q b |u|^(q-1)
+        return _finish("growth", _slack(np.abs(f), q * b * np.abs(u) ** (q - 1.0)), t, u, struct)
 
     if regime == "SUBLINEAR":
-        at = spec.a_coeff(t)
-        bt = spec.b_coeff(t)
-        # lower bound F >= a|u|^q and growth |f| <= q b |u|^(q-1)
-        if q_eff is not None:
-            lower = F - at * np.abs(u) ** q_eff
-            scale = np.maximum(np.abs(F), np.abs(at) * np.abs(u) ** q_eff) + 1e-300
-            m = lower / scale
-            struct = min(q_eff - 1.0, p - q_eff)
-            records.append(
-                _finish(
-                    "lower_bound",
-                    np.concatenate([m, [struct]]),
-                    list(zip(t, u)) + [(0.0, 0.0)],
-                )
-            )
-            rhs = q_eff * bt * np.abs(u) ** (q_eff - 1.0)
-            scale = np.maximum(np.abs(f), rhs) + 1e-300
-            records.append(
-                _finish("growth", (rhs - np.abs(f)) / scale, list(zip(t, u)))
-            )
-        # f u <= mu F with 1 < mu <= q < p
-        fu = f * u
-        if mu_eff is not None:
-            lhs = mu_eff * F - fu
-            scale = np.maximum(np.abs(fu), np.abs(mu_eff * F)) + 1e-300
-            struct = min(mu_eff - 1.0, q_eff - mu_eff, p - q_eff)
-            records.append(
-                _finish(
-                    "sub_homogeneity",
-                    np.concatenate([lhs / scale, [struct]]),
-                    list(zip(t, u)) + [(0.0, 0.0)],
-                )
-            )
+        if q is not None:
+            # F >= a|u|^q, the growth bound and f u <= q F, with 1 < q < p
+            lower = _slack(spec.a_coeff(t) * np.abs(u) ** q, F)
+            records.append(_finish("lower_bound", lower, t, u, min(q - 1.0, p - q)))
+            records.append(growth(spec.b_coeff(t)))
+            # the homogeneity exponent is q itself, so its ordering term is 0
+            struct = min(q - 1.0, 0.0, p - q)
+            records.append(_finish("sub_homogeneity", _slack(f * u, q * F), t, u, struct))
         # evenness F(t,u) = F(t,-u), where the spec covers -u too
         sym = _covered(spec, -u)
         if np.any(sym):
-            Fp = F[sym]
             Fm = spec.F_values(t[sym], -u[sym])
-            scale = np.maximum(np.abs(Fp), np.abs(Fm)) + 1e-300
-            records.append(
-                _finish("evenness", -np.abs(Fp - Fm) / scale, list(zip(t[sym], u[sym])))
-            )
+            records.append(_finish("evenness", -np.abs(_slack(F[sym], Fm)), t[sym], u[sym]))
     else:
-        # F(t, 0) = 0 and |f| <= q b |u|^(q-1) with q >= p
+        # F(t, 0) = 0 and the growth bound with q >= p
         F0 = spec.F_values(t, np.zeros_like(t))
-        records.append(_finish("zero_at_origin", -np.abs(F0), list(zip(t, np.zeros_like(t)))))
-        if q_eff is not None and spec.b_const is not None:
-            rhs = q_eff * spec.b_const * np.abs(u) ** (q_eff - 1.0)
-            scale = np.maximum(np.abs(f), rhs) + 1e-300
-            struct = q_eff - p
-            records.append(
-                _finish(
-                    "growth",
-                    np.concatenate([(rhs - np.abs(f)) / scale, [struct]]),
-                    list(zip(t, u)) + [(0.0, 0.0)],
-                )
-            )
-        # Ambrosetti-Rabinowitz: 0 < mu F <= f u for |u| >= r, mu > p
-        if mu_eff is not None:
+        records.append(_finish("zero_at_origin", -np.abs(F0), t, np.zeros_like(t)))
+        if q is not None and spec.b_const is not None:
+            records.append(growth(spec.b_const, q - p))
+        # Ambrosetti-Rabinowitz: 0 < q F <= f u for |u| >= r, q > p
+        if q is not None:
             big = np.abs(u) >= spec.r
             tb, ub = t[big], u[big]
             if len(ub) == 0:
                 tb, ub = np.array([0.0]), np.array([spec.r])
             ok = _covered(spec, ub)
             tb, ub = tb[ok], ub[ok]
-            fb = spec.f_values(tb, ub)
+            fu = spec.f_values(tb, ub) * ub
             Fb = spec.F_values(tb, ub)
-            fu = fb * ub
-            scale = np.maximum(np.abs(fu), np.abs(mu_eff * Fb)) + 1e-300
-            margins = np.minimum((fu - mu_eff * Fb) / scale, Fb / scale)
-            struct = mu_eff - p
-            records.append(
-                _finish(
-                    "ambrosetti_rabinowitz",
-                    np.concatenate([margins, [struct]]),
-                    list(zip(tb, ub)) + [(0.0, 0.0)],
-                )
-            )
+            positive = Fb / (np.maximum(np.abs(fu), np.abs(q * Fb)) + 1e-300)
+            margins = np.minimum(_slack(q * Fb, fu), positive)
+            records.append(_finish("ambrosetti_rabinowitz", margins, tb, ub, q - p))
         # f(t, xi) = o(|xi|^(p-1)) as xi -> 0, tested on a dyadic ladder
-        ks = np.arange(0, 41)
-        xi = 2.0 ** (-ks)
+        xi = 2.0 ** -np.arange(41.0)
         xi = xi[_covered(spec, xi)]
         if len(xi):
-            t0 = float(t[0]) if len(t) else 0.0
-            ratios = np.abs(spec.f_values(np.full_like(xi, t0), xi)) / xi ** (p - 1.0)
+            t0 = np.full_like(xi, t[0])
+            ratios = np.abs(spec.f_values(t0, xi)) / xi ** (p - 1.0)
             decay = -np.maximum(np.diff(ratios), 0.0) / (np.abs(ratios[:-1]) + 1e-300)
-            tail = 1e-6 - ratios[-1]
-            records.append(
-                _finish(
-                    "small_amplitude_decay",
-                    np.concatenate([decay, [tail]]),
-                    [(t0, float(x)) for x in xi[:-1]] + [(t0, float(xi[-1]))],
-                )
-            )
+            margins = np.append(decay, 1e-6 - ratios[-1])
+            records.append(_finish("small_amplitude_decay", margins, t0, xi))
 
     return HypothesisReport(
         regime=regime, family=spec.family.value, records=tuple(records)

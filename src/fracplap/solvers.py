@@ -54,7 +54,8 @@ from .energy import (
     basis_alpha_norms,
     phi,
 )
-from .fracops import Toeplitz, _alpha_rows, _blocks, _rows, gl_weights
+from .fracops import Toeplitz  # noqa: F401  (tests count products through solvers.Toeplitz)
+from .fracops import _alpha_rows, _blocks, _gl_operator, _rows
 from .grid import GridFunction, _lp_rows, sine_series, sup_norm
 from .nonlinearity import Family
 
@@ -371,29 +372,25 @@ def _armijo_step(
     return un, En, dun
 
 
-def _sublinear_gate(st: ProblemState, caller: str) -> None:
-    spec = st.spec
-    if spec.family is Family.SUPERLINEAR_POWER:
+def _regime_gate(st: ProblemState, caller: str, regime: str) -> None:
+    """Reject the other regime's power family, and this regime's power
+    family unless q < p ("sublinear") or mu > p ("superlinear")."""
+    spec, p = st.spec, st.params.p
+    sub = regime == "sublinear"
+    own, exp, other, other_exp = (
+        (Family.SUBLINEAR_POWER, "q", Family.SUPERLINEAR_POWER, "mu")
+        if sub
+        else (Family.SUPERLINEAR_POWER, "mu", Family.SUBLINEAR_POWER, "q")
+    )
+    if spec.family is other:
         raise ValueError(
-            f"{caller} requires a sublinear-regime nonlinearity; "
-            f"got SUPERLINEAR_POWER (mu={spec.mu})"
+            f"{caller} requires a {regime}-regime nonlinearity; "
+            f"got {other.value} ({other_exp}={getattr(spec, other_exp)})"
         )
-    if spec.family is Family.SUBLINEAR_POWER and not spec.q < st.params.p:
+    x = getattr(spec, exp)
+    if spec.family is own and not (x < p if sub else x > p):
         raise ValueError(
-            f"{caller} requires exponent q < p, got q={spec.q}, p={st.params.p}"
-        )
-
-
-def _superlinear_gate(st: ProblemState, caller: str) -> None:
-    spec = st.spec
-    if spec.family is Family.SUBLINEAR_POWER:
-        raise ValueError(
-            f"{caller} requires a superlinear-regime nonlinearity; "
-            f"got SUBLINEAR_POWER (q={spec.q})"
-        )
-    if spec.family is Family.SUPERLINEAR_POWER and not spec.mu > st.params.p:
-        raise ValueError(
-            f"{caller} requires exponent mu > p, got mu={spec.mu}, p={st.params.p}"
+            f"{caller} requires exponent {exp} {'<' if sub else '>'} p, got {exp}={x}, p={p}"
         )
 
 
@@ -419,7 +416,7 @@ def minimize_direct(
     minimizer, while starting from zero stays at the trivial critical
     point, which the report flags.
     """
-    _sublinear_gate(st, "minimize_direct")
+    _regime_gate(st, "minimize_direct", "sublinear")
     ws = _Workspace(st)
     u = init.values.copy()
     u[0] = 0.0
@@ -608,7 +605,7 @@ def mountain_pass(
     path whose top state falls to energy <= 0 (or NaN) raises
     GeometryError.
     """
-    _superlinear_gate(st, "mountain_pass")
+    _regime_gate(st, "mountain_pass", "superlinear")
     ws = _Workspace(st)
     rng = np.random.default_rng(seed)
     beta = _rim_value(st, rng)
@@ -688,7 +685,7 @@ def multiplicity_search(
     than the separation threshold to a known pair (under either sign) are
     discarded.
     """
-    _sublinear_gate(st, "multiplicity_search")
+    _regime_gate(st, "multiplicity_search", "sublinear")
     if not st.spec.is_even():
         raise ValueError("multiplicity_search requires an even antiderivative F")
     ws = _Workspace(st)
@@ -799,8 +796,7 @@ def regularity_check(st: ProblemState, u: GridFunction) -> RegularityResult:
     v = st.require_dirichlet(u)
     n = st.grid.n
     h = st.grid.h
-    order = 1.0 - a
-    left_tf = Toeplitz(gl_weights(-order, n) * h**order)
+    left_tf = _gl_operator(a - 1.0, st.grid)  # I^(1 - alpha)
     flux = phi(st.ops.left_deriv @ v, p)
     f = st.spec.f_values(st.grid.nodes, v)
     cumf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * h)])

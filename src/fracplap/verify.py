@@ -44,15 +44,14 @@ from .energy import ProblemState, _energy_rows, _gap_rows, _gradient_rows
 from .fracops import (
     MAX_GRID_CELLS,
     OperatorSet,
-    Toeplitz,
     _alpha_rows,
     _block_len,
     _blocks,
     _caputo_correction,
+    _gl_operator,
     _rows,
     build_operators,
     gamma,
-    gl_weights,
 )
 from .grid import FracParams, Grid, _lp_rows, _max_scaled, make_grid, sine_series, trapezoid_weights
 from .nonlinearity import sublinear_power
@@ -183,7 +182,7 @@ def _identity_check(params, ops, samples, rng, sides, pin_left=False) -> _Outcom
 def _semigroup_sides(params, ops):
     a, grid = params.alpha, ops.grid
     # the composed order 2a may exceed 1, so build its weights directly
-    I2 = Toeplitz(gl_weights(-2.0 * a, grid.n) * grid.h ** (2.0 * a))
+    I2 = _gl_operator(-2.0 * a, grid)
     return lambda x: (_rows(ops.left_int, _rows(ops.left_int, x)), _rows(I2, x))
 
 

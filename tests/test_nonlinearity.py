@@ -158,3 +158,62 @@ def test_hypotheses_on_table_outside_every_sample():
     spec = table_spec([-1e-7, 0.0, 1e-7], [-1.0, 0.0, 1.0])
     rep = validate_hypotheses(spec, PARAMS, "SUPERLINEAR", seed=3)
     assert [r.id for r in rep.records] == ["table_range"] and not rep.all_hold
+
+
+# every record of the two power families in both regimes at seed 3: id,
+# holds, exact worst margin (sign of zero included) and exact witness
+PINNED_RECORDS = {
+    ("sublinear", "SUBLINEAR"): [
+        ("lower_bound", True, 0.0, (0.08564916714362436, -0.002188480996532658)),
+        ("growth", True, 0.0, (0.08564916714362436, -0.002188480996532658)),
+        ("sub_homogeneity", True, -4.434486511249928e-16, (0.2368105065960997, -0.0002443756748099864)),
+        ("evenness", True, -0.0, (0.08564916714362436, -0.002188480996532658)),
+    ],
+    ("sublinear", "SUPERLINEAR"): [
+        ("zero_at_origin", True, -0.0, (0.08564916714362436, 0.0)),
+        ("ambrosetti_rabinowitz", False, -0.5, (0.0, 0.0)),
+        ("small_amplitude_decay", False, -1572863.999999, (0.08564916714362436, 9.094947017729282e-13)),
+    ],
+    ("superlinear", "SUBLINEAR"): [
+        ("lower_bound", False, -2.0, (0.0, 0.0)),
+        ("growth", True, 0.7499999999999999, (0.6605000674278948, 4.3298906533780664e-05)),
+        ("sub_homogeneity", False, -2.0, (0.0, 0.0)),
+        ("evenness", True, -0.0, (0.08564916714362436, -0.002188480996532658)),
+    ],
+    ("superlinear", "SUPERLINEAR"): [
+        ("zero_at_origin", True, -0.0, (0.08564916714362436, 0.0)),
+        ("growth", True, 0.0, (0.08564916714362436, -0.002188480996532658)),
+        ("ambrosetti_rabinowitz", True, -2.218979702409258e-16, (0.08403124803742068, -3.364141204790413)),
+        ("small_amplitude_decay", True, -0.0, (0.08564916714362436, 1.0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("family, regime", sorted(PINNED_RECORDS))
+def test_hypothesis_records_are_pinned(family, regime):
+    spec = sublinear_power(1.5) if family == "sublinear" else superlinear_power(4.0)
+    rep = validate_hypotheses(spec, PARAMS, regime, seed=3)
+    got = [(r.id, r.holds, r.worst_margin, tuple(map(float, r.witness))) for r in rep.records]
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(got) == repr(PINNED_RECORDS[family, regime])
+
+
+@pytest.mark.parametrize("breakpoints", [[-1.0, 1.0], [-1.0, 0.5, 2.0], [-1.0, 0.0, 1.0]])
+def test_table_antiderivative_is_anchored_at_origin(breakpoints):
+    # f = u whether or not u = 0 is a breakpoint, so F = u^2/2
+    spec = table_spec(breakpoints, breakpoints)
+    assert spec.F_values(0.3, 0.0) == 0.0
+    assert point_values(spec, 0.3, 1.0)[1] == 0.5
+    rep = validate_hypotheses(spec, PARAMS, "SUPERLINEAR", seed=3)
+    assert rep.record("zero_at_origin").worst_margin == 0.0
+
+
+@pytest.mark.parametrize("breakpoints", [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
+def test_table_antiderivative_near_origin_is_accurate(breakpoints):
+    spec = table_spec(breakpoints, breakpoints)
+    x = np.geomspace(1e-8, 1.0, 161)
+    for u in (x, -x):
+        np.testing.assert_allclose(spec.F_values(0.0, u), x * x / 2.0, rtol=1e-15, atol=0.0)
+    # the samples inside [-1, 1] cover -u too, so evenness is checked there
+    rep = validate_hypotheses(spec, PARAMS, "SUBLINEAR", seed=0)
+    assert rep.record("evenness").holds

@@ -89,6 +89,34 @@ def test_minimize_rejects_superlinear():
         minimize_direct(st, bump_init(st))
 
 
+@pytest.mark.parametrize(
+    "solve, spec, message",
+    [
+        (
+            minimize_direct,
+            superlinear_power(4.0),
+            "minimize_direct requires a sublinear-regime nonlinearity; "
+            "got SUPERLINEAR_POWER (mu=4.0)",
+        ),
+        (minimize_direct, sublinear_power(2.0), "minimize_direct requires exponent q < p, got q=2.0, p=2.0"),
+        (
+            mountain_pass,
+            sublinear_power(1.5),
+            "mountain_pass requires a superlinear-regime nonlinearity; "
+            "got SUBLINEAR_POWER (q=1.5)",
+        ),
+        (mountain_pass, superlinear_power(2.0), "mountain_pass requires exponent mu > p, got mu=2.0, p=2.0"),
+    ],
+    ids=["superlinear-family", "q-not-below-p", "sublinear-family", "mu-not-above-p"],
+)
+def test_regime_gate_rejections(solve, spec, message):
+    st = make_state(0.6, 2.0, 32, spec)
+    args = (bump_init(st),) if solve is minimize_direct else ()
+    with pytest.raises(ValueError) as info:
+        solve(st, *args)
+    assert str(info.value) == message
+
+
 def test_minimize_standard_problem():
     st = make_state(0.6, 2.0, 128, sublinear_power(1.5))
     rep = minimize_direct(st, bump_init(st), tol=1e-6, max_iter=2000)
