@@ -17,6 +17,7 @@ so identical configs and seeds give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -55,116 +56,155 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------- config ---
 
-# Config keys of each coefficient kind with their defaults, in output
-# order.  A None default marks a required list of numbers.
-_COEFF_KEYS = {
-    "constant": {"value": 1.0},
-    "affine": {"value": 1.0, "slope": 0.0},
-    "sine": {"value": 0.0, "amplitude": 1.0, "frequency": math.pi, "phase": 0.0},
-    "table": {"values": None, "T": 1.0},
+# A schema table maps each key of a section, in normal-form order, to
+# (parse, default, *checks).  parse reads the JSON value and raises
+# TypeError with a phrase if its type is wrong.  An absent or null key takes
+# the default, which is read like a given value unless it is None; _REQUIRED
+# marks a key without one.  Each check is a (holds, phrase) pair on the
+# parsed value.
+_REQUIRED = object()
+
+
+def _any(v):
+    return v
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _number(v) -> float:
+    if not _is_number(v):
+        raise TypeError("must be a number")
+    return float(v)
+
+
+def _integer(v) -> int:
+    if not (_is_number(v) and (isinstance(v, int) or v.is_integer())):
+        raise TypeError("must be an integer")
+    return int(v)
+
+
+def _numbers(v) -> list:
+    if not (isinstance(v, list) and all(map(_is_number, v))):
+        raise TypeError("must be a list of numbers")
+    return [float(x) for x in v]
+
+
+def _at_least(lo):
+    return lambda v: v >= lo, f"must be at least {lo}"
+
+
+_FAMILIES = [f.value for f in Family]
+_METHODS = ["direct", "mountain_pass", "multiplicity"]
+
+_PROBLEM = {
+    "alpha": (_number, _REQUIRED),
+    "p": (_number, _REQUIRED),
+    "T": (_number, _REQUIRED),
+    "n": (_integer, _REQUIRED, _at_least(2),
+          (lambda n: n <= MAX_GRID_CELLS, f"must be at most {MAX_GRID_CELLS}")),
 }
+_NONLINEARITY = {
+    "family": (_any, _REQUIRED, (_FAMILIES.__contains__, f"must be one of {_FAMILIES}")),
+    "q": (_number, None),
+    "mu": (_number, None),
+    "r": (_number, 1.0),
+    "b_const": (_number, None),
+    "a_coeff": (_any, {"kind": "constant"}),
+    "b_coeff": (_any, {"kind": "constant"}),
+    "table": (_any, None),
+}
+_TABLE = {"breakpoints": (_numbers, _REQUIRED), "values": (_numbers, _REQUIRED)}
+_SOLVER = {
+    "method": (_any, _REQUIRED,
+               (_METHODS.__contains__, "must be direct, mountain_pass or multiplicity")),
+    "tol": (_number, 1e-6, (lambda x: 0.0 < x < math.inf, "must be positive and finite")),
+    "max_iter": (_integer, 2000, _at_least(1)),
+    "k": (_integer, 3, _at_least(1)),
+    "seed": (_integer, 0, _at_least(0)),
+    "eps_reg": (_number, None, (lambda x: 0.0 <= x < math.inf, "must be null or finite and >= 0")),
+    "path_points": (_integer, 21, _at_least(3)),
+}
+_OUTPUT = {"solution_path": (str, _REQUIRED), "report_path": (str, _REQUIRED)}
+_CONFIG = {"problem": _PROBLEM, "nonlinearity": _NONLINEARITY, "solver": _SOLVER, "output": _OUTPUT}
+# one table per coefficient kind, after its "kind" key
+_COEFFS = {
+    "constant": {"value": (_number, 1.0)},
+    "affine": {"value": (_number, 1.0), "slope": (_number, 0.0)},
+    "sine": {"value": (_number, 0.0), "amplitude": (_number, 1.0),
+             "frequency": (_number, math.pi), "phase": (_number, 0.0)},
+    "table": {"values": (_numbers, _REQUIRED, (len, "must not be empty")), "T": (_number, 1.0)},
+}
+_KINDS = sorted(_COEFFS)
 # CoefficientFn field of a config key, where the two names differ
 _COEFF_FIELDS = {"values": "table_values", "T": "table_T"}
 
-_SOLVER_DEFAULTS = {
-    "tol": 1e-6,
-    "max_iter": 2000,
-    "k": 3,
-    "seed": 0,
-    "eps_reg": None,
-    "path_points": 21,
-}
 
-
-def _reject_unknown(d: dict, allowed, path: str) -> None:
+def _section(d, where: str, keys: dict) -> dict:
+    """Read one config section through its schema table into normal form:
+    unknown keys rejected, defaults filled in, every value parsed and
+    checked.  Each message starts with the key's path."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key} is not a recognized key")
+        if key not in keys:
+            raise ConfigError(f"{where}.{key} is not a recognized key")
+    out = {}
+    for key, (parse, default, *checks) in keys.items():
+        at = f"{where}.{key}"
+        value = d.get(key)
+        if value is None:
+            value = default
+        if value is _REQUIRED:
+            raise ConfigError(f"{at} is required")
+        if value is not None:
+            try:
+                value = parse(value)
+            except OverflowError:
+                raise ConfigError(f"{at} holds a number too large for a float") from None
+            except TypeError as exc:
+                raise ConfigError(f"{at} {exc}, got {value!r}") from None
+            for holds, phrase in checks:
+                if not holds(value):
+                    raise ConfigError(f"{at} {phrase}, got {value!r}")
+        out[key] = value
+    return out
 
 
-def _coeff_from(d, path: str) -> CoefficientFn:
-    if d is None:
-        return CoefficientFn()
+def _coeff(d, where: str) -> tuple[dict, CoefficientFn]:
+    """A coefficient object's normal form, read through the table of its
+    kind, and the CoefficientFn it gives."""
     if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"{path} must be an object with a 'kind'")
-    kind = d["kind"]
-    if kind not in _COEFF_KEYS:
-        raise ConfigError(f"{path}.kind must be one of {sorted(_COEFF_KEYS)}")
-    _reject_unknown(d, _COEFF_KEYS[kind].keys() | {"kind"}, path)
-    fields = {}
+        raise ConfigError(f"{where} must be an object with a 'kind'")
+    if d["kind"] not in _KINDS:
+        raise ConfigError(f"{where}.kind must be one of {_KINDS}")
+    entry = _section(d, where, {"kind": (_any, _REQUIRED), **_COEFFS[d["kind"]]})
     try:
-        for key, default in _COEFF_KEYS[kind].items():
-            if default is None:
-                value = np.asarray(d[key], dtype=float)
-            else:
-                value = float(d.get(key, default))
-            fields[_COEFF_FIELDS.get(key, key)] = value
-        return CoefficientFn(kind=kind, **fields)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        return entry, CoefficientFn(**{_COEFF_FIELDS.get(k, k): v for k, v in entry.items()})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
 class RunConfig:
+    """A checked run config: the problem constants and nonlinearity it
+    gives, and its sections in normal form (defaults filled in, key order
+    fixed)."""
+
     params: FracParams
-    n: int
     spec: NonlinearitySpec
-    method: str
-    tol: float
-    max_iter: int
-    k: int
-    seed: int
-    eps_reg: Optional[float]
-    path_points: int
-    solution_path: str
-    report_path: str
+    sections: dict
 
     def build_state(self) -> tuple[Grid, ProblemState]:
-        grid = make_grid(self.params.T, self.n)
+        grid = make_grid(self.params.T, self.sections["problem"]["n"])
         ops = build_operators(self.params, grid)
-        st = ProblemState(
-            params=self.params, grid=grid, ops=ops, spec=self.spec, eps_reg=self.eps_reg
-        )
-        return grid, st
+        eps_reg = self.sections["solver"]["eps_reg"]
+        return grid, ProblemState(self.params, grid, ops, self.spec, eps_reg=eps_reg)
 
     def to_dict(self) -> dict:
         """Normalized form: defaults filled in, key order fixed."""
-        nl: dict = {"family": self.spec.family.value}
-        if self.spec.q is not None:
-            nl["q"] = self.spec.q
-        if self.spec.mu is not None:
-            nl["mu"] = self.spec.mu
-        nl["r"] = self.spec.r
-        if self.spec.b_const is not None:
-            nl["b_const"] = self.spec.b_const
-        for name, co in (("a_coeff", self.spec.a_coeff), ("b_coeff", self.spec.b_coeff)):
-            entry = {"kind": co.kind}
-            for key, default in _COEFF_KEYS[co.kind].items():
-                value = getattr(co, _COEFF_FIELDS.get(key, key))
-                entry[key] = value if default is not None else list(map(float, value))
-            nl[name] = entry
-        if self.spec.family is Family.TABLE:
-            nl["table"] = {
-                "breakpoints": list(map(float, self.spec.table_breakpoints)),
-                "values": list(map(float, self.spec.table_values)),
-            }
-        return {
-            "problem": {
-                "alpha": self.params.alpha,
-                "p": self.params.p,
-                "T": self.params.T,
-                "n": self.n,
-            },
-            "nonlinearity": nl,
-            "solver": {
-                "method": self.method,
-                **{key: getattr(self, key) for key in _SOLVER_DEFAULTS},
-            },
-            "output": {
-                "solution_path": self.solution_path,
-                "report_path": self.report_path,
-            },
-        }
+        return copy.deepcopy(self.sections)
 
 
 def load_config(path) -> RunConfig:
@@ -180,127 +220,39 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    _reject_unknown(raw, {"problem", "nonlinearity", "solver", "output"}, "config")
-
-    prob = raw.get("problem")
-    if not isinstance(prob, dict):
-        raise ConfigError("problem section is required")
-    _reject_unknown(prob, {"alpha", "p", "T", "n"}, "problem")
+    raw = _section(raw, "config", dict.fromkeys(_CONFIG, (_any, _REQUIRED)))
+    sections = {name: _section(raw[name], name, keys) for name, keys in _CONFIG.items()}
+    prob, nl = sections["problem"], sections["nonlinearity"]
     try:
-        alpha = float(prob["alpha"])
-        p = float(prob["p"])
-        T = float(prob["T"])
-        n = int(prob["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"problem section incomplete or malformed: {exc}") from exc
-    try:
-        params = FracParams(alpha=alpha, p=p, T=T)
+        params = FracParams(alpha=prob["alpha"], p=prob["p"], T=prob["T"])
     except ValueError as exc:
         raise ConfigError(f"problem.{exc}") from exc
-    if n < 2:
-        raise ConfigError(f"problem.n must be at least 2, got {n}")
-    if n > MAX_GRID_CELLS:
-        raise ConfigError(f"problem.n must be at most {MAX_GRID_CELLS}, got {n}")
 
-    nl = raw.get("nonlinearity")
-    if not isinstance(nl, dict):
-        raise ConfigError("nonlinearity section is required")
-    _reject_unknown(
-        nl,
-        {"family", "q", "mu", "r", "b_const", "a_coeff", "b_coeff", "table"},
-        "nonlinearity",
-    )
-    fam_name = nl.get("family")
-    try:
-        family = Family(fam_name)
-    except ValueError:
-        raise ConfigError(
-            f"nonlinearity.family must be one of {[f.value for f in Family]}, got {fam_name!r}"
-        ) from None
-    a_coeff = _coeff_from(nl.get("a_coeff"), "nonlinearity.a_coeff")
-    if family is Family.SUBLINEAR_POWER and "b_coeff" not in nl:
-        b_coeff = a_coeff  # the power family saturates the growth bound with b = a
+    family = Family(nl["family"])
+    if family is not Family.TABLE:
+        nl["table"] = None  # read by the TABLE family alone
+    elif not isinstance(nl["table"], dict):
+        raise ConfigError("nonlinearity.table is required for the TABLE family")
     else:
-        b_coeff = _coeff_from(nl.get("b_coeff"), "nonlinearity.b_coeff")
-    table_bp = table_vals = None
-    if family is Family.TABLE:
-        tab = nl.get("table")
-        if not isinstance(tab, dict):
-            raise ConfigError("nonlinearity.table is required for the TABLE family")
-        _reject_unknown(tab, {"breakpoints", "values"}, "nonlinearity.table")
-        table_bp = tab.get("breakpoints")
-        table_vals = tab.get("values")
+        nl["table"] = _section(nl["table"], "nonlinearity.table", _TABLE)
+    # the section's keys are NonlinearitySpec's fields, but for the table
+    args = dict(nl, family=family)
+    table = args.pop("table") or {}
+    nl["a_coeff"], args["a_coeff"] = _coeff(nl["a_coeff"], "nonlinearity.a_coeff")
+    if family is Family.SUBLINEAR_POWER and raw["nonlinearity"].get("b_coeff") is None:
+        # the power family saturates the growth bound with b = a
+        nl["b_coeff"], args["b_coeff"] = nl["a_coeff"], args["a_coeff"]
+    else:
+        nl["b_coeff"], args["b_coeff"] = _coeff(nl["b_coeff"], "nonlinearity.b_coeff")
     try:
         spec = NonlinearitySpec(
-            family=family,
-            q=None if nl.get("q") is None else float(nl["q"]),
-            mu=None if nl.get("mu") is None else float(nl["mu"]),
-            r=float(nl.get("r", 1.0)),
-            b_const=None if nl.get("b_const") is None else float(nl["b_const"]),
-            a_coeff=a_coeff,
-            b_coeff=b_coeff,
-            table_breakpoints=table_bp,
-            table_values=table_vals,
+            **args, table_breakpoints=table.get("breakpoints"), table_values=table.get("values")
         )
     except ValueError as exc:
         raise ConfigError(f"nonlinearity: {exc}") from exc
-
-    sol = raw.get("solver")
-    if not isinstance(sol, dict):
-        raise ConfigError("solver section is required")
-    _reject_unknown(sol, {"method"} | set(_SOLVER_DEFAULTS), "solver")
-    method = sol.get("method")
-    if method not in ("direct", "mountain_pass", "multiplicity"):
-        raise ConfigError(
-            f"solver.method must be direct, mountain_pass or multiplicity, got {method!r}"
-        )
-    merged = {**_SOLVER_DEFAULTS, **sol}
-    try:
-        tol = float(merged["tol"])
-        max_iter = int(merged["max_iter"])
-        k = int(merged["k"])
-        seed = int(merged["seed"])
-        eps_reg = None if merged["eps_reg"] is None else float(merged["eps_reg"])
-        path_points = int(merged["path_points"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver section malformed: {exc}") from exc
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"solver.tol must be positive and finite, got {tol}")
-    if eps_reg is not None and not 0.0 <= eps_reg < math.inf:
-        raise ConfigError(f"solver.eps_reg must be null or finite and >= 0, got {eps_reg}")
-    if max_iter < 1:
-        raise ConfigError(f"solver.max_iter must be at least 1, got {max_iter}")
-    if k < 1:
-        raise ConfigError(f"solver.k must be at least 1, got {k}")
-    if path_points < 3:
-        raise ConfigError(f"solver.path_points must be at least 3, got {path_points}")
-
-    out = raw.get("output")
-    if not isinstance(out, dict):
-        raise ConfigError("output section is required")
-    _reject_unknown(out, {"solution_path", "report_path"}, "output")
-    try:
-        solution_path = str(out["solution_path"])
-        report_path = str(out["report_path"])
-    except KeyError as exc:
-        raise ConfigError(f"output.{exc.args[0]} is required") from exc
-
-    return RunConfig(
-        params=params,
-        n=n,
-        spec=spec,
-        method=method,
-        tol=tol,
-        max_iter=max_iter,
-        k=k,
-        seed=seed,
-        eps_reg=eps_reg,
-        path_points=path_points,
-        solution_path=solution_path,
-        report_path=report_path,
-    )
+    nl["b_const"] = spec.b_const  # SUPERLINEAR_POWER derives it from mu
+    sections["nonlinearity"] = {k: v for k, v in nl.items() if v is not None}
+    return RunConfig(params=params, spec=spec, sections=sections)
 
 
 # --------------------------------------------------------------- writers ---
@@ -339,37 +291,13 @@ def write_solution_csv(path, grid: Grid, u: GridFunction) -> None:
 
 
 def solve_report_dict(rep: SolveReport, solution_path: str) -> dict:
-    return _finalize(
-        {
-            "method": rep.method,
-            "energy_value": rep.energy_value,
-            "residual": rep.residual,
-            "iterations": rep.iterations,
-            "converged": rep.converged,
-            "seed": rep.seed,
-            "eps_reg_used": rep.eps_reg_used,
-            "trivial": rep.trivial,
-            "rim_value": rep.rim_value,
-            "endpoint_energy": rep.endpoint_energy,
-            "solution_path": solution_path,
-        }
-    )
+    d = {"method": rep.method, **vars(rep), "solution_path": solution_path}
+    del d["solution"]
+    return _finalize(d)
 
 
 def verification_report_dict(r: VerificationReport) -> dict:
-    return _finalize(
-        {
-            "property": r.property.value,
-            "status": r.status,
-            "samples": r.samples,
-            "worst_margin": r.worst_margin,
-            "bound_constant": r.bound_constant,
-            "tolerance_used": r.tolerance_used,
-            "passed": r.passed,
-            "refinement_ratio": r.refinement_ratio,
-            "reason": r.reason,
-        }
-    )
+    return _finalize({**vars(r), "property": r.property.value})
 
 
 def _read_csv_column(path) -> tuple[np.ndarray, np.ndarray]:
@@ -391,10 +319,11 @@ def _read_csv_column(path) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
+    sol, out = cfg.sections["solver"], cfg.sections["output"]
     grid, st = cfg.build_state()
-    if cfg.method == "multiplicity":
-        mrep = multiplicity_search(st, k=cfg.k, tol=cfg.tol, seed=cfg.seed)
-        base = Path(cfg.solution_path)
+    if sol["method"] == "multiplicity":
+        mrep = multiplicity_search(st, k=sol["k"], tol=sol["tol"], seed=sol["seed"])
+        base = Path(out["solution_path"])
         pairs = []
         for j, rep in enumerate(mrep.pairs, start=1):
             pth = str(base.with_name(f"{base.stem}_pair{j}{base.suffix}"))
@@ -404,38 +333,31 @@ def _cmd_solve(args) -> int:
             {
                 "method": "multiplicity",
                 "converged_count": mrep.converged_count,
-                "requested_pairs": cfg.k,
+                "requested_pairs": sol["k"],
                 "separation": mrep.separation,
                 "seed": mrep.seed,
                 "pairs": pairs,
                 "pairwise_distances": mrep.pairwise_distances.tolist(),
             }
         )
-        converged = sum(pair["converged"] for pair in payload["pairs"]) >= cfg.k
+        converged = sum(pair["converged"] for pair in payload["pairs"]) >= sol["k"]
     else:
-        if cfg.method == "direct":
-            init = GridFunction(
-                0.1 * np.sin(np.pi * grid.nodes / grid.T), dirichlet=True
-            )
-            rep = minimize_direct(
-                st, init, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed
-            )
+        opts = {key: sol[key] for key in ("tol", "max_iter", "seed")}
+        if sol["method"] == "direct":
+            init = GridFunction(0.1 * np.sin(np.pi * grid.nodes / grid.T), dirichlet=True)
+            rep = minimize_direct(st, init, **opts)
         else:
-            rep = mountain_pass(
-                st,
-                path_points=cfg.path_points,
-                tol=cfg.tol,
-                max_iter=cfg.max_iter,
-                seed=cfg.seed,
-            )
-        write_solution_csv(cfg.solution_path, grid, rep.solution)
-        payload = solve_report_dict(rep, cfg.solution_path)
+            rep = mountain_pass(st, path_points=sol["path_points"], **opts)
+        write_solution_csv(out["solution_path"], grid, rep.solution)
+        payload = solve_report_dict(rep, out["solution_path"])
         converged = payload["converged"]
-    Path(cfg.report_path).write_text(_dump_json(payload), encoding="utf-8")
+    Path(out["report_path"]).write_text(_dump_json(payload), encoding="utf-8")
     return 0 if converged else 2
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be at least 0, got {args.seed}")
     params = FracParams(alpha=args.alpha, p=args.p, T=args.T)
     grid = make_grid(args.T, args.n)
     if args.property is None:
@@ -475,9 +397,10 @@ def _cmd_apply(args) -> int:
 
 def _cmd_hypotheses(args) -> int:
     cfg = load_config(args.config)
-    regime = "SUPERLINEAR" if cfg.method == "mountain_pass" else "SUBLINEAR"
+    sol = cfg.sections["solver"]
+    regime = "SUPERLINEAR" if sol["method"] == "mountain_pass" else "SUBLINEAR"
     report = validate_hypotheses(
-        cfg.spec, cfg.params, regime, sample_count=400, seed=cfg.seed
+        cfg.spec, cfg.params, regime, sample_count=400, seed=sol["seed"]
     )
     payload = _finalize(
         {

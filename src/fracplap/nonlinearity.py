@@ -49,7 +49,7 @@ def _require_finite(obj, names) -> None:
     """Reject a NaN or infinite entry in any of the named fields; None passes."""
     for name in names:
         value = getattr(obj, name)
-        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ValueError(f"{name} must be finite")
 
 

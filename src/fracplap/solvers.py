@@ -54,7 +54,6 @@ from .energy import (
     basis_alpha_norms,
     phi,
 )
-from .fracops import Toeplitz  # noqa: F401  (tests count products through solvers.Toeplitz)
 from .fracops import _alpha_rows, _blocks, _gl_operator, _rows
 from .grid import GridFunction, _lp_rows, sine_series, sup_norm
 from .nonlinearity import Family

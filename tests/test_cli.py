@@ -636,3 +636,174 @@ def test_load_config_rejects_nonfinite_nonlinearity(tmp_path, capsys, nonlineari
     assert main(["solve", "--config", str(path)]) == 1
     assert _one_line(capsys.readouterr().err) == f"config error: {where} must be finite"
     assert not (tmp_path / "sol.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("problem.T", 10**400, "problem.T holds a number too large for a float"),
+        ("problem.n", 64.7, "problem.n must be an integer, got 64.7"),
+        ("solver.max_iter", 2.9, "solver.max_iter must be an integer, got 2.9"),
+        ("problem.alpha", True, "problem.alpha must be a number, got True"),
+        ("nonlinearity.q", "1.5", "nonlinearity.q must be a number, got '1.5'"),
+    ],
+    ids=["overflow", "fractional_n", "fractional_max_iter", "bool_alpha", "string_q"],
+)
+def test_load_config_numbers_are_json_numbers(tmp_path, capsys, key, value, message):
+    path = write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert _one_line(capsys.readouterr().err) == f"config error: {message}"
+    assert not (tmp_path / "sol.csv").exists()
+
+
+def test_load_config_integral_float_is_an_integer(tmp_path):
+    path = write_config(tmp_path, **{"problem.n": 64.0, "solver.k": 2.0})
+    normalized = load_config(path).to_dict()
+    assert normalized["problem"]["n"] == 64 and type(normalized["problem"]["n"]) is int
+    assert normalized["solver"]["k"] == 2 and type(normalized["solver"]["k"]) is int
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, method",
+    [
+        ({"family": "SUBLINEAR_POWER", "q": 1.5}, "direct"),
+        ({"family": "SUPERLINEAR_POWER", "mu": 4.0}, "mountain_pass"),
+    ],
+)
+def test_solve_rejects_negative_seed(tmp_path, capsys, nonlinearity, method):
+    path = write_config(
+        tmp_path, nonlinearity=nonlinearity, **{"solver.method": method, "solver.seed": -1}
+    )
+    message = "solver.seed must be at least 0, got -1"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert _one_line(capsys.readouterr().err) == f"config error: {message}"
+    assert not (tmp_path / "sol.csv").exists() and not (tmp_path / "rep.json").exists()
+
+
+def test_verify_negative_seed_is_config_error(capsys):
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1", "--n", "64",
+                 "--samples", "2", "--seed", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err) == "config error: seed must be at least 0, got -1"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"problem": {"p": 2.0, "T": 1.0, "n": 64}}, "problem.alpha is required"),
+        ({"solver.tol": "abc"}, "solver.tol must be a number, got 'abc'"),
+        (
+            {"nonlinearity": {"family": "TABLE", "table": {"breakpoints": [-1.0, 0.0, 1.0]}}},
+            "nonlinearity.table.values is required",
+        ),
+        (
+            {"nonlinearity": {"family": "SUBLINEAR_POWER", "q": 1.5, "a_coeff": {"kind": "table"}}},
+            "nonlinearity.a_coeff.values is required",
+        ),
+    ],
+    ids=["missing_alpha", "string_tol", "table_without_values", "coefficient_without_values"],
+)
+def test_config_diagnostic_names_its_key(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert _one_line(capsys.readouterr().err) == f"config error: {message}"
+
+
+@pytest.mark.parametrize(
+    "nonlinearity, message",
+    [
+        (
+            {"family": "CUBIC"},
+            "nonlinearity.family must be one of "
+            "['SUBLINEAR_POWER', 'SUPERLINEAR_POWER', 'TABLE'], got 'CUBIC'",
+        ),
+        (
+            {"family": "SUBLINEAR_POWER", "q": 1.5, "a_coeff": 2.0},
+            "nonlinearity.a_coeff must be an object with a 'kind'",
+        ),
+        (
+            {"family": "SUBLINEAR_POWER", "q": 1.5, "b_coeff": {"kind": []}},
+            "nonlinearity.b_coeff.kind must be one of ['affine', 'constant', 'sine', 'table']",
+        ),
+        (
+            {"family": "SUBLINEAR_POWER", "q": 1.5, "a_coeff": {"kind": "table", "values": 2.0}},
+            "nonlinearity.a_coeff.values must be a list of numbers, got 2.0",
+        ),
+        (
+            {"family": "SUBLINEAR_POWER", "q": 1.5, "a_coeff": {"kind": "table", "values": []}},
+            "nonlinearity.a_coeff.values must not be empty, got []",
+        ),
+    ],
+    ids=["family", "coefficient_object", "unhashable_kind", "scalar_values", "empty_values"],
+)
+def test_load_config_nonlinearity_shape_messages(tmp_path, capsys, nonlinearity, message):
+    # the list of families and of kinds is named; a malformed coefficient
+    # is a config error, not a traceback from inside the solve
+    path = write_config(tmp_path, nonlinearity=nonlinearity)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == message
+    assert main(["solve", "--config", str(path)]) == 1
+    assert _one_line(capsys.readouterr().err) == f"config error: {message}"
+
+
+def test_load_config_null_takes_the_default(tmp_path):
+    nl = {"family": "SUPERLINEAR_POWER", "mu": 4.0, "r": None, "a_coeff": None}
+    path = write_config(tmp_path, nonlinearity=nl, **{"solver.tol": None, "solver.k": None})
+    normalized = load_config(path).to_dict()
+    assert normalized["nonlinearity"]["r"] == 1.0
+    assert normalized["nonlinearity"]["a_coeff"] == {"kind": "constant", "value": 1.0}
+    assert normalized["solver"]["tol"] == 1e-6 and normalized["solver"]["k"] == 3
+
+
+def _readme_schema():
+    """The jsonc block under "Config schema" in README.md, comments cut,
+    and the text of its comments."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("### Config schema", 1)[1]
+    block = block.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("//") for line in block.splitlines()]
+    return json.loads("\n".join(code for code, _, _ in lines)), " ".join(c for _, _, c in lines)
+
+
+def test_readme_schema_lists_the_schema_tables():
+    from fracplap.cli import _COEFFS, _CONFIG, _TABLE
+
+    schema, _ = _readme_schema()
+    assert list(schema) == list(_CONFIG)
+    for section, keys in _CONFIG.items():
+        assert list(schema[section]) == list(keys), section
+    assert list(schema["nonlinearity"]["table"]) == list(_TABLE)
+    for slot in ("a_coeff", "b_coeff"):
+        entry = schema["nonlinearity"][slot]
+        assert set(entry) <= {"kind", *_COEFFS[entry["kind"]]}, slot
+
+
+def test_readme_schema_states_coefficient_defaults():
+    from fracplap.cli import _COEFFS, _REQUIRED
+
+    import re
+
+    _, comments = _readme_schema()
+    text = comments.split("kinds (defaults):", 1)[1]
+    listed = {}
+    for kind, body in re.findall(r"(\w+) \{([^}]*)\}", text):
+        pairs = (item.split() for item in body.split(","))
+        listed[kind] = {key: " ".join(rest) for key, *rest in pairs}
+    assert list(listed) == list(_COEFFS)
+    for kind, keys in _COEFFS.items():
+        assert list(listed[kind]) == list(keys), kind
+        for key, (_, default, *_) in keys.items():
+            word = listed[kind][key]
+            if default is _REQUIRED:
+                assert word == "(required)", (kind, key)
+            else:
+                assert (math.pi if word == "pi" else float(word)) == default, (kind, key)

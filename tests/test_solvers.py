@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dense
-from fracplap import solvers
+from fracplap import fracops, solvers
 from fracplap.energy import _gradient_and_du, phi
 
 from fracplap import (
@@ -208,7 +208,7 @@ def test_minimize_product_budget(monkeypatch):
     # metric solve (2); the start's energy and gradient share its image
     st = make_state(0.6, 3.0, 128, sublinear_power(2.0))
     counts = {"matmul": 0, "energy": 0}
-    matmul, rows_fn = solvers.Toeplitz.__matmul__, solvers._energy_rows
+    matmul, rows_fn = fracops.Toeplitz.__matmul__, solvers._energy_rows
 
     def counted_matmul(self, x):
         counts["matmul"] += 1
@@ -218,7 +218,7 @@ def test_minimize_product_budget(monkeypatch):
         counts["energy"] += 1
         return rows_fn(st, V, DV)
 
-    monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
+    monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
     for max_iter in (3, 2000):
         counts.update(matmul=0, energy=0)
@@ -280,7 +280,7 @@ def test_mountain_pass_polish_stops_at_tol(monkeypatch):
     # solves and 559 products, and the energy stays that of the floor
     st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
     counts = {"matmul": 0, "newton": 0}
-    matmul, newton_step = solvers.Toeplitz.__matmul__, solvers._Workspace.newton_step
+    matmul, newton_step = fracops.Toeplitz.__matmul__, solvers._Workspace.newton_step
 
     def counted_matmul(self, x):
         counts["matmul"] += 1
@@ -290,7 +290,7 @@ def test_mountain_pass_polish_stops_at_tol(monkeypatch):
         counts["newton"] += 1
         return newton_step(self, u, g, du)
 
-    monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
+    monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers._Workspace, "newton_step", counted_newton_step)
     rep = mountain_pass(st, tol=1e-8, path_points=21, seed=0)
     assert rep.converged and rep.residual <= 1e-8
@@ -619,7 +619,7 @@ def test_newton_step_takes_only_metric_solves_at_p2(monkeypatch):
     ws = solvers._Workspace(st)
     du = st.ops.left_deriv @ u
     counts = {"matmul": 0, "solve": 0}
-    matmul, metric_solver = solvers.Toeplitz.__matmul__, solvers._Workspace.metric_solver
+    matmul, metric_solver = fracops.Toeplitz.__matmul__, solvers._Workspace.metric_solver
 
     def counted_matmul(self, x):
         counts["matmul"] += 1
@@ -634,7 +634,7 @@ def test_newton_step_takes_only_metric_solves_at_p2(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(solvers.Toeplitz, "__matmul__", counted_matmul)
+    monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers._Workspace, "metric_solver", counted_metric_solver)
     g = np.zeros_like(u)
     g[1:-1] = np.random.default_rng(0).standard_normal(len(u) - 2)
