@@ -124,7 +124,8 @@ _SOLVER = {
     "k": (_integer, 3, _at_least(1)),
     "seed": (_integer, 0, _at_least(0)),
     "eps_reg": (_number, None, (lambda x: 0.0 <= x < math.inf, "must be null or finite and >= 0")),
-    "path_points": (_integer, 21, _at_least(3)),
+    "path_points": (_integer, 21, _at_least(3),
+                    (lambda k: k <= 1024, "must be at most 1024")),
 }
 _OUTPUT = {"solution_path": (str, _REQUIRED), "report_path": (str, _REQUIRED)}
 _CONFIG = {"problem": _PROBLEM, "nonlinearity": _NONLINEARITY, "solver": _SOLVER, "output": _OUTPUT}
@@ -218,7 +219,7 @@ def load_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     raw = _section(raw, "config", dict.fromkeys(_CONFIG, (_any, _REQUIRED)))
     sections = {name: _section(raw[name], name, keys) for name, keys in _CONFIG.items()}
@@ -430,8 +431,13 @@ def _cmd_hypotheses(args) -> int:
     return 0 if payload["all_hold"] else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as a config error does
+        raise ValueError(message)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracplap",
         description="Mixed-derivative fractional p-Laplacian solver and verifier",
     )
@@ -463,8 +469,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     ph.add_argument("--config", required=True)
     ph.set_defaults(func=_cmd_hypotheses)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -69,7 +69,8 @@ class ProblemState:
     _quad: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.ops.alpha != self.params.alpha or self.ops.grid.n != self.grid.n:
+        built = (self.ops.alpha, self.ops.grid.n, self.ops.grid.T)
+        if built != (self.params.alpha, self.grid.n, self.grid.T) or self.grid.T != self.params.T:
             raise ValueError("operator set was not built for these params and grid")
         if self.params.p >= 2.0:
             object.__setattr__(self, "eps_reg", 0.0)
@@ -96,6 +97,13 @@ def phi(s: np.ndarray, p: float, eps_reg: float = 0.0) -> np.ndarray:
     nz = s != 0.0
     out[nz] = np.abs(s[nz]) ** (p - 2.0) * s[nz]
     return out
+
+
+def _dphi(s: np.ndarray, p: float, eps: float = 0.0) -> np.ndarray:
+    """phi'(s), the tangent slope of the flux phi(s, p, eps)."""
+    if p >= 2.0:
+        return (p - 1.0) * np.abs(s) ** (p - 2.0)
+    return (s * s + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
 
 
 def energy(st: ProblemState, u: GridFunction) -> float:

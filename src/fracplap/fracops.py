@@ -205,6 +205,8 @@ def build_operators(params: FracParams, grid: Grid) -> OperatorSet:
     n = grid.n
     if n > MAX_GRID_CELLS:
         raise ValueError(f"n={n} exceeds the grid cap {MAX_GRID_CELLS}")
+    if grid.T != params.T:
+        raise ValueError(f"the grid ends at T={grid.T}, the params have T={params.T}")
     a = params.alpha
     if a < 1.0:
         quad = trapezoid_weights(grid)

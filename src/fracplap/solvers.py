@@ -3,15 +3,18 @@ deflated multiplicity search, and the almost-everywhere identity check.
 
 Every metric here is a node-weighted D^T diag(w) D, solved in closed form
 from the Toeplitz structure (see _Workspace), so changing its weights
-costs no matrix work.  The direct minimizer descends (Armijo backtracking,
-c1 = 1e-4, shrink 0.5, initial step 1) in the lagged-diffusivity metric
-rebuilt at every iterate from the flux's slopes at D u
-(_Workspace.descent_weights): it follows the curvature of the p-energy,
-so its iteration count stays flat in p and n, and at p = 2 it is the
-metric of the linear part, D^T diag(wd) D / h.  The mountain-pass sweeps
-descend in that fixed linear-part metric.  Critical points that are not
-minima (the higher symmetric pairs, and the mountain-pass maximizer) are
-finished by one backtracking Newton engine (_polish_root).  Its steps
+costs no matrix work.  Every descent takes one guarded Armijo step
+(_descend; c1 = 1e-4, shrink 0.5, initial step 1).  The direct
+minimizer takes it in the lagged-diffusivity metric rebuilt at every
+iterate from the flux's slopes at D u (_Workspace.descent_weights): it
+follows the curvature of the p-energy, so its iteration count stays flat
+in p and n, and at p = 2 it is the metric of the linear part,
+D^T diag(wd) D / h.  The mountain-pass sweeps take it in that fixed
+metric.  A step that finds no descent or no lower energy ends the direct
+descent, and hands the sweep's top state to the polish.  Critical points
+that are not minima (the higher symmetric pairs, and the mountain-pass
+maximizer) are finished by one backtracking Newton engine
+(_polish_root).  Its steps
 come from MINRES on Hessian-vector products, preconditioned by the
 closed-form metric with the Hessian's own flux weights, so no dense
 matrix is formed: that metric is the Hessian's principal part, and each
@@ -47,6 +50,7 @@ import numpy as np
 
 from .energy import (
     ProblemState,
+    _dphi,
     _energy_rows,
     _gradient_and_du,
     _gradient_rows,
@@ -208,7 +212,7 @@ class _Workspace:
         p = st.params.p
         s = du[1:]
         if p >= 2.0:
-            slope = (p - 1.0) * np.abs(s) ** (p - 2.0)
+            slope = _dphi(s, p)
         else:
             slope = (s * s + st.eps_reg * st.eps_reg) ** ((p - 2.0) / 2.0)
         w = np.zeros_like(du)
@@ -256,17 +260,11 @@ class _Workspace:
         weight.  du is D u.
         """
         st = self.st
-        p = st.params.p
-        eps = st.eps_reg
         # node 0 gets weight 0: it only multiplies (D v)_0 = wd_0 v_0, which
         # is 0 for a pinned v, and there D u vanishes, where the p < 2
         # formula at eps_reg = 0 is 0^((p-4)/2) * 0 = NaN
-        s = du[1:]
         dphi = np.zeros_like(du)
-        if p >= 2.0:
-            dphi[1:] = (p - 1.0) * np.abs(s) ** (p - 2.0)
-        else:
-            dphi[1:] = (s * s + eps * eps) ** ((p - 4.0) / 2.0) * ((p - 1.0) * s * s + eps * eps)
+        dphi[1:] = _dphi(du[1:], st.params.p, st.eps_reg)
         w = st.ops.deriv_quad_weights * dphi / st.grid.h
         wf = np.maximum(w, PRECOND_FLOOR * np.max(w))
         nfu = -st.spec.fu_values(st.grid.nodes, u)
@@ -361,14 +359,40 @@ def _armijo_step(
     s = 1.0
     for _ in range(ARMIJO_MAX_HALVINGS):
         un = u + s * d
-        un[0] = 0.0
-        un[-1] = 0.0
+        un[0] = un[-1] = 0.0
         dun = st.ops.left_deriv @ un
         En = float(_energy_rows(st, un, dun))
         if En <= E + ARMIJO_C1 * s * slope:
             break
         s *= ARMIJO_SHRINK
     return un, En, dun
+
+
+def _descend(
+    ws: _Workspace, u: np.ndarray, E: float, g: np.ndarray, w: np.ndarray
+) -> Optional[tuple[np.ndarray, float, np.ndarray]]:
+    """One Armijo step from the pinned u, of energy E and gradient g, along
+    the descent direction of the metric with node weights w.  Returns the
+    accepted point, its energy and its D image; None when the slope is not
+    negative (or NaN) or the line search ends above E."""
+    d = -ws.metric_solver(w)(g)
+    slope = float(np.sum(ws.st.grid.h * g * d))
+    if not slope < 0.0:
+        return None
+    un, En, dun = _armijo_step(ws.st, u, E, d, slope)
+    return (un, En, dun) if En <= E else None
+
+
+def _report(st: ProblemState, u: np.ndarray, E: float, res: float, iterations: int,
+            converged: bool, method: str, seed: int, **extra) -> SolveReport:
+    """The report of the pinned u, flagged trivial when its sup norm is at
+    most TRIVIAL_SUP; extra holds the method's own fields."""
+    sol = GridFunction(u, dirichlet=True)
+    return SolveReport(
+        solution=sol, energy_value=E, residual=res, iterations=iterations,
+        converged=converged, method=method, seed=seed, eps_reg_used=st.eps_reg,
+        trivial=sup_norm(sol) <= TRIVIAL_SUP, **extra,
+    )
 
 
 def _regime_gate(st: ProblemState, caller: str, regime: str) -> None:
@@ -418,38 +442,20 @@ def minimize_direct(
     _regime_gate(st, "minimize_direct", "sublinear")
     ws = _Workspace(st)
     u = init.values.copy()
-    u[0] = 0.0
-    u[-1] = 0.0
+    u[0] = u[-1] = 0.0
     du = st.ops.left_deriv @ u
     E = float(_energy_rows(st, u, du))
-    res = math.inf
     steps = 0
     while True:
         g = _gradient_rows(st, u, du)
         res = ws.residual(g)
         if res <= tol or steps >= max_iter:
             break
-        d = -ws.metric_solver(ws.descent_weights(du))(g)
-        slope = float(np.sum(st.grid.h * g * d))
-        if not slope < 0.0:  # no descent direction, or NaN
-            break
-        un, En, dun = _armijo_step(st, u, E, d, slope)
-        if not En <= E:  # the line search failed; keep the last accepted point
-            break
-        u, E, du = un, En, dun
+        if (step := _descend(ws, u, E, g, ws.descent_weights(du))) is None:
+            break  # no descent, or a failed line search: keep the last point
+        u, E, du = step
         steps += 1
-    sol = GridFunction(u, dirichlet=True)
-    return SolveReport(
-        solution=sol,
-        energy_value=E,
-        residual=res,
-        iterations=steps,
-        converged=res <= tol,
-        method="direct",
-        seed=seed,
-        eps_reg_used=st.eps_reg,
-        trivial=sup_norm(sol) <= TRIVIAL_SUP,
-    )
+    return _report(st, u, E, res, steps, res <= tol, "direct", seed)
 
 
 def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,9 +603,10 @@ def mountain_pass(
     top state's image fresh for its energy and gradient, applies one
     Armijo descent step to that state (endpoints fixed), keeps the image
     the step took, and re-equidistributes the chain, mixing the images
-    with the states.  Once the maximizer's residual is small its
-    critical point is polished by Newton steps on the gradient, from the
-    gradient and D u the last sweep took, until the residual meets tol.
+    with the states.  Once the maximizer's residual is small, or its
+    step fails, its critical point is polished by Newton steps on the
+    gradient, from the gradient and D u the last sweep took, until the
+    residual meets tol.
     The returned value satisfies energy(e) < 0 < beta <= energy_value; a
     path whose top state falls to energy <= 0 (or NaN) raises
     GeometryError.
@@ -624,7 +631,6 @@ def mountain_pass(
     P, DP = lams * (s * w0), lams * (s * dw0)
     polish_gate = max(100.0 * tol, 1e-3)
     sweeps = 0
-    res = math.inf
     kmax = 1
     start = None
     for sweeps in range(1, max_iter + 1):
@@ -638,31 +644,20 @@ def mountain_pass(
             raise GeometryError(f"mountain-pass path collapsed to top energy {E}")
         g = _gradient_rows(st, z, dz)
         res = ws.residual(g)
-        if res <= polish_gate:
+        # a failed step leaves the path as it is and polishes its top state
+        if res <= polish_gate or (step := _descend(ws, z, E, g, ws.linear_weights)) is None:
             start = (g, dz)
             break
-        d = -ws.metric_solver(ws.linear_weights)(g)
-        slope = float(np.sum(st.grid.h * g * d))
-        P[kmax], _, DP[kmax] = _armijo_step(st, z, E, d, slope)
+        P[kmax], _, DP[kmax] = step
         P, DP = _redistribute(P, DP)
 
     z, g, dz, nfev = _polish_root(ws, P[kmax], tol=tol, start=start)
-    sol = GridFunction(z, dirichlet=True)
     res = ws.residual(g)
     E = float(_energy_rows(st, z, dz))
-    converged = res <= tol and E >= beta and sup_norm(sol) > TRIVIAL_SUP
-    return SolveReport(
-        solution=sol,
-        energy_value=E,
-        residual=res,
-        iterations=sweeps + nfev,
-        converged=converged,
-        method="mountain_pass",
-        seed=seed,
-        eps_reg_used=st.eps_reg,
-        trivial=sup_norm(sol) <= TRIVIAL_SUP,
-        rim_value=beta,
-        endpoint_energy=endpoint_energy,
+    converged = res <= tol and E >= beta and sup_norm(z) > TRIVIAL_SUP
+    return _report(
+        st, z, E, res, sweeps + nfev, converged, "mountain_pass", seed,
+        rim_value=beta, endpoint_energy=endpoint_energy,
     )
 
 
@@ -744,19 +739,7 @@ def multiplicity_search(
             if any(min(a, b) < sep for a, b in zip(norms[: len(F)], norms[len(F) :])):
                 continue
         found.append(u)
-        reports.append(
-            SolveReport(
-                solution=GridFunction(u, dirichlet=True),
-                energy_value=E,
-                residual=res,
-                iterations=iters,
-                converged=True,
-                method="multiplicity",
-                seed=seed,
-                eps_reg_used=st.eps_reg,
-                trivial=False,
-            )
-        )
+        reports.append(_report(st, u, E, res, iters, True, "multiplicity", seed))
 
     # one block of m rows per pair, so memory stays O(m n)
     m = len(found)

@@ -807,3 +807,94 @@ def test_readme_schema_states_coefficient_defaults():
                 assert word == "(required)", (kind, key)
             else:
                 assert (math.pi if word == "pi" else float(word)) == default, (kind, key)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--alpha", "0.5", "--T", "1", "--n", "64"],
+        ["verify", "--alpha", "0.5", "--p", "2", "--T", "1", "--n", "abc"],
+        ["frobnicate"],
+        [],
+    ],
+    ids=["missing-flag", "bad-int", "unknown-command", "no-command"],
+)
+def test_usage_error_is_config_error(capsys, argv):
+    # argparse's own exit 2 collided with the code of a non-converged run
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert _one_line(err).startswith("config error: ")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--alpha" in capsys.readouterr().out
+
+
+def test_load_config_bounds_path_points(tmp_path):
+    # a huge path used to pass and then die allocating the path arrays
+    assert load_config(write_config(tmp_path, **{"solver.path_points": 1024})).sections[
+        "solver"
+    ]["path_points"] == 1024
+    with pytest.raises(ConfigError, match=r"solver\.path_points must be at most 1024"):
+        load_config(write_config(tmp_path, **{"solver.path_points": 1000000000000}))
+
+
+def test_huge_json_integer_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"problem": {"n": ' + "1" * 5000 + "}}")
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        load_config(path)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert _one_line(capsys.readouterr().err).startswith(
+        "config error: config is not valid JSON: "
+    )
+
+
+def test_load_config_unreadable_or_malformed_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(tmp_path / "absent.json")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(tmp_path)  # a directory
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"problem": ')
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "coeff, closed_form",
+    [
+        ({"kind": "affine", "value": 0.5, "slope": 2.0}, lambda t: 0.5 + 2.0 * t),
+        # piecewise linear through (0, 1), (1, 3), (2, 2), constant past T
+        (
+            {"kind": "table", "values": [1.0, 3.0, 2.0], "T": 2.0},
+            lambda t: np.where(t <= 1.0, 1.0 + 2.0 * t, np.where(t <= 2.0, 4.0 - t, 2.0)),
+        ),
+    ],
+    ids=["affine", "table"],
+)
+def test_config_coefficient_kinds_evaluate(tmp_path, coeff, closed_form):
+    # with q = 1.5 and u = 1 the power family's F(t, u) = a(t) |u|^q is a(t)
+    cfg = load_config(write_config(tmp_path, **{"nonlinearity.a_coeff": coeff}))
+    t = np.linspace(0.0, 3.0, 25)
+    assert np.allclose(cfg.spec.a_coeff(t), closed_form(t), rtol=1e-15, atol=0.0)
+    assert np.allclose(cfg.spec.F_values(t, np.ones_like(t)), closed_form(t), rtol=1e-15, atol=0.0)
+
+
+def test_apply_right_int_is_dense_transpose(tmp_path):
+    from conftest import dense
+    from fracplap import FracParams, build_operators, make_grid
+
+    n, alpha = 32, 0.4
+    grid = make_grid(1.0, n)
+    u = np.cos(3.0 * grid.nodes) + grid.nodes
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_solution_csv(inp, grid, SimpleNamespace(values=u))
+    assert main(["apply", "--kind", "RIGHT_INT", "--alpha", str(alpha),
+                 "--input", str(inp), "--output", str(out)]) == 0
+    got = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+    left_int = dense(build_operators(FracParams(alpha=alpha, p=2.0, T=1.0), grid).left_int)
+    assert np.allclose(got, left_int.T @ u, rtol=1e-12, atol=1e-14)

@@ -246,3 +246,13 @@ def test_row_bodies_bitwise_equal_one_row_calls(p, n):
         u, v = fns[r], fns[half + r]
         assert gaps[r] == monotonicity_gap(st, u, v), r
         assert (nu[r], nv[r]) == (alpha_norm(st.ops, u, p), alpha_norm(st.ops, v, p)), r
+
+
+def test_problem_state_rejects_operators_of_another_T():
+    params2 = FracParams(alpha=0.6, p=2.0, T=2.0)
+    ops2 = build_operators(params2, make_grid(2.0, 64))
+    params1, grid1 = FracParams(alpha=0.6, p=2.0, T=1.0), make_grid(1.0, 64)
+    with pytest.raises(ValueError, match="not built for these params and grid"):
+        ProblemState(params=params1, grid=grid1, ops=ops2, spec=sublinear_power(1.5))
+    with pytest.raises(ValueError, match="not built for these params and grid"):
+        ProblemState(params=params1, grid=make_grid(2.0, 64), ops=ops2, spec=sublinear_power(1.5))

@@ -841,3 +841,16 @@ def test_multiplicity_plain_stage_restarts_after_runaway(monkeypatch):
     for deflated, plain in stages:
         ran_away = max_g(deflated[1]) >= max_g(deflated[0])
         assert np.array_equal(plain[0], deflated[0] if ran_away else deflated[1])
+
+
+def test_mountain_pass_polishes_top_state_when_sweep_step_fails(monkeypatch):
+    # a NaN trial used to be written into the path, which then raised the
+    # collapse GeometryError; the failed step now hands its top state to
+    # the Newton polish
+    st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
+    nan = lambda st, u, E, d, slope: (np.full_like(u, np.nan), np.nan, np.full_like(u, np.nan))
+    monkeypatch.setattr(solvers, "_armijo_step", nan)
+    rep = mountain_pass(st, tol=1e-8, seed=0)
+    assert rep.converged and rep.residual <= 1e-8 and not rep.trivial
+    assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
+    assert rep.energy_value == pytest.approx(1.9721865433488235, rel=1e-12)

@@ -13,6 +13,11 @@ every report and artifact test, only slower.
 mountain_pass takes no block product in its sweep loop: the path's D
 images are carried by linearity, and a sweep that took them afresh would
 still pass every test, only slower.
+
+solvers.py builds its SolveReport in _report alone and runs its Armijo
+search in _descend alone: a second copy of either would pass every test
+while it drifts from the guarded one (the slope and energy checks, the
+trivial flag).
 """
 
 import ast
@@ -156,3 +161,47 @@ def mountain_pass(st):
 """
     assert sweep_block_products(snippet) == ["line 4: _rows("]
     assert sweep_block_products("def other():\n    _rows(op, P)\n") is None
+
+
+def call_sites(source: str, name: str) -> list:
+    """(function, line) of each call of name, bare or as an attribute, by
+    the outermost function or method it sits in; None outside any."""
+    sites = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                    sites.append((fn, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, fn or (child.name if is_def else None))
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+@pytest.mark.parametrize("callee, owner", [("SolveReport", "_report"), ("_armijo_step", "_descend")])
+def test_solver_seam_has_one_call_site(callee, owner):
+    source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
+    assert [fn for fn, _ in call_sites(source, callee)] == [owner]
+
+
+def test_seam_guard_flags_second_copy():
+    snippet = """
+def _descend(ws):
+    return _armijo_step(ws.st)
+
+def minimize_direct(st):
+    un = _armijo_step(st)
+    return solvers.SolveReport(solution=un)
+
+class _Workspace:
+    def step(self):
+        return _armijo_step(self.st)
+"""
+    assert call_sites(snippet, "_armijo_step") == [
+        ("_descend", 3), ("minimize_direct", 6), ("step", 11)
+    ]
+    assert call_sites(snippet, "SolveReport") == [("minimize_direct", 7)]
+    assert call_sites("x = SolveReport()\n", "SolveReport") == [(None, 1)]

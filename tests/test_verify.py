@@ -308,3 +308,15 @@ def test_verify_memory_stays_in_blocks():
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, (prop.value, peak)
+
+
+@pytest.mark.parametrize("prop", [PropertyId.POINCARE, PropertyId.YOUNG_BOUND])
+def test_verify_rejects_grid_of_another_T(prop):
+    # the bound constant is T's; on a grid of another length it used to pass
+    with pytest.raises(ValueError, match="T=2.0.*T=1"):
+        verify(prop, FracParams(alpha=0.6, p=2.0, T=1.0), make_grid(2.0, 256), samples=20)
+
+
+def test_run_suite_rejects_grid_of_another_T():
+    with pytest.raises(ValueError, match="T=2.0.*T=1"):
+        run_suite([FracParams(alpha=0.6, p=2.0, T=1.0)], make_grid(2.0, 64), samples=5)
