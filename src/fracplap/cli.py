@@ -121,7 +121,7 @@ _SOLVER = {
                (_METHODS.__contains__, "must be direct, mountain_pass or multiplicity")),
     "tol": (_number, 1e-6, (lambda x: 0.0 < x < math.inf, "must be positive and finite")),
     "max_iter": (_integer, 2000, _at_least(1)),
-    "k": (_integer, 3, _at_least(1)),
+    "k": (_integer, 3, _at_least(1), (lambda k: k <= 64, "must be at most 64")),
     "seed": (_integer, 0, _at_least(0)),
     "eps_reg": (_number, None, (lambda x: 0.0 <= x < math.inf, "must be null or finite and >= 0")),
     "path_points": (_integer, 21, _at_least(3),
@@ -217,8 +217,6 @@ def load_config(path) -> RunConfig:
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     raw = _section(raw, "config", dict.fromkeys(_CONFIG, (_any, _REQUIRED)))

@@ -3,15 +3,15 @@ deflated multiplicity search, and the almost-everywhere identity check.
 
 Every metric here is a node-weighted D^T diag(w) D, solved in closed form
 from the Toeplitz structure (see _Workspace), so changing its weights
-costs no matrix work.  Every descent takes one guarded Armijo step
-(_descend; c1 = 1e-4, shrink 0.5, initial step 1).  The direct
-minimizer takes it in the lagged-diffusivity metric rebuilt at every
-iterate from the flux's slopes at D u (_Workspace.descent_weights): it
-follows the curvature of the p-energy, so its iteration count stays flat
-in p and n, and at p = 2 it is the metric of the linear part,
-D^T diag(wd) D / h.  The mountain-pass sweeps take it in that fixed
-metric.  A step that finds no descent or no lower energy ends the direct
-descent, and hands the sweep's top state to the polish.  Critical points
+costs no matrix work.  Every descent, of the direct minimizer and of
+the mountain-pass sweeps alike, takes one guarded Armijo step (_descend;
+c1 = 1e-4, shrink 0.5, initial step 1) in the lagged-diffusivity metric
+rebuilt at the state from the flux's slopes at D u
+(_Workspace.descent_weights): it follows the curvature of the p-energy,
+so the direct minimizer's iteration count stays flat in p and n, and at
+p = 2 it is the metric of the linear part, D^T diag(wd) D / h.  A step
+that finds no descent or no lower energy ends the direct descent, and
+hands the sweep's top state to the polish.  Critical points
 that are not minima (the higher symmetric pairs, and the mountain-pass
 maximizer) are finished by one backtracking Newton engine
 (_polish_root).  Its steps
@@ -369,13 +369,13 @@ def _armijo_step(
 
 
 def _descend(
-    ws: _Workspace, u: np.ndarray, E: float, g: np.ndarray, w: np.ndarray
+    ws: _Workspace, u: np.ndarray, E: float, g: np.ndarray, du: np.ndarray
 ) -> Optional[tuple[np.ndarray, float, np.ndarray]]:
-    """One Armijo step from the pinned u, of energy E and gradient g, along
-    the descent direction of the metric with node weights w.  Returns the
-    accepted point, its energy and its D image; None when the slope is not
-    negative (or NaN) or the line search ends above E."""
-    d = -ws.metric_solver(w)(g)
+    """One Armijo step from the pinned u, of energy E, gradient g and D
+    image du, in the p-adapted metric at du.  Returns the accepted point,
+    its energy and its D image; None when the slope is not negative (or
+    NaN) or the line search ends above E."""
+    d = -ws.metric_solver(ws.descent_weights(du))(g)
     slope = float(np.sum(ws.st.grid.h * g * d))
     if not slope < 0.0:
         return None
@@ -451,7 +451,7 @@ def minimize_direct(
         res = ws.residual(g)
         if res <= tol or steps >= max_iter:
             break
-        if (step := _descend(ws, u, E, g, ws.descent_weights(du))) is None:
+        if (step := _descend(ws, u, E, g, du)) is None:
             break  # no descent, or a failed line search: keep the last point
         u, E, du = step
         steps += 1
@@ -600,10 +600,10 @@ def mountain_pass(
     negative.  The path is an array of states with their D images, which
     are carried by linearity: each sweep ranks the states by the energy
     of the carried images (energy.py's row body, no product), takes the
-    top state's image fresh for its energy and gradient, applies one
-    Armijo descent step to that state (endpoints fixed), keeps the image
-    the step took, and re-equidistributes the chain, mixing the images
-    with the states.  Once the maximizer's residual is small, or its
+    top state's image fresh for its energy and gradient, applies the
+    direct minimizer's descent step to that state (endpoints fixed), keeps
+    the image the step took, and re-equidistributes the chain, mixing the
+    images with the states.  Once the maximizer's residual is small, or its
     step fails, its critical point is polished by Newton steps on the
     gradient, from the gradient and D u the last sweep took, until the
     residual meets tol.
@@ -645,7 +645,7 @@ def mountain_pass(
         g = _gradient_rows(st, z, dz)
         res = ws.residual(g)
         # a failed step leaves the path as it is and polishes its top state
-        if res <= polish_gate or (step := _descend(ws, z, E, g, ws.linear_weights)) is None:
+        if res <= polish_gate or (step := _descend(ws, z, E, g, dz)) is None:
             start = (g, dz)
             break
         P[kmax], _, DP[kmax] = step

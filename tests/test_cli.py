@@ -557,7 +557,9 @@ def test_runtime_runs_without_scipy(tmp_path):
     assert result == {"codes": [0, 0, 0, 0], "loaded": []}
 
 
-def test_solve_collapsed_mountain_pass_is_numerical_error(tmp_path, capsys):
+def test_solve_collapsed_mountain_pass_is_numerical_error(tmp_path, capsys, monkeypatch):
+    # the path is pushed past its endpoint at every sweep until it collapses
+    monkeypatch.setattr(fracplap.solvers, "_redistribute", lambda P, DP: (4.0 * P, 4.0 * DP))
     path = write_config(
         tmp_path,
         problem={"alpha": 1.0, "p": 3.0, "T": 1.0, "n": 64},
@@ -842,6 +844,21 @@ def test_load_config_bounds_path_points(tmp_path):
         load_config(write_config(tmp_path, **{"solver.path_points": 1000000000000}))
 
 
+def test_load_config_bounds_k(tmp_path):
+    # a huge k used to pass and then run 15 k trials over k + 2 sine modes
+    assert load_config(write_config(tmp_path, **{"solver.k": 64})).sections["solver"]["k"] == 64
+    with pytest.raises(ConfigError, match=r"^solver\.k must be at most 64, got 65$"):
+        load_config(write_config(tmp_path, **{"solver.k": 65}))
+
+
+@pytest.mark.parametrize("command", ["solve", "hypotheses"])
+def test_unreadable_config_is_io_error(tmp_path, capsys, command):
+    # an absent file and a directory used to exit 1 as config errors
+    for path in (tmp_path / "absent.json", tmp_path):
+        assert main([command, "--config", str(path)]) == 3
+        assert _one_line(capsys.readouterr().err).startswith("i/o error: ")
+
+
 def test_huge_json_integer_is_invalid_json(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"problem": {"n": ' + "1" * 5000 + "}}")
@@ -854,9 +871,9 @@ def test_huge_json_integer_is_invalid_json(tmp_path, capsys):
 
 
 def test_load_config_unreadable_or_malformed_file(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read config"):
+    with pytest.raises(OSError):
         load_config(tmp_path / "absent.json")
-    with pytest.raises(ConfigError, match="cannot read config"):
+    with pytest.raises(OSError):
         load_config(tmp_path)  # a directory
     bad = tmp_path / "bad.json"
     bad.write_text('{"problem": ')

@@ -266,12 +266,37 @@ def test_mountain_pass_small_problem():
     assert not rep.trivial
 
 
-def test_mountain_pass_collapsed_path_is_geometry_error():
-    # the top state descends into the unbounded basin; the run used to end
-    # with energy 0, residual 0 and a trivial solution, as if exact
+def test_mountain_pass_collapsed_path_is_geometry_error(monkeypatch):
+    # a path pushed past the endpoint falls into the unbounded basin; the
+    # run used to end with energy 0, residual 0 and a trivial solution, as
+    # if exact.  The factor 4 keeps the carried D images exact.
+    monkeypatch.setattr(solvers, "_redistribute", lambda P, DP: (4.0 * P, 4.0 * DP))
     st = make_state(1.0, 3.0, 64, superlinear_power(4.0))
     with pytest.raises(solvers.GeometryError, match="collapsed"):
         mountain_pass(st, max_iter=600, seed=3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mountain_pass_sweeps_do_not_collapse_at_p3(seed):
+    # the sweeps used to step in the fixed metric of the linear part, which
+    # overshoots at p = 3 and collapsed this path for every seed.  Oracle:
+    # the Newton polish from the top of the unswept straight path 0 -> e.
+    st = make_state(0.9, 3.0, 256, superlinear_power(6.0))
+    rep = mountain_pass(st, tol=1e-8, path_points=21, seed=seed)
+    assert rep.converged and rep.residual <= 1e-8
+    assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
+    w0 = GridFunction(np.sin(np.pi * st.grid.nodes), dirichlet=True)
+    w0 = w0.values / alpha_norm(st.ops, w0, 3.0)
+    s = 1.0
+    while energy(st, GridFunction(s * w0, dirichlet=True)) >= 0.0:
+        s *= 2.0
+    path = [lam * s * w0 for lam in np.linspace(0.0, 1.0, 21)]
+    top = max(path, key=lambda v: energy(st, GridFunction(v, dirichlet=True)))
+    ws = solvers._Workspace(st)
+    z, g, _, _ = solvers._polish_root(ws, top, tol=1e-8)
+    assert ws.residual(g) <= 1e-8
+    oracle = energy(st, GridFunction(z, dirichlet=True))
+    assert rep.energy_value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_mountain_pass_polish_stops_at_tol(monkeypatch):

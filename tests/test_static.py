@@ -181,7 +181,10 @@ def call_sites(source: str, name: str) -> list:
     return sites
 
 
-@pytest.mark.parametrize("callee, owner", [("SolveReport", "_report"), ("_armijo_step", "_descend")])
+@pytest.mark.parametrize(
+    "callee, owner",
+    [("SolveReport", "_report"), ("_armijo_step", "_descend"), ("descent_weights", "_descend")],
+)
 def test_solver_seam_has_one_call_site(callee, owner):
     source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
     assert [fn for fn, _ in call_sites(source, callee)] == [owner]
