@@ -6,8 +6,13 @@ Grunwald-Letnikov weights,
     (D^a u)(t_i) ~ h^(-a) * sum_k w_k u(t_{i-k}),   w_k = (-1)^k C(a, k),
 
 so each operator is a lower-triangular Toeplitz matrix; the integral uses
-the same recurrence with order -a and the factor h^a.  Right-sided
-operators are the transposes of the left-sided ones.  That choice makes
+the same weights with order -a and the factor h^a.  The weights are one
+running product of the ratios w_k / w_{k-1} = 1 - (1+a)/k.  The textbook
+recurrence w_k = w_{k-1} (k-1-a)/k rounds k-1-a the same way for every k
+in a binade, so its relative error grows linearly in k (2.8e-13 at
+k = 8192); the ratio form rounds without that bias (1.6e-14 for orders
+in [-2, 1]).  Right-sided operators are the transposes of the left-sided
+ones.  That choice makes
 them simultaneously the natural Grunwald-Letnikov discretizations from
 the right endpoint and the exact adjoints of the left operators in the
 plain h-weighted pairing, so the discrete integration-by-parts identity
@@ -15,8 +20,9 @@ for boundary-pinned functions holds to machine precision.
 
 No matrix is stored: a Toeplitz operator keeps its first column and the
 real FFT of that column, and applies itself as a zero-padded convolution
-in O(n log n).  The transpose shares both arrays and applies by reversing
-its input and output.
+in O(n log n), by a transform of length at least 2m - 2 for m nodes.
+The transpose shares both arrays and applies by reversing its input and
+output.
 
 Because the weight sequences are exactly the coefficients of (1-z)^a and
 (1-z)^(-a), compositions inherit the symbol algebra: D^a I^a = Id and
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 from dataclasses import dataclass
 from math import gamma
 
@@ -55,17 +62,22 @@ MAX_GRID_CELLS = 8192
 def gl_weights(order: float, m: int) -> np.ndarray:
     """Coefficients w_k of (1-z)^order, k = 0..m.
 
-    Computed with the stable recurrence w_k = w_{k-1} (k-1-order)/k on
-    a Python float, which rounds as numpy's float64 does but costs less
-    than indexing the array for each w_{k-1}.
+    One running product w_k = w_{k-1} r_k of the ratios
+    r_k = 1 - (1+order)/k.  The ratio form rounds each factor to nearest
+    on its own, where the textbook form r_k = (k-1-order)/k rounds
+    k-1-order in the same direction for every k in a binade, so that
+    loop's error grows linearly in k.  For k = 1 and 2 the subtraction
+    k-1-order is exact, so those two ratios keep the textbook form and
+    orders near +-1 lose nothing; gl_weights(+-1, m) are exact.
     order > 0 gives derivative weights, order < 0 integral weights.
     """
     order = float(order)
+    k = np.arange(1.0, m + 1)
+    ratios = 1.0 - (1.0 + order) / k
+    ratios[:2] = (k[:2] - 1.0 - order) / k[:2]
     w = np.empty(m + 1)
-    x = w[0] = 1.0
-    for k in range(1, m + 1):
-        x = x * (k - 1.0 - order) / k
-        w[k] = x
+    w[0] = 1.0
+    np.cumprod(ratios, out=w[1:])
     return w
 
 
@@ -90,14 +102,17 @@ class Toeplitz:
     """Lower-triangular Toeplitz matrix given by its first column.
 
     ``A @ x`` accepts a vector or a 2-D array (columns are transformed)
-    and evaluates the product as a convolution by a real FFT zero-padded
-    past 2m - 1, so nothing wraps around; the spectrum of the column is
-    computed once.  Each column of a 2-D product is bitwise equal to the
-    product with that column alone, whatever the memory layout of x, so
-    a batch of vectors can be applied in one call without changing a
-    bit.  ``A.T`` is the upper-triangular transpose: it shares
-    the column and the spectrum, and applies by reversing its input and
-    output.
+    and evaluates the product as a convolution by a real FFT of the
+    fast length at least 2m - 2; the spectrum of the column is computed
+    once.  Of the linear convolution's 2m - 1 terms, only the last,
+    col[m-1] x[m-1], can wrap around, onto y[0], and it is subtracted
+    there.  The fold is exact under power-of-two scaling of x, so
+    A @ (2^k x) == 2^k (A @ x) bitwise away from overflow and underflow.
+    Each column of a 2-D product is bitwise equal to the product with
+    that column alone, whatever the memory layout of x, so a batch of
+    vectors can be applied in one call without changing a bit.  ``A.T``
+    is the upper-triangular transpose: it shares the column and the
+    spectrum, and applies by reversing its input and output.
     """
 
     def __init__(self, col: np.ndarray):
@@ -105,7 +120,7 @@ class Toeplitz:
         self.col = col
         self.shape = (m, m)
         self.upper = False
-        self._nfft = _fast_len(2 * m - 1)
+        self._nfft = _fast_len(2 * m - 2)
         self._spectrum = np.fft.rfft(col, self._nfft)
         self._spectrum.setflags(write=False)
 
@@ -122,6 +137,8 @@ class Toeplitz:
             x = x[::-1]
         spec = self._spectrum if x.ndim == 1 else self._spectrum[:, None]
         y = np.fft.irfft(spec * np.fft.rfft(x, self._nfft, axis=0), self._nfft, axis=0)[:m]
+        if self._nfft < 2 * m - 1:  # the convolution's last term wrapped onto y[0]
+            y[0] -= self.col[-1] * x[-1]
         return y[::-1] if self.upper else y
 
 
@@ -153,8 +170,17 @@ def _gl_operator(order: float, grid: Grid) -> Toeplitz:
     """Left-sided Grunwald-Letnikov operator of the given order on grid:
     the derivative of that order if order > 0, the integral of order
     -order if order < 0."""
+    try:
+        power, inverse = grid.h ** abs(order), grid.h ** -abs(order)
+    except OverflowError:
+        power = inverse = math.inf
+    if not (0.0 < power < math.inf and 0.0 < inverse < math.inf):
+        raise ValueError(
+            f"T={grid.T!r}, n={grid.n}: the step h={grid.h!r} has no positive "
+            f"finite power of order {order!r}"
+        )
     w = gl_weights(order, grid.n)
-    w = w / grid.h**order if order > 0 else w * grid.h**-order
+    w = w / power if order > 0 else w * power
     w.setflags(write=False)
     return Toeplitz(w)
 

@@ -341,17 +341,21 @@ def translation_bound(params: FracParams, shift: float) -> float:
                                  + T^(a(p-1)) h^a / G(a+1)^p ] ||u||_{a,p}^p.
 
     The first term collects the two kernel pieces on [0, T-h], the second
-    the cut-off tail where the translation is zero.
+    the cut-off tail where the translation is zero.  A bound past the
+    float range is inf.
     """
     a, p, T = params.alpha, params.p, params.T
     g1 = gamma(a + 1.0)
-    return float(
-        (
-            (2.0 * shift**a / g1) ** p
-            + T ** (a * (p - 1.0)) * shift**a / g1**p
+    try:
+        return float(
+            (
+                (2.0 * shift**a / g1) ** p
+                + T ** (a * (p - 1.0)) * shift**a / g1**p
+            )
+            ** (1.0 / p)
         )
-        ** (1.0 / p)
-    )
+    except OverflowError:
+        return math.inf
 
 
 def _check_translation(params, ops, samples, rng):
@@ -374,7 +378,8 @@ def _check_translation(params, ops, samples, rng):
     bound = None
     for m, s in zip(shifts, sups):
         bound = translation_bound(params, m * grid.h)
-        margins.append((bound - s) / bound)
+        # a bound that underflowed to 0 or overflowed certifies nothing
+        margins.append((bound - s) / bound if 0.0 < bound < math.inf else math.nan)
     # monotone decay of the sup as the shift shrinks
     for a, b in zip(sups, sups[1:]):
         margins.append(a - b)  # family is normalized, so absolute slack

@@ -450,6 +450,28 @@ def test_geometry_error_is_numerical_error(tmp_path, capsys, monkeypatch):
     assert _one_line(capsys.readouterr().err) == "numerical error: no rim above the origin"
 
 
+@pytest.mark.parametrize("T", ["1e308", "1e-300"])
+def test_verify_extreme_T_is_config_error(capsys, T):
+    # SEMIGROUP's factor h^(2 alpha) overflows at T = 1e308 and underflows
+    # at T = 1e-300
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", T, "--n", "64",
+                 "--samples", "3"])
+    assert code == 1
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("config error: T=") and "n=64" in line and "order -1.2" in line
+
+
+def test_translation_bound_underflow_fails_record(capsys):
+    # at T = 1e-300 the translation bound underflows to 0: the margin is
+    # NaN and the record fails, where the ratio once divided by zero
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1e-300", "--n", "64",
+                 "--samples", "3", "--property", "TRANSLATION_COMPACT"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    (record,) = json.loads(out)
+    assert record["status"] == "failed" and record["worst_margin"] == "nan"
+
+
 def test_verify_nonfinite_margin_fails(tmp_path):
     # at p = 400 the energy of each of these ensembles overflows, so the
     # energy checks fail with NaN; every norm is taken on max-scaled rows,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -90,12 +91,58 @@ def test_gl_weights_integral_signs():
 @pytest.mark.parametrize("m", [1024, 4096, 8192])
 @pytest.mark.parametrize("order", [0.6, -0.6, 0.7, -0.7, 1.0, -1.0, -1.2, 0.1])
 def test_gl_weights_bitwise_equal_to_array_recurrence(order, m):
-    # the recurrence run on numpy scalars in the array, as first written
+    # the running product of the ratios, one array entry at a time: the
+    # artifact bytes rest on these bits
     ref = np.empty(m + 1)
     ref[0] = 1.0
     for k in range(1, m + 1):
-        ref[k] = ref[k - 1] * (k - 1.0 - order) / k
+        ratio = (k - 1.0 - order) / k if k <= 2 else 1.0 - (1.0 + order) / k
+        ref[k] = ref[k - 1] * ratio
     assert gl_weights(order, m).tobytes() == ref.tobytes()
+
+
+@functools.cache
+def _mp_weights(order):
+    """w_k of (1-z)^order, k = 0..8192, as float pairs hi + lo from a
+    40-digit mpmath recurrence."""
+    mpmath.mp.dps = 40
+    o, x = mpmath.mpf(order), mpmath.mpf(1)
+    hi, lo = [1.0], [0.0]
+    for k in range(1, 8193):
+        x = x * (k - 1 - o) / k
+        hi.append(float(x))
+        lo.append(float(x - hi[-1]))
+    return np.array(hi), np.array(lo)
+
+
+@pytest.mark.parametrize("m", [1024, 4096, 8192])
+@pytest.mark.parametrize("order", [0.001, -0.001, 0.1, -0.1, 0.6, -0.6, 0.999, -0.999, -1.2, -2.0])
+def test_gl_weights_match_mpmath(order, m):
+    # the textbook loop w_{k-1} (k-1-order)/k reaches 2.8e-13 at m = 8192
+    hi, lo = (a[: m + 1] for a in _mp_weights(order))
+    rel = np.abs((gl_weights(order, m) - hi) - lo) / np.abs(hi)
+    assert np.max(rel) <= 3e-14
+
+
+def test_gl_weights_exact_cases():
+    m = 8192
+    assert np.array_equal(gl_weights(1.0, m), np.r_[1.0, -1.0, np.zeros(m - 1)])
+    assert np.array_equal(gl_weights(-1.0, m), np.ones(m + 1))
+    assert np.array_equal(gl_weights(0.5, 4), [1.0, -0.5, -0.125, -0.0625, -0.0390625])
+    assert np.array_equal(gl_weights(0.3, 0), [1.0])
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.1, 0.3, 0.6, 0.9, 0.999, 1.0])
+def test_gl_weights_convolve_to_delta(alpha):
+    # (1-z)^a (1-z)^(-a) = 1: summed exactly, each coefficient of the
+    # product is within a few ulp of the size of its terms
+    m = 1024
+    wd, wi = gl_weights(alpha, m), gl_weights(-alpha, m)
+    eps = np.finfo(float).eps
+    for k in range(m + 1):
+        terms = wd[: k + 1] * wi[k::-1]
+        gap = math.fsum(terms.tolist()) - (k == 0)
+        assert abs(gap) <= 8 * eps * np.sum(np.abs(terms)), k
 
 
 # ------------------------------------------------------------- operators ---
@@ -321,7 +368,7 @@ def test_caputo_right_relation():
 # -------------------------------------------------------------- Toeplitz ---
 
 
-@pytest.mark.parametrize("m", [2, 3, 64, 1025])
+@pytest.mark.parametrize("m", [2, 3, 64, 1025, 4097])
 def test_toeplitz_products_match_dense(m):
     from scipy.linalg import toeplitz
 
@@ -341,7 +388,7 @@ def test_toeplitz_products_match_dense(m):
         assert np.array_equal(dense(op), ref)
 
 
-@pytest.mark.parametrize("n, nfft", [(1024, 2160), (2048, 4320)])
+@pytest.mark.parametrize("n, nfft", [(1024, 2048), (1080, 2160)])
 def test_toeplitz_columns_bitwise_equal_vector_products(n, nfft):
     # batched callers rely on each column of op @ X being exactly the
     # product with that column alone, whatever the memory layout of X
@@ -362,6 +409,20 @@ def test_toeplitz_columns_bitwise_equal_vector_products(n, nfft):
                 assert np.array_equal(Y[:, i], op @ np.ascontiguousarray(X[:, i]))
 
 
+@pytest.mark.parametrize("n", [64, 1024, 1080])
+@pytest.mark.parametrize("k", [-40, 3, 40])
+def test_toeplitz_products_commute_with_power_of_two_scaling(k, n):
+    # the solvers scale D images by powers of two instead of taking a
+    # product again; the wrapped term's fold keeps that exact
+    _, ops = _ops(0.6, n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n + 1)
+    X = rng.standard_normal((n + 1, 3))
+    for op in (ops.left_deriv, ops.right_deriv, ops.left_int, ops.right_int):
+        assert np.array_equal(op @ (2.0**k * x), 2.0**k * (op @ x))
+        assert np.array_equal(op @ (2.0**k * X), 2.0**k * (op @ X))
+
+
 def test_interior_blocks_are_inverse():
     # L^{-1} is the interior block of the left integral, to roundoff
     from fracplap.fracops import Toeplitz
@@ -375,7 +436,7 @@ def test_interior_blocks_are_inverse():
 
 
 def test_fast_len_matches_scipy():
-    # every target an operator build can request: 2m - 1 for a column of
+    # every target an operator build can request: 2m - 2 for a column of
     # m = n + 1 <= MAX_GRID_CELLS + 1 nodes
     from scipy.fft import next_fast_len
 

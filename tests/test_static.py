@@ -18,6 +18,10 @@ solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
 while it drifts from the guarded one (the slope and energy checks, the
 trivial flag).
+
+fracops.gl_weights runs no Python loop: every operator build pays for
+the weights, and a per-coefficient loop would pass every accuracy test,
+only slower.
 """
 
 import ast
@@ -208,3 +212,37 @@ class _Workspace:
     ]
     assert call_sites(snippet, "SolveReport") == [("minimize_direct", 7)]
     assert call_sites("x = SolveReport()\n", "SolveReport") == [(None, 1)]
+
+
+def python_loops(source: str, name: str):
+    """Lines of the for and while loops, comprehensions included, in the
+    function name; None if there is no such function."""
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == name:
+            return [
+                node.lineno
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                                     ast.DictComp, ast.GeneratorExp))
+            ]
+    return None
+
+
+def test_gl_weights_runs_no_python_loop():
+    # the weights are one numpy running product; a per-coefficient loop
+    # gives the same numbers to within 3e-14, only about 20 times slower
+    source = (Path(fracplap.__file__).parent / "fracops.py").read_text(encoding="utf-8")
+    assert python_loops(source, "gl_weights") == []
+
+
+def test_loop_guard_flags_loops():
+    snippet = """
+def gl_weights(order, m):
+    for k in range(m):
+        pass
+    while m:
+        m -= 1
+    return [k for k in range(m)]
+"""
+    assert python_loops(snippet, "gl_weights") == [3, 5, 7]
+    assert python_loops("def other():\n    pass\n", "gl_weights") is None

@@ -104,6 +104,11 @@ def test_translation_compact_report():
     assert translation_bound(params, 1.0 / 64.0) < translation_bound(params, 1.0 / 16.0)
 
 
+def test_translation_bound_past_float_range_is_inf():
+    params = FracParams(alpha=0.6, p=2.0, T=1e308)
+    assert translation_bound(params, 1e306) == math.inf
+
+
 def test_suite_skip_routing_low_alpha():
     params = FracParams(alpha=0.3, p=2.0, T=1.0)
     grid = make_grid(1.0, 64)
