@@ -124,7 +124,7 @@ _SOLVER = {
     "k": (_integer, 3, _at_least(1), (lambda k: k <= 64, "must be at most 64")),
     "seed": (_integer, 0, _at_least(0)),
     "eps_reg": (_number, None, (lambda x: 0.0 <= x < math.inf, "must be null or finite and >= 0")),
-    "path_points": (_integer, 21, _at_least(3),
+    "path_points": (_integer, 21, _at_least(3),  # ignored; kept so path-solver configs load
                     (lambda k: k <= 1024, "must be at most 1024")),
 }
 _OUTPUT = {"solution_path": (str, _REQUIRED), "report_path": (str, _REQUIRED)}
@@ -348,7 +348,7 @@ def _cmd_solve(args) -> int:
             init = GridFunction(0.1 * np.sin(np.pi * grid.nodes / grid.T), dirichlet=True)
             rep = minimize_direct(st, init, **opts)
         else:
-            rep = mountain_pass(st, path_points=sol["path_points"], **opts)
+            rep = mountain_pass(st, **opts)
         write_solution_csv(out["solution_path"], grid, rep.solution)
         payload = solve_report_dict(rep, out["solution_path"])
         converged = payload["converged"]

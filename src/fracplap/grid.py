@@ -70,7 +70,8 @@ class Grid:
         for."""
         if self._sines is None or len(self._sines) < k:
             t, T = self.nodes, self.T
-            table = np.array([np.sin(j * np.pi * t / T) for j in range(1, k + 1)])
+            # t / T first: j pi t overflows near the float maximum
+            table = np.array([np.sin(j * np.pi * (t / T)) for j in range(1, k + 1)])
             table = table.reshape(k, self.n + 1)
             table.setflags(write=False)
             object.__setattr__(self, "_sines", table)

@@ -3,41 +3,41 @@ deflated multiplicity search, and the almost-everywhere identity check.
 
 Every metric here is a node-weighted D^T diag(w) D, solved in closed form
 from the Toeplitz structure (see _Workspace), so changing its weights
-costs no matrix work.  Every descent, of the direct minimizer and of
-the mountain-pass sweeps alike, takes one guarded Armijo step (_descend;
-c1 = 1e-4, shrink 0.5, initial step 1) in the lagged-diffusivity metric
-rebuilt at the state from the flux's slopes at D u
-(_Workspace.descent_weights): it follows the curvature of the p-energy,
-so the direct minimizer's iteration count stays flat in p and n, and at
-p = 2 it is the metric of the linear part, D^T diag(wd) D / h.  A step
-that finds no descent or no lower energy ends the direct descent, and
-hands the sweep's top state to the polish.  Critical points
-that are not minima (the higher symmetric pairs, and the mountain-pass
-maximizer) are finished by one backtracking Newton engine
-(_polish_root).  Its steps
-come from MINRES on Hessian-vector products, preconditioned by the
-closed-form metric with the Hessian's own flux weights, so no dense
-matrix is formed: that metric is the Hessian's principal part, and each
-Lanczos vector is a metric solve, so MINRES reads the principal part's
-product off the solve and applies only the rest of the Hessian.  It
-stops as soon as the weak residual meets the caller's tol, and it
-starts from the gradient and D u its caller already holds, so no solver
-takes a gradient twice.  The search for the
-higher pairs first runs it on the deflated field, whose Newton step is
-the plain one times a scalar.  The iterations of a mountain-pass report,
-and of a pair that Newton found, count the gradients its solve took;
-those of the direct minimizer count its accepted steps.
+costs no matrix work.  Every descent, of the direct minimizer and of the
+mountain pass alike, takes one guarded Armijo step (_descend; c1 = 1e-4,
+shrink 0.5, initial step 1) in the lagged-diffusivity metric rebuilt at
+the state from the flux's slopes at D u (_Workspace.descent_weights): it
+follows the curvature of the p-energy, so the direct minimizer's
+iteration count stays flat in p and n, and at p = 2 it is the metric of
+the linear part, D^T diag(wd) D / h.  A step that finds no descent or no
+lower energy ends the direct descent, and hands the mountain pass's
+iterate to the polish.  The mountain pass walks rays, not a path: its
+step moves each trial point to the energy's maximum along the point's
+ray from 0 (_ray_max), so it descends the ray-maximum level (the local
+minimax method with support {0}; Li & Zhou, SIAM J. Sci. Comput. 23,
+2001).  Critical points that are not minima (the higher symmetric pairs,
+and the mountain-pass maximizer) are finished by one backtracking Newton
+engine (_polish_root).  Its steps come from MINRES on Hessian-vector
+products, preconditioned by the closed-form metric with the Hessian's
+own flux weights, so no dense matrix is formed: that metric is the
+Hessian's principal part, and each Lanczos vector is a metric solve, so
+MINRES reads the principal part's product off the solve and applies only
+the rest of the Hessian.  It stops as soon as the weak residual meets the
+caller's tol, and it starts from the gradient and D u its caller already
+holds, so no solver takes a gradient twice.  The search for the higher
+pairs first runs it on the deflated field, whose Newton step is the plain
+one times a scalar.  The iterations of a mountain-pass report, and of a
+pair that Newton found, count the gradients its solve took; those of the
+direct minimizer count its accepted steps.
 
 Every evaluation goes through the row layer (energy._energy_rows,
 energy._gradient_rows, fracops._alpha_rows) on pinned arrays and the D
-images at hand.  The unit sine
-directions of the rim, the endpoint march and the multiplicity rays
-come with the D image their normalization took, scaled alike; the
-endpoint and the rays scale it by powers of two, and D(2^k v) equals
-2^k (D v) bitwise, since every step of the FFT product is exact under
-such a scale (short of overflow and underflow).  The mountain-pass path
-carries the D image of each state by linearity, as its states only
-move to combinations of their neighbours.
+images at hand.  The unit sine directions of the rim, the endpoint march
+and the multiplicity rays come with the D image their normalization
+took, scaled alike; the endpoint and the rays scale it by powers of two,
+and D(2^k v) equals 2^k (D v) bitwise, since every step of the FFT
+product is exact under such a scale (short of overflow and underflow).
+The ray maximum scales the D image it is given, D(t w) = t (D w).
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ POLISH_MAX_STEPS = 20
 POLISH_MAX_HALVINGS = 30
 ARMIJO_MAX_HALVINGS = 60
 RIM_DIRECTIONS = 40
+RAY_STEPS = 200
 MINRES_RTOL = 1e-12
 MINRES_MAX_ITER = 200
 PRECOND_FLOOR = 1e-12
@@ -348,19 +349,16 @@ def _minres(rest, b: np.ndarray, M) -> np.ndarray:
 
 
 def _armijo_step(
-    st: ProblemState,
-    u: np.ndarray,
-    E: float,
-    d: np.ndarray,
-    slope: float,
+    st: ProblemState, u: np.ndarray, E: float, d: np.ndarray, slope: float, ray: bool
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """The last trial point u + s d, its energy and its derivative image,
-    halving s from 1 until the Armijo condition holds."""
+    """The last trial point u + s d (at its ray maximum if ray is set), its
+    energy and D image, halving s from 1 until the Armijo condition holds."""
     s = 1.0
     for _ in range(ARMIJO_MAX_HALVINGS):
         un = u + s * d
         un[0] = un[-1] = 0.0
         dun = st.ops.left_deriv @ un
+        un, dun = _ray_max(st, un, dun) if ray else (un, dun)
         En = float(_energy_rows(st, un, dun))
         if En <= E + ARMIJO_C1 * s * slope:
             break
@@ -369,17 +367,17 @@ def _armijo_step(
 
 
 def _descend(
-    ws: _Workspace, u: np.ndarray, E: float, g: np.ndarray, du: np.ndarray
+    ws: _Workspace, u: np.ndarray, E: float, g: np.ndarray, du: np.ndarray, ray: bool = False
 ) -> Optional[tuple[np.ndarray, float, np.ndarray]]:
     """One Armijo step from the pinned u, of energy E, gradient g and D
-    image du, in the p-adapted metric at du.  Returns the accepted point,
-    its energy and its D image; None when the slope is not negative (or
-    NaN) or the line search ends above E."""
+    image du, in the p-adapted metric at du (trials at their ray maxima if
+    ray is set).  Returns the accepted point, its energy and its D image;
+    None when the slope is not negative (or NaN) or the search ends above E."""
     d = -ws.metric_solver(ws.descent_weights(du))(g)
     slope = float(np.sum(ws.st.grid.h * g * d))
     if not slope < 0.0:
         return None
-    un, En, dun = _armijo_step(ws.st, u, E, d, slope)
+    un, En, dun = _armijo_step(ws.st, u, E, d, slope, ray)
     return (un, En, dun) if En <= E else None
 
 
@@ -470,31 +468,39 @@ def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> tuple[np.ndarray, np.nd
     return V / norms[:, None], DV / norms[:, None]
 
 
-def _redistribute(P: np.ndarray, DP: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Resample the polygonal path P (one state a row) at uniform chord
-    length, and mix the D images DP of its states with the same weights.
+def _ray_max(st: ProblemState, w: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The energy's maximum t w along the ray of the pinned w, and its D
+    image t dw.  t is where the slope psi(t) = t^(p-1) ||w||^p - sum_i w_i
+    f(t_i, t w_i) w_i turns from positive to negative (at one point for
+    the power families), found by Newton steps from t = 1 (psi' from
+    fu_values); a step that does not descend psi or leaves the bracket
+    [lo, hi] of the signs seen so far doubles t until psi is negative,
+    halves it until psi is positive, and then bisects.  No root within
+    RAY_STEPS steps, or a psi that is not finite, raises GeometryError."""
+    p, t, spec = st.params.p, st.grid.nodes, st.spec
+    a = float(np.sum(st.ops.deriv_quad_weights * np.abs(dw) ** p))
+    qw = st._quad * w
 
-    Keeps the states a connected chain from 0 to the far endpoint; without
-    this the free states drain into the two basins and the running maximum
-    ceases to witness the min-max level.
-    """
-    chords = np.sqrt(((P[1:] - P[:-1]) ** 2).sum(axis=1))
-    s = np.concatenate([[0.0], np.cumsum(chords)])
-    total = s[-1]
-    if total <= 0.0:
-        return P, DP
-    s /= total
-    m = len(P)
-    targets = np.linspace(0.0, 1.0, m)[1:-1]
-    k = np.clip(np.searchsorted(s, targets) - 1, 0, m - 2)
-    width = s[k + 1] - s[k]
-    wide = width > 0.0
-    th = np.where(wide, (targets - s[k]) / np.where(wide, width, 1.0), 0.0)[:, None]
+    def psi(tau: float) -> float:
+        v = float(np.float64(tau) ** (p - 1.0) * a - np.sum(qw * spec.f_values(t, tau * w)))
+        if not math.isfinite(v):
+            raise GeometryError(f"energy along the ray is not finite at t={tau}")
+        return v
 
-    def mix(X: np.ndarray) -> np.ndarray:
-        return np.concatenate((X[:1], (1.0 - th) * X[k] + th * X[k + 1], X[-1:]))
-
-    return mix(P), mix(DP)
+    # far out along the ray the powers overflow; psi turns that into GeometryError
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, fx, lo, hi = 1.0, psi(1.0), 0.0, math.inf
+        for _ in range(RAY_STEPS):
+            lo, hi = (x, hi) if fx > 0.0 else (lo, x)
+            fu = spec.fu_values(t, x * w)
+            d = float((p - 1.0) * np.float64(x) ** (p - 2.0) * a - np.sum(qw * w * fu))
+            y = x - fx / d if d < 0.0 else math.nan
+            if not lo < y < hi:
+                y = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            step, x, fx = abs(y - x), y, psi(y)
+            if fx == 0.0 or step <= 1e-15 * x:
+                return x * w, x * dw
+    raise GeometryError("the energy has no maximum along the ray")
 
 
 def _rim_value(st: ProblemState, rng: np.random.Generator) -> float:
@@ -588,27 +594,23 @@ def _polish_root(
 
 def mountain_pass(
     st: ProblemState,
-    path_points: int = 21,
     tol: float = 1e-5,
     max_iter: int = 2000,
     seed: int = 0,
 ) -> SolveReport:
-    """Min-max search along a deforming path from 0 to a negative endpoint.
+    """Min-max by ray selection: descend the energy's ray maximum.
 
     The rim value beta > 0 is certified by sampling a small sphere, the
     endpoint e by marching out the first sine ray until the energy turns
-    negative.  The path is an array of states with their D images, which
-    are carried by linearity: each sweep ranks the states by the energy
-    of the carried images (energy.py's row body, no product), takes the
-    top state's image fresh for its energy and gradient, applies the
-    direct minimizer's descent step to that state (endpoints fixed), keeps
-    the image the step took, and re-equidistributes the chain, mixing the
-    images with the states.  Once the maximizer's residual is small, or its
-    step fails, its critical point is polished by Newton steps on the
-    gradient, from the gradient and D u the last sweep took, until the
-    residual meets tol.
-    The returned value satisfies energy(e) < 0 < beta <= energy_value; a
-    path whose top state falls to energy <= 0 (or NaN) raises
+    negative.  From the maximum along the first sine's ray, the direct
+    minimizer's step is taken with each trial moved to its ray maximum,
+    until the residual meets the gate max(100 tol, 1e-3) or a step fails;
+    the Newton polish then starts from the gradient and D u at hand.  If
+    it misses tol from under a gate above tol, the descent goes on from
+    where it started, under a tenth of that point's residual.  The
+    descent takes at most max_iter gradients; iterations counts them all.
+    The result satisfies energy(e) < 0 < beta <= energy_value; a ray
+    maximum at energy <= 0 (or NaN), or a ray without one, raises
     GeometryError.
     """
     _regime_gate(st, "mountain_pass", "superlinear")
@@ -617,8 +619,7 @@ def mountain_pass(
     beta = _rim_value(st, rng)
 
     # D(s w0) == s (D w0) bitwise: s is a power of two
-    W0, DW0 = _unit_sines(st, np.ones((1, 1)))
-    w0, dw0 = W0[0], DW0[0]
+    (w0,), (dw0,) = _unit_sines(st, np.ones((1, 1)))
     s = 1.0
     for _ in range(80):
         endpoint_energy = float(_energy_rows(st, s * w0, s * dw0))
@@ -627,36 +628,33 @@ def mountain_pass(
         s *= 2.0
     else:
         raise GeometryError("no negative-energy endpoint within the ray budget")
-    lams = np.linspace(0.0, 1.0, path_points)[:, None]
-    P, DP = lams * (s * w0), lams * (s * dw0)
-    polish_gate = max(100.0 * tol, 1e-3)
-    sweeps = 0
-    kmax = 1
-    start = None
-    for sweeps in range(1, max_iter + 1):
-        kmax = 1 + int(np.argmax(_energy_rows(st, P[1:-1], DP[1:-1])))
-        # the carried images only rank the path: the step, its reference
-        # energy and the polish start all come from a true product
-        z = P[kmax]
-        dz = st.ops.left_deriv @ z
-        E = float(_energy_rows(st, z, dz))
-        if not E > 0.0:
-            raise GeometryError(f"mountain-pass path collapsed to top energy {E}")
-        g = _gradient_rows(st, z, dz)
-        res = ws.residual(g)
-        # a failed step leaves the path as it is and polishes its top state
-        if res <= polish_gate or (step := _descend(ws, z, E, g, dz)) is None:
-            start = (g, dz)
-            break
-        P[kmax], _, DP[kmax] = step
-        P, DP = _redistribute(P, DP)
 
-    z, g, dz, nfev = _polish_root(ws, P[kmax], tol=tol, start=start)
-    res = ws.residual(g)
+    u, du = _ray_max(st, w0, dw0)
+    E = float(_energy_rows(st, u, du))
+    g = _gradient_rows(st, u, du)
+    iterations, gate, polished = 1, max(100.0 * tol, 1e-3), None
+    while True:
+        if not E > 0.0:
+            raise GeometryError(f"mountain-pass ray maximum at non-positive level {E}")
+        res = ws.residual(g)
+        step = _descend(ws, u, E, g, du, ray=True) if res > gate and iterations < max_iter else None
+        if step is not None:
+            u, E, du = step
+            g = _gradient_rows(st, u, du)
+            iterations += 1
+            continue
+        if polished is u:
+            break  # the descent resumed from u found no step: keep u's polish
+        z, gz, dz, nfev = _polish_root(ws, u, tol=tol, start=(g, du))
+        iterations, polished = iterations + nfev, u
+        if (res_z := ws.residual(gz)) <= tol or res > gate or gate <= tol:
+            break
+        gate = res / 10.0
+
     E = float(_energy_rows(st, z, dz))
-    converged = res <= tol and E >= beta and sup_norm(z) > TRIVIAL_SUP
+    converged = res_z <= tol and E >= beta and sup_norm(z) > TRIVIAL_SUP
     return _report(
-        st, z, E, res, sweeps + nfev, converged, "mountain_pass", seed,
+        st, z, E, res_z, iterations, converged, "mountain_pass", seed,
         rim_value=beta, endpoint_energy=endpoint_energy,
     )
 

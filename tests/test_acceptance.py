@@ -197,7 +197,7 @@ def test_criterion_06_direct_minimization_existence():
 
 def test_criterion_07_mountain_pass_existence():
     st = make_state(0.7, 2.0, 128, superlinear_power(4.0))
-    rep = mountain_pass(st, path_points=21, tol=1e-5, max_iter=800, seed=3)
+    rep = mountain_pass(st, tol=1e-5, max_iter=800, seed=3)
     assert rep.converged
     assert not rep.trivial
     assert rep.residual <= 1e-5

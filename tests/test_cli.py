@@ -472,6 +472,17 @@ def test_translation_bound_underflow_fails_record(capsys):
     assert record["status"] == "failed" and record["worst_margin"] == "nan"
 
 
+def test_translation_bound_overflow_fails_record_without_warning(capsys):
+    # at T = 1e308 the sine table overflowed with a RuntimeWarning; the
+    # record still fails, on the translation bound, which overflows
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1e308", "--n", "64",
+                 "--property", "TRANSLATION_COMPACT"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    (record,) = json.loads(out)
+    assert record["status"] == "failed" and record["bound_constant"] == "inf"
+
+
 def test_verify_nonfinite_margin_fails(tmp_path):
     # at p = 400 the energy of each of these ensembles overflows, so the
     # energy checks fail with NaN; every norm is taken on max-scaled rows,
@@ -580,8 +591,12 @@ def test_runtime_runs_without_scipy(tmp_path):
 
 
 def test_solve_collapsed_mountain_pass_is_numerical_error(tmp_path, capsys, monkeypatch):
-    # the path is pushed past its endpoint at every sweep until it collapses
-    monkeypatch.setattr(fracplap.solvers, "_redistribute", lambda P, DP: (4.0 * P, 4.0 * DP))
+    # every ray maximum is pushed out to four times its place, where the
+    # energy at mu 4 is negative
+    ray_max = fracplap.solvers._ray_max
+    monkeypatch.setattr(
+        fracplap.solvers, "_ray_max", lambda st, w, dw: tuple(4.0 * x for x in ray_max(st, w, dw))
+    )
     path = write_config(
         tmp_path,
         problem={"alpha": 1.0, "p": 3.0, "T": 1.0, "n": 64},
@@ -589,7 +604,7 @@ def test_solve_collapsed_mountain_pass_is_numerical_error(tmp_path, capsys, monk
         **{"solver.method": "mountain_pass", "solver.max_iter": 600, "solver.seed": 3},
     )
     assert main(["solve", "--config", str(path)]) == 2
-    assert _one_line(capsys.readouterr().err).startswith("numerical error: mountain-pass path")
+    assert _one_line(capsys.readouterr().err).startswith("numerical error: mountain-pass ray maximum")
     assert not (tmp_path / "sol.csv").exists() and not (tmp_path / "rep.json").exists()
 
 

@@ -149,6 +149,15 @@ def test_sine_table_built_once_per_grid():
     assert not wide.flags.writeable
 
 
+def test_sine_modes_finite_near_float_max():
+    # j pi t overflowed before the division by T.  t / T carries about an
+    # ulp of rounding from the nodes and the division, which sin(8 pi x)
+    # scales by up to 8 pi, so the tables agree to a few ulps, not bitwise
+    big = make_grid(1e308, 64).sine_modes(8)
+    assert np.all(np.isfinite(big))
+    assert np.max(np.abs(big - make_grid(1.0, 64).sine_modes(8))) <= 1e-14
+
+
 @pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
 def test_lp_rows_scale_with_their_rows(c):
     # a power of two scales every value exactly, so the norm scales

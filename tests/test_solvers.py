@@ -4,6 +4,7 @@ import pytest
 from conftest import dense
 from fracplap import fracops, solvers
 from fracplap.energy import _gradient_and_du, phi
+from fracplap.grid import sine_series, trapezoid_weights
 
 from fracplap import (
     CoefficientFn,
@@ -169,7 +170,7 @@ def test_minimize_nonconverged_report():
 def test_minimize_stops_when_energy_rises(monkeypatch):
     st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
     init = bump_init(st)
-    monkeypatch.setattr(solvers, "_armijo_step", lambda st, u, E, d, slope: (u + d, E + 1.0, None))
+    monkeypatch.setattr(solvers, "_armijo_step", lambda st, u, E, d, slope, ray: (u + d, E + 1.0, None))
     rep = minimize_direct(st, init, tol=1e-8)
     assert not rep.converged
     assert rep.iterations == 0
@@ -267,12 +268,16 @@ def test_mountain_pass_small_problem():
 
 
 def test_mountain_pass_collapsed_path_is_geometry_error(monkeypatch):
-    # a path pushed past the endpoint falls into the unbounded basin; the
-    # run used to end with energy 0, residual 0 and a trivial solution, as
-    # if exact.  The factor 4 keeps the carried D images exact.
-    monkeypatch.setattr(solvers, "_redistribute", lambda P, DP: (4.0 * P, 4.0 * DP))
+    # a point pushed past its ray maximum falls into the unbounded basin;
+    # the run used to end with energy 0, residual 0 and a trivial
+    # solution, as if exact.  At mu 4 four times the maximum has negative
+    # energy.
+    ray_max = solvers._ray_max
+    monkeypatch.setattr(
+        solvers, "_ray_max", lambda st, w, dw: tuple(4.0 * x for x in ray_max(st, w, dw))
+    )
     st = make_state(1.0, 3.0, 64, superlinear_power(4.0))
-    with pytest.raises(solvers.GeometryError, match="collapsed"):
+    with pytest.raises(solvers.GeometryError, match="non-positive level"):
         mountain_pass(st, max_iter=600, seed=3)
 
 
@@ -282,7 +287,7 @@ def test_mountain_pass_sweeps_do_not_collapse_at_p3(seed):
     # overshoots at p = 3 and collapsed this path for every seed.  Oracle:
     # the Newton polish from the top of the unswept straight path 0 -> e.
     st = make_state(0.9, 3.0, 256, superlinear_power(6.0))
-    rep = mountain_pass(st, tol=1e-8, path_points=21, seed=seed)
+    rep = mountain_pass(st, tol=1e-8, seed=seed)
     assert rep.converged and rep.residual <= 1e-8
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
     w0 = GridFunction(np.sin(np.pi * st.grid.nodes), dirichlet=True)
@@ -317,7 +322,7 @@ def test_mountain_pass_polish_stops_at_tol(monkeypatch):
 
     monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers._Workspace, "newton_step", counted_newton_step)
-    rep = mountain_pass(st, tol=1e-8, path_points=21, seed=0)
+    rep = mountain_pass(st, tol=1e-8, seed=0)
     assert rep.converged and rep.residual <= 1e-8
     assert counts["newton"] == 3
     assert counts["matmul"] <= 120
@@ -338,7 +343,7 @@ def test_solvers_never_repeat_a_gradient(solve, monkeypatch):
     )
     if solve == "mountain_pass":
         st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
-        rep = mountain_pass(st, tol=1e-8, path_points=21, seed=0)
+        rep = mountain_pass(st, tol=1e-8, seed=0)
         assert rep.converged and rep.iterations == len(evaluated)
     else:
         st = make_state(0.6, 2.0, 256, sublinear_power(1.5))
@@ -346,53 +351,70 @@ def test_solvers_never_repeat_a_gradient(solve, monkeypatch):
     assert evaluated and len(set(evaluated)) == len(evaluated)
 
 
-def redistribute_by_state(P, DP):
-    """The resampling one state at a time, as first written, applied to
-    the states and, with the same weights, to their images."""
-    chords = np.sqrt(((P[1:] - P[:-1]) ** 2).sum(axis=1))
-    s = np.concatenate([[0.0], np.cumsum(chords)])
-    s /= s[-1]
-    out, dout = [P[0]], [DP[0]]
-    for tgt in np.linspace(0.0, 1.0, len(P))[1:-1]:
-        k = min(max(int(np.searchsorted(s, tgt)) - 1, 0), len(P) - 2)
-        width = s[k + 1] - s[k]
-        th = (tgt - s[k]) / width if width > 0 else 0.0
-        out.append((1.0 - th) * P[k] + th * P[k + 1])
-        dout.append((1.0 - th) * DP[k] + th * DP[k + 1])
-    out.append(P[-1])
-    dout.append(DP[-1])
-    return np.array(out), np.array(dout)
+def test_ray_max_matches_closed_form():
+    # for F = |u|^mu / mu the ray maximum is t w with
+    # t = (||w||^p / sum_i w_i |w_i|^mu)^(1/(mu - p))
+    st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
+    W = sine_series(st.grid, np.random.default_rng(0).standard_normal((200, 6)))
+    W[:, 0] = W[:, -1] = 0.0
+    quad = trapezoid_weights(st.grid)
+    for w in W:
+        dw = st.ops.left_deriv @ w
+        U, DU = solvers._ray_max(st, w, dw)
+        t = (np.sum(st.ops.deriv_quad_weights * dw**2) / np.sum(quad * w**4)) ** 0.5
+        assert np.max(np.abs(U - t * w)) <= 2e-15 * np.max(np.abs(t * w))
+        assert np.max(np.abs(DU - t * dw)) <= 2e-15 * np.max(np.abs(t * dw))
 
 
-def test_redistribute_matches_state_by_state_resampling():
-    rng = np.random.default_rng(4)
-    P = np.cumsum(rng.exponential(size=(21, 33)) * rng.uniform(0.1, 3.0, (21, 1)), axis=0)
-    P[0] = 0.0
-    P[7] = P[6]  # a zero-width chord
-    DP = rng.standard_normal(P.shape)
-    Q, DQ = solvers._redistribute(P, DP)
-    ref, dref = redistribute_by_state(P, DP)
-    assert Q.tobytes() == ref.tobytes() and DQ.tobytes() == dref.tobytes()
+def test_mountain_pass_on_table_profile():
+    # the piecewise-linear |u|^0.5 u; the path sweeps took 2009 iterations
+    bp = np.linspace(-50.0, 50.0, 20001)
+    st = make_state(0.7, 1.5, 256, table_spec(bp, np.abs(bp) ** 0.5 * bp))
+    rep = mountain_pass(st, tol=1e-8, seed=0)
+    assert rep.converged and rep.residual <= 1e-8 and rep.iterations <= 20
+    assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
+    assert rep.energy_value == pytest.approx(1.3857501020998537, rel=1e-12, abs=0.0)
 
 
-def test_carried_path_images_stay_near_fresh_products(monkeypatch):
-    # at n 64 the sweeps never meet the polish gate, so all 2000 run: the
-    # longest chain of carried images among the tested configs
+@pytest.mark.parametrize(
+    "alpha, p, mu, n, level",
+    [
+        (0.3, 1.5, 3.0, 256, 0.1719870500),
+        (0.3, 2.0, 4.0, 64, 0.2901467222),
+        (0.3, 2.0, 4.0, 256, 0.2845973681),
+        (0.3, 2.0, 4.0, 1024, 0.2809179954),
+        (0.3, 3.0, 4.5, 1024, 0.2239188351),
+        (0.3, 3.0, 6.0, 64, 0.2208140522),
+        (0.3, 3.0, 6.0, 256, 0.2139409899),
+        (0.3, 3.0, 6.0, 1024, 0.2089599913),
+        (0.5, 3.0, 6.0, 1024, 0.6650126324),
+    ],
+)
+def test_mountain_pass_converges_where_the_path_missed_tol(alpha, p, mu, n, level):
+    # the 21-state path ended each of these above tol, its sweeps stalled
+    # near residual 1e-3 or its polish started outside Newton's basin
+    st = make_state(alpha, p, n, superlinear_power(mu))
+    rep = mountain_pass(st, tol=1e-8, seed=0)
+    assert rep.converged and rep.residual <= 1e-8
+    assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
+    assert rep.energy_value == pytest.approx(level, rel=1e-9, abs=0.0)
+
+
+def test_mountain_pass_polishes_each_point_once(monkeypatch):
+    # at tol 1e-2 the gate is 1, so the start is polished at once; the
+    # stand-in polish misses tol, which lowers the gate, and the resumed
+    # descent takes no step (max_iter is spent), so the polish at hand is
+    # kept rather than taken again at the same point
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
-    calls, last = [0], [None]
-    redistribute = solvers._redistribute
+    starts = []
 
-    def spy(P, DP):
-        calls[0] += 1
-        last[0] = redistribute(P, DP)
-        return last[0]
+    def no_progress(ws, u, *, tol, known=(), start=None):
+        starts.append(u)
+        return (u, *start, 0)
 
-    monkeypatch.setattr(solvers, "_redistribute", spy)
-    rep = mountain_pass(st, tol=1e-8, max_iter=2000, seed=0)
-    assert calls[0] == 2000 and rep.converged
-    P, DP = last[0]
-    fresh = (st.ops.left_deriv @ P.T).T
-    assert np.max(np.abs(DP - fresh)) <= 1e-11 * np.max(np.abs(fresh))
+    monkeypatch.setattr(solvers, "_polish_root", no_progress)
+    rep = mountain_pass(st, tol=1e-2, max_iter=1, seed=0)
+    assert len(starts) == 1 and rep.iterations == 1 and not rep.converged
 
 
 def test_mountain_pass_matches_fixed_point_oracle():
@@ -870,10 +892,10 @@ def test_multiplicity_plain_stage_restarts_after_runaway(monkeypatch):
 
 def test_mountain_pass_polishes_top_state_when_sweep_step_fails(monkeypatch):
     # a NaN trial used to be written into the path, which then raised the
-    # collapse GeometryError; the failed step now hands its top state to
+    # collapse GeometryError; the failed step now hands its ray maximum to
     # the Newton polish
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
-    nan = lambda st, u, E, d, slope: (np.full_like(u, np.nan), np.nan, np.full_like(u, np.nan))
+    nan = lambda st, u, E, d, slope, ray: (np.full_like(u, np.nan), np.nan, np.full_like(u, np.nan))
     monkeypatch.setattr(solvers, "_armijo_step", nan)
     rep = mountain_pass(st, tol=1e-8, seed=0)
     assert rep.converged and rep.residual <= 1e-8 and not rep.trivial

@@ -10,9 +10,10 @@ points: they evaluate row blocks and derivative images they already hold,
 and a caller that falls back to one wrapped sample at a time still passes
 every report and artifact test, only slower.
 
-mountain_pass takes no block product in its sweep loop: the path's D
-images are carried by linearity, and a sweep that took them afresh would
-still pass every test, only slower.
+mountain_pass takes no block product in its loop, which walks rays, not
+a path, and _ray_max takes no product at all: it scales the D image of
+the point it is given, as D(t w) = t (D w), and a ray search that took
+D(t w) afresh at each trial t would still pass every test, only slower.
 
 solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
@@ -165,6 +166,41 @@ def mountain_pass(st):
 """
     assert sweep_block_products(snippet) == ["line 4: _rows("]
     assert sweep_block_products("def other():\n    _rows(op, P)\n") is None
+
+
+def ray_products(source: str):
+    """Toeplitz products (@, @=) and _rows( calls in _ray_max; None if
+    there is no _ray_max."""
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_ray_max":
+            found = []
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.append(f"line {node.lineno}: @")
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_rows"
+                ):
+                    found.append(f"line {node.lineno}: _rows(")
+            return sorted(found)
+    return None
+
+
+def test_ray_max_takes_no_product():
+    source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
+    assert ray_products(source) == []
+
+
+def test_ray_guard_flags_product():
+    snippet = """
+def _ray_max(st, w, dw):
+    dv = st.ops.left_deriv @ w
+    dv @= 2.0
+    return _rows(st.ops.left_deriv, w)
+"""
+    assert ray_products(snippet) == ["line 3: @", "line 4: @", "line 5: _rows("]
+    assert ray_products("def other(op, w):\n    return op @ w\n") is None
 
 
 def call_sites(source: str, name: str) -> list:
