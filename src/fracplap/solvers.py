@@ -22,22 +22,26 @@ products, preconditioned by the closed-form metric with the Hessian's
 own flux weights, so no dense matrix is formed: that metric is the
 Hessian's principal part, and each Lanczos vector is a metric solve, so
 MINRES reads the principal part's product off the solve and applies only
-the rest of the Hessian.  It stops as soon as the weak residual meets the
-caller's tol, and it starts from the gradient and D u its caller already
-holds, so no solver takes a gradient twice.  The search for the higher
-pairs first runs it on the deflated field, whose Newton step is the plain
-one times a scalar.  The iterations of a mountain-pass report, and of a
-pair that Newton found, count the gradients its solve took; those of the
-direct minimizer count its accepted steps.
+the rest of the Hessian.  MINRES stops at the relative tolerance
+max(MINRES_RTOL, FORCING tol / res) for the current weak residual res, so
+a step solves its system only as far as the polish's tol needs (tol = 0
+keeps the exact solve).  The polish stops as soon as the weak residual of
+a fresh gradient meets the caller's tol, and it starts from the gradient
+and D u its caller already holds, so no solver takes a gradient twice.
+The search for the higher pairs first runs it on the deflated field,
+whose Newton step is the plain one times a scalar.  The iterations of a
+mountain-pass report, and of a pair that Newton found, count the
+gradients its solve took; those of the direct minimizer count its
+accepted steps.
 
 Every evaluation goes through the row layer (energy._energy_rows,
 energy._gradient_rows, fracops._alpha_rows) on pinned arrays and the D
 images at hand.  The unit sine directions of the rim, the endpoint march
-and the multiplicity rays come with the D image their normalization
-took, scaled alike; the endpoint and the rays scale it by powers of two,
-and D(2^k v) equals 2^k (D v) bitwise, since every step of the FFT
-product is exact under such a scale (short of overflow and underflow).
-The ray maximum scales the D image it is given, D(t w) = t (D w).
+and the multiplicity rays combine a table of pinned sine modes and
+their D images, taken once per workspace by one block product
+(_Workspace.unit_sines), so a direction costs no product; the endpoint
+and the rays scale it by powers of two, which is exact.  The ray maximum
+scales the D image it is given, D(t w) = t (D w).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .energy import (
     phi,
 )
 from .fracops import _alpha_rows, _blocks, _gl_operator, _rows
-from .grid import GridFunction, _lp_rows, sine_series, sup_norm
+from .grid import GridFunction, _lp_rows, sup_norm
 from .nonlinearity import Family
 
 __all__ = [
@@ -79,11 +83,12 @@ ARMIJO_SHRINK = 0.5
 TRIVIAL_SUP = 1e-10
 DEFAULT_SEPARATION_SCALE = 1e-3
 POLISH_MAX_STEPS = 20
-POLISH_MAX_HALVINGS = 30
+POLISH_MAX_HALVINGS = 10
 ARMIJO_MAX_HALVINGS = 60
 RIM_DIRECTIONS = 40
 RAY_STEPS = 200
 MINRES_RTOL = 1e-12
+FORCING = 0.1
 MINRES_MAX_ITER = 200
 PRECOND_FLOOR = 1e-12
 
@@ -173,6 +178,7 @@ class _Workspace:
         self._yr = (st.ops.right_int @ r)[1:n]
         self.linear_weights = st.ops.deriv_quad_weights / st.grid.h
         self.basis_norms = basis_alpha_norms(st)
+        self._modes = self._dmodes = np.zeros((0, n + 1))
 
     def metric_solver(self, w: np.ndarray):
         """g -> H_w^{-1} g for a pinned g, for positive node weights w
@@ -224,6 +230,34 @@ class _Workspace:
         """Weak residual of the point whose gradient is g."""
         return _residual_from_gradient(self.st, g, self.basis_norms)
 
+    def unit_sines(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sine series V of each coefficient row, pinned and scaled to
+        unit alpha-norm, and D V, scaled alike.
+
+        The pinned modes S_j and their images D S_j are kept in a table,
+        taken by one block product and grown on demand.  V and D V are
+        summed from the table rows in coefficient order, so before the
+        scaling V is sine_series bitwise on the interior, and D V is the
+        product D V up to rounding.
+        """
+        st = self.st
+        c = np.asarray(coeffs, dtype=float)
+        k = c.shape[-1]
+        if len(self._modes) < k:
+            S = st.grid.sine_modes(k).copy()
+            S[:, 0] = S[:, -1] = 0.0
+            self._modes, self._dmodes = S, _rows(st.ops.left_deriv, S)
+        V = np.zeros((len(c), st.grid.n + 1))
+        DV = np.zeros_like(V)
+        for j in range(k):
+            V += c[:, j, None] * self._modes[j]
+            DV += c[:, j, None] * self._dmodes[j]
+        V[:, 0] = V[:, -1] = 0.0
+        norms = np.array(_lp_rows(DV, st.params.p, st.ops.deriv_quad_weights))
+        if np.any(norms <= 0.0):
+            raise ValueError("cannot normalize the zero function")
+        return V / norms[:, None], DV / norms[:, None]
+
     def log_deflation(self, u: np.ndarray, known) -> tuple[float, np.ndarray]:
         """log M and its gradient, where M is the product of
         (1 + ||u -+ u_k||^-p) over the known pairs u_k.
@@ -249,8 +283,11 @@ class _Workspace:
         grad[0] = grad[-1] = 0.0
         return log_m, grad
 
-    def newton_step(self, u: np.ndarray, g: np.ndarray, du: np.ndarray) -> np.ndarray:
-        """H^{-1} g for the Hessian H at u (boundary rows zero), by MINRES.
+    def newton_step(
+        self, u: np.ndarray, g: np.ndarray, du: np.ndarray, rtol: float = MINRES_RTOL
+    ) -> np.ndarray:
+        """H^{-1} g for the Hessian H at u (boundary rows zero), by MINRES
+        to the relative tolerance rtol.
 
         H v = D^T(w D v) - f_u v with w = wd phi'(D u) / h, so the metric
         with the same weights is its exact principal part and preconditions
@@ -283,10 +320,10 @@ class _Workspace:
                 hv[0] = hv[-1] = 0.0
             return hv
 
-        return _minres(rest, g, self.metric_solver(wf))
+        return _minres(rest, g, self.metric_solver(wf), rtol)
 
 
-def _minres(rest, b: np.ndarray, M) -> np.ndarray:
+def _minres(rest, b: np.ndarray, M, rtol: float = MINRES_RTOL) -> np.ndarray:
     """Preconditioned MINRES (Paige & Saunders, SIAM J. Numer. Anal. 1975).
 
     Solves (H_M + rest) x = b for a symmetric, possibly indefinite
@@ -295,7 +332,7 @@ def _minres(rest, b: np.ndarray, M) -> np.ndarray:
     preconditioner and a part of the operator: each Lanczos vector is
     v = M(r) / beta, so H_M v = r / beta takes no work, and an iteration
     costs one M and one rest.  Stops once the preconditioned residual is
-    MINRES_RTOL of its start, or after MINRES_MAX_ITER iterations.  Inner
+    rtol of its start, or after MINRES_MAX_ITER iterations.  Inner
     products use np.sum, so no threaded BLAS call enters the result.  A
     breakdown (singular operator, indefinite M) or a non-finite value
     gives NaN.
@@ -343,7 +380,7 @@ def _minres(rest, b: np.ndarray, M) -> np.ndarray:
         w1, w2 = w2, w
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi_k * w
-        if phibar <= MINRES_RTOL * beta1:
+        if phibar <= rtol * beta1:
             break
     return x if np.all(np.isfinite(x)) else failed
 
@@ -456,18 +493,6 @@ def minimize_direct(
     return _report(st, u, E, res, steps, res <= tol, "direct", seed)
 
 
-def _unit_sines(st: ProblemState, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sine series V of each coefficient row, pinned and scaled to unit
-    alpha-norm, and D V, the image its norm took, scaled alike."""
-    V = sine_series(st.grid, coeffs)
-    V[:, 0] = V[:, -1] = 0.0
-    DV = _rows(st.ops.left_deriv, V)
-    norms = np.array(_lp_rows(DV, st.params.p, st.ops.deriv_quad_weights))
-    if np.any(norms <= 0.0):
-        raise ValueError("cannot normalize the zero function")
-    return V / norms[:, None], DV / norms[:, None]
-
-
 def _ray_max(st: ProblemState, w: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The energy's maximum t w along the ray of the pinned w, and its D
     image t dw.  t is where the slope psi(t) = t^(p-1) ||w||^p - sum_i w_i
@@ -503,16 +528,17 @@ def _ray_max(st: ProblemState, w: np.ndarray, dw: np.ndarray) -> tuple[np.ndarra
     raise GeometryError("the energy has no maximum along the ray")
 
 
-def _rim_value(st: ProblemState, rng: np.random.Generator) -> float:
+def _rim_value(ws: _Workspace, rng: np.random.Generator) -> float:
     """Smallest sampled energy on the sphere of radius rho, shrinking rho
     until that minimum is positive."""
+    st = ws.st
     rho = 0.1 * st.grid.T ** st.params.alpha
     for _ in range(80):
         C = rng.standard_normal((RIM_DIRECTIONS, 6))
         C[~C.any(axis=1), 0] = 1.0
         worst = math.inf
         for start, stop in _blocks(st.grid, RIM_DIRECTIONS):
-            U, DU = _unit_sines(st, C[start:stop])
+            U, DU = ws.unit_sines(C[start:stop])
             for e in _energy_rows(st, rho * U, rho * DU).tolist():
                 worst = min(worst, e)
         if worst > 0.0:
@@ -534,9 +560,13 @@ def _polish_root(
     """Newton polish of a critical point near the pinned u0.
 
     Each step solves the Hessian system by preconditioned MINRES
-    (_Workspace.newton_step, on the D u its gradient took) and halves
-    the step until max|g| decreases.  The polish ends before a step once
-    the weak residual is at or below tol (Kelley, Solving Nonlinear
+    (_Workspace.newton_step, on the D u its gradient took) to the
+    relative tolerance max(MINRES_RTOL, FORCING tol / res), res the weak
+    residual of the iterate: a step need only bring the residual to a
+    tenth of tol, and tol = 0 keeps the exact solve.  It halves the step
+    until max|g| decreases, at most POLISH_MAX_HALVINGS times.  The
+    polish ends before a step once the weak residual of its current
+    gradient is at or below tol (Kelley, Solving Nonlinear
     Equations with Newton's Method, SIAM 2003), when no step length
     decreases max|g| (the roundoff floor; a halved step that no longer
     moves u ends it at once), after POLISH_MAX_STEPS steps, or when the
@@ -563,9 +593,10 @@ def _polish_root(
     log_m, dlog_m = ws.log_deflation(u, known)
     best = float(np.max(np.abs(g)))
     for _ in range(POLISH_MAX_STEPS):
-        if ws.residual(g) <= tol:
+        res = ws.residual(g)
+        if res <= tol:
             break
-        step = ws.newton_step(u, g, du)
+        step = ws.newton_step(u, g, du, max(MINRES_RTOL, FORCING * tol / res))
         if not np.all(np.isfinite(step)):
             break
         if known:
@@ -616,10 +647,10 @@ def mountain_pass(
     _regime_gate(st, "mountain_pass", "superlinear")
     ws = _Workspace(st)
     rng = np.random.default_rng(seed)
-    beta = _rim_value(st, rng)
+    beta = _rim_value(ws, rng)
 
     # D(s w0) == s (D w0) bitwise: s is a power of two
-    (w0,), (dw0,) = _unit_sines(st, np.ones((1, 1)))
+    (w0,), (dw0,) = ws.unit_sines(np.ones((1, 1)))
     s = 1.0
     for _ in range(80):
         endpoint_energy = float(_energy_rows(st, s * w0, s * dw0))
@@ -700,7 +731,7 @@ def multiplicity_search(
             if not np.any(coeffs):
                 coeffs[0] = 1.0
         trials += 1
-        V, DV = _unit_sines(st, coeffs[None])
+        V, DV = ws.unit_sines(coeffs[None])
         # D(sigma v) == sigma (D v) bitwise: sigma is a power of two
         sigmas = 2.0 ** np.arange(3.0, -13.0, -1.0)[:, None]
         ray = _energy_rows(st, sigmas * V, sigmas * DV)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import dense
 from fracplap import fracops, solvers
+from fracplap.fracops import _rows
 from fracplap.energy import _gradient_and_du, phi
 from fracplap.grid import sine_series, trapezoid_weights
 
@@ -307,7 +308,8 @@ def test_mountain_pass_sweeps_do_not_collapse_at_p3(seed):
 def test_mountain_pass_polish_stops_at_tol(monkeypatch):
     # the benchmark's mountain-pass settings: the residual meets tol after
     # three Newton solves, where polishing to the roundoff floor took ten
-    # solves and 559 products, and the energy stays that of the floor
+    # solves and 559 products, and the energy stays that of the floor;
+    # solving each system only as far as tol needs cut 94 products to 53
     st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
     counts = {"matmul": 0, "newton": 0}
     matmul, newton_step = fracops.Toeplitz.__matmul__, solvers._Workspace.newton_step
@@ -316,17 +318,107 @@ def test_mountain_pass_polish_stops_at_tol(monkeypatch):
         counts["matmul"] += 1
         return matmul(self, x)
 
-    def counted_newton_step(self, u, g, du):
+    def counted_newton_step(self, u, g, du, rtol):
         counts["newton"] += 1
-        return newton_step(self, u, g, du)
+        return newton_step(self, u, g, du, rtol)
 
     monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers._Workspace, "newton_step", counted_newton_step)
     rep = mountain_pass(st, tol=1e-8, seed=0)
     assert rep.converged and rep.residual <= 1e-8
     assert counts["newton"] == 3
-    assert counts["matmul"] <= 120
+    assert counts["matmul"] <= 53
     assert rep.energy_value == pytest.approx(2.079258717092121, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.0])
+def test_polish_forcing_follows_tol(tol, monkeypatch):
+    # each Newton system is solved to max(1e-12, 0.1 tol / res) for the
+    # residual res of the gradient it is given, so tol = 0 keeps the
+    # exact solve; the first sine ray's maximum takes four steps to 1e-8
+    st = make_state(0.7, 2.0, 256, superlinear_power(4.0))
+    ws = solvers._Workspace(st)
+    (w,), (dw,) = ws.unit_sines(np.ones((1, 1)))
+    u0, _ = solvers._ray_max(st, w, dw)
+    seen = []
+    minres = solvers._minres
+
+    def spy(rest, b, M, rtol):
+        seen.append((rtol, ws.residual(b)))
+        return minres(rest, b, M, rtol)
+
+    monkeypatch.setattr(solvers, "_minres", spy)
+    _, g, _, _ = solvers._polish_root(ws, u0, tol=tol)
+    assert len(seen) >= 4
+    assert [rtol for rtol, _ in seen] == [max(1e-12, 0.1 * tol / res) for _, res in seen]
+    if tol > 0.0:
+        assert ws.residual(g) <= tol and max(rtol for rtol, _ in seen) > 1e-2
+    else:
+        assert ws.residual(g) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "alpha, p, mu, n",
+    [(0.7, 2.0, 4.0, 1024), (0.9, 3.0, 4.5, 64), (0.9, 3.0, 4.5, 1024), (0.7, 1.5, 2.25, 256)],
+)
+def test_mountain_pass_forcing_meets_tol_on_a_fresh_gradient(alpha, p, mu, n):
+    # the benchmark's settings and the three configs of PR 20's probe that
+    # end nearest tol: the inexact Newton solves never fake convergence
+    st = make_state(alpha, p, n, superlinear_power(mu))
+    rep = mountain_pass(st, tol=1e-8, seed=0)
+    assert rep.converged and weak_residual(st, rep.solution) <= 1e-8
+
+
+def test_polish_halvings_are_bounded(monkeypatch):
+    # this start lies outside Newton's basin: the first polish gives up
+    # after 83 gradients, where 30 halvings a step took 207
+    st = make_state(0.3, 2.0, 256, superlinear_power(4.0))
+    nfevs = []
+    polish = solvers._polish_root
+
+    def counted(ws, u, **kw):
+        out = polish(ws, u, **kw)
+        nfevs.append(out[3])
+        return out
+
+    monkeypatch.setattr(solvers, "_polish_root", counted)
+    rep = mountain_pass(st, tol=1e-8, seed=0)
+    assert rep.converged and nfevs[0] <= 100
+    assert rep.energy_value == pytest.approx(0.2845973681, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("modes", [1, 6, 66])
+def test_unit_sines_match_fresh_products(n, modes, monkeypatch):
+    # D V comes from the table of mode images; it agrees with a fresh
+    # product to that product's own rounding scale, ||col||_1 max|V|
+    # (relative to max|D V| a smooth row at alpha 1, n 1024 differs by up
+    # to 2.5e-13, as much as either differs from the exact product)
+    for alpha in (0.3, 0.7, 1.0):
+        st = make_state(alpha, 2.0, n, superlinear_power(4.0))
+        ws = solvers._Workspace(st)
+        C = np.random.default_rng(modes).standard_normal((15, modes))
+        products = []
+        matmul = fracops.Toeplitz.__matmul__
+        monkeypatch.setattr(
+            fracops.Toeplitz, "__matmul__", lambda op, x: products.append(1) or matmul(op, x)
+        )
+        V, DV = ws.unit_sines(C)
+        ws.unit_sines(C[:, :1])
+        assert len(products) == 1
+        monkeypatch.undo()
+        ref = _rows(st.ops.left_deriv, V)
+        scale = np.sum(np.abs(st.ops.left_deriv.col)) * np.max(np.abs(V), axis=1)
+        assert np.all(np.max(np.abs(DV - ref), axis=1) <= 1e-14 * scale)
+        norms = solvers._lp_rows(DV, 2.0, st.ops.deriv_quad_weights)
+        assert norms == pytest.approx(np.ones(15), rel=1e-14, abs=0.0)
+        assert np.all(V[:, [0, -1]] == 0.0) and not np.any(np.signbit(V[:, [0, -1]]))
+
+
+def test_unit_sines_reject_zero_row():
+    ws = solvers._Workspace(make_state(0.7, 2.0, 64, superlinear_power(4.0)))
+    with pytest.raises(ValueError, match="zero function"):
+        ws.unit_sines(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("solve", ["mountain_pass", "multiplicity_search"])
@@ -737,7 +829,7 @@ def test_polish_stops_at_tolerance(monkeypatch):
     newton_step = solvers._Workspace.newton_step
     monkeypatch.setattr(
         solvers._Workspace, "newton_step",
-        lambda self, u, g, du: stepped.append(u) or newton_step(self, u, g, du),
+        lambda self, u, g, du, rtol: stepped.append(u) or newton_step(self, u, g, du, rtol),
     )
     u, g, du, nfev = solvers._polish_root(ws, u0, tol=res)
     assert not stepped and nfev == 1
@@ -757,7 +849,7 @@ def test_polish_survives_singular_newton_system(bad, monkeypatch):
     # metric Id and rest (bad - 1) Id: the Newton operator is bad * Id
     monkeypatch.setattr(
         solvers, "_minres",
-        lambda rest, b, M: minres(lambda v: (bad - 1.0) * v, b, lambda r: r.copy()),
+        lambda rest, b, M, rtol: minres(lambda v: (bad - 1.0) * v, b, lambda r: r.copy(), rtol),
     )
     u0 = np.sin(np.pi * st.grid.nodes)
     u0[-1] = 0.0

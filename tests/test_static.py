@@ -14,6 +14,10 @@ mountain_pass takes no block product in its loop, which walks rays, not
 a path, and _ray_max takes no product at all: it scales the D image of
 the point it is given, as D(t w) = t (D w), and a ray search that took
 D(t w) afresh at each trial t would still pass every test, only slower.
+Likewise the sine rays of the rim, the endpoint march and the
+multiplicity starts combine the table of mode images that
+_Workspace.unit_sines takes with its one block product, so _rim_value,
+mountain_pass and multiplicity_search take none.
 
 solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
@@ -168,11 +172,11 @@ def mountain_pass(st):
     assert sweep_block_products("def other():\n    _rows(op, P)\n") is None
 
 
-def ray_products(source: str):
-    """Toeplitz products (@, @=) and _rows( calls in _ray_max; None if
-    there is no _ray_max."""
+def products_in(source: str, name: str):
+    """Toeplitz products (@, @=) and _rows( calls in the function or
+    method name; None if there is no such function."""
     for fn in ast.walk(ast.parse(source)):
-        if isinstance(fn, ast.FunctionDef) and fn.name == "_ray_max":
+        if isinstance(fn, ast.FunctionDef) and fn.name == name:
             found = []
             for node in ast.walk(fn):
                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -189,7 +193,7 @@ def ray_products(source: str):
 
 def test_ray_max_takes_no_product():
     source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
-    assert ray_products(source) == []
+    assert products_in(source, "_ray_max") == []
 
 
 def test_ray_guard_flags_product():
@@ -199,8 +203,33 @@ def _ray_max(st, w, dw):
     dv @= 2.0
     return _rows(st.ops.left_deriv, w)
 """
-    assert ray_products(snippet) == ["line 3: @", "line 4: @", "line 5: _rows("]
-    assert ray_products("def other(op, w):\n    return op @ w\n") is None
+    assert products_in(snippet, "_ray_max") == ["line 3: @", "line 4: @", "line 5: _rows("]
+    assert products_in("def other(op, w):\n    return op @ w\n", "_ray_max") is None
+
+
+@pytest.mark.parametrize("name", ["_rim_value", "mountain_pass", "multiplicity_search"])
+def test_sine_rays_take_no_product(name):
+    source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
+    assert products_in(source, name) == []
+
+
+def test_unit_sines_takes_one_table_product():
+    source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
+    assert [site.split(": ")[1] for site in products_in(source, "unit_sines")] == ["_rows("]
+
+
+def test_sine_guard_flags_product():
+    snippet = """
+class _Workspace:
+    def unit_sines(self, coeffs):
+        S = _rows(self.st.ops.left_deriv, self.modes)
+        return S, _rows(self.st.ops.left_deriv, coeffs)
+
+def _rim_value(ws, rng):
+    return ws.st.ops.left_deriv @ rng
+"""
+    assert products_in(snippet, "unit_sines") == ["line 4: _rows(", "line 5: _rows("]
+    assert products_in(snippet, "_rim_value") == ["line 8: @"]
 
 
 def call_sites(source: str, name: str) -> list:
