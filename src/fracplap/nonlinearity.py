@@ -200,6 +200,20 @@ class NonlinearitySpec:
             return (mu - 1.0) * (np.abs(u) + (_FU_FLOOR if mu < 2.0 else 0.0)) ** (mu - 2.0)
         return self.a_coeff(t) * self._table_nodes[2][self._table_segment(u)]
 
+    def F_bound(self, t, w, r):
+        """An upper bound of sum_i w_i max_{|s| <= r} F(t_i, s) for w >= 0: exact
+        for SUPERLINEAR_POWER; r (w . |a|) max|f| on [-r, r], or inf, for TABLE."""
+        if self.family is Family.SUPERLINEAR_POWER:
+            return np.sum(w) * r**self.mu / self.mu
+        bp, fv = self._table_nodes[:2]
+        # |f| peaks on [-r, r] at +-r or at a node there; node 0 is always one
+        order = np.argsort(np.abs(bp))
+        peak = np.maximum.accumulate(np.abs(fv[order]))
+        m = np.maximum(peak[np.searchsorted(np.abs(bp[order]), r, "right") - 1],
+                       np.abs(np.interp([r, -r], bp, fv)).max(axis=0))
+        m = np.sum(w * np.abs(self.a_coeff(t))) * r * m
+        return np.where(r <= min(-bp[0], bp[-1]), m, np.inf)
+
     def _table_segment(self, u: np.ndarray) -> np.ndarray:
         """Index of the segment between _table_nodes that holds each u;
         raises ExtrapolationError if a u lies outside the breakpoints."""

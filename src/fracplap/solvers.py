@@ -36,9 +36,9 @@ accepted steps.
 
 Every evaluation goes through the row layer (energy._energy_rows,
 energy._gradient_rows, fracops._alpha_rows) on pinned arrays and the D
-images at hand.  The unit sine directions of the rim, the endpoint march
-and the multiplicity rays combine a table of pinned sine modes and
-their D images, taken once per workspace by one block product
+images at hand.  The unit sine directions of the endpoint march and the
+multiplicity rays combine a table of pinned sine modes and their D
+images, taken once per workspace by one block product
 (_Workspace.unit_sines), so a direction costs no product; the endpoint
 and the rays scale it by powers of two, which is exact.  The ray maximum
 scales the D image it is given, D(t w) = t (D w).
@@ -62,7 +62,7 @@ from .energy import (
     basis_alpha_norms,
     phi,
 )
-from .fracops import _alpha_rows, _blocks, _gl_operator, _rows
+from .fracops import _alpha_rows, _gl_operator, _rows
 from .grid import GridFunction, _lp_rows, sup_norm
 from .nonlinearity import Family
 
@@ -85,7 +85,6 @@ DEFAULT_SEPARATION_SCALE = 1e-3
 POLISH_MAX_STEPS = 20
 POLISH_MAX_HALVINGS = 10
 ARMIJO_MAX_HALVINGS = 60
-RIM_DIRECTIONS = 40
 RAY_STEPS = 200
 MINRES_RTOL = 1e-12
 FORCING = 0.1
@@ -528,23 +527,21 @@ def _ray_max(st: ProblemState, w: np.ndarray, dw: np.ndarray) -> tuple[np.ndarra
     raise GeometryError("the energy has no maximum along the ray")
 
 
-def _rim_value(ws: _Workspace, rng: np.random.Generator) -> float:
-    """Smallest sampled energy on the sphere of radius rho, shrinking rho
-    until that minimum is positive."""
-    st = ws.st
-    rho = 0.1 * st.grid.T ** st.params.alpha
-    for _ in range(80):
-        C = rng.standard_normal((RIM_DIRECTIONS, 6))
-        C[~C.any(axis=1), 0] = 1.0
-        worst = math.inf
-        for start, stop in _blocks(st.grid, RIM_DIRECTIONS):
-            U, DU = ws.unit_sines(C[start:stop])
-            for e in _energy_rows(st, rho * U, rho * DU).tolist():
-                worst = min(worst, e)
-        if worst > 0.0:
-            return float(worst)
-        rho *= 0.5
-    raise GeometryError("no positive rim found: energy is not positive near 0")
+def _rim_value(st: ProblemState) -> float:
+    """The largest, over radii rho = r / C on a ladder of ratio 2^(1/8), of
+    rho^p / p - sum_i quad_i max_{|s| <= r} F(t_i, s), a lower bound of the
+    energy on the sphere ||w||_alpha = rho: a pinned w is I^alpha D w, and
+    rows 1..n-1 of D w weigh h, so by Hoelder max|w| <= C ||w||_alpha with
+    C = h^(-1/p) ||(iota_0, .., iota_{n-2})||_p' for the I^alpha weights."""
+    p = st.params.p
+    q = p / (p - 1.0)
+    c = st.grid.h ** (-1.0 / p) * _lp_rows(st.ops.left_int.col[: st.grid.n - 1], q, 1.0)[0]
+    r = 2.0 ** np.arange(-100.0, 20.125, 0.125)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = float(np.max((r / c) ** p / p - st.spec.F_bound(st.grid.nodes, st._quad, r)))
+    if not beta > 0.0:
+        raise GeometryError("no positive rim found: energy is not positive near 0")
+    return beta
 
 
 def _merit_below(r: float, log_m: float, best: float, best_log_m: float) -> bool:
@@ -631,23 +628,22 @@ def mountain_pass(
 ) -> SolveReport:
     """Min-max by ray selection: descend the energy's ray maximum.
 
-    The rim value beta > 0 is certified by sampling a small sphere, the
-    endpoint e by marching out the first sine ray until the energy turns
-    negative.  From the maximum along the first sine's ray, the direct
-    minimizer's step is taken with each trial moved to its ray maximum,
-    until the residual meets the gate max(100 tol, 1e-3) or a step fails;
-    the Newton polish then starts from the gradient and D u at hand.  If
-    it misses tol from under a gate above tol, the descent goes on from
-    where it started, under a tenth of that point's residual.  The
-    descent takes at most max_iter gradients; iterations counts them all.
-    The result satisfies energy(e) < 0 < beta <= energy_value; a ray
-    maximum at energy <= 0 (or NaN), or a ray without one, raises
-    GeometryError.
+    The rim value beta > 0 bounds the energy below on a whole sphere
+    (_rim_value), so seed is only reported; the endpoint e marches out
+    the first sine ray until the energy turns negative.  From the maximum
+    along the first sine's ray, the direct minimizer's step is taken with
+    each trial moved to its ray maximum, until the residual meets the
+    gate max(100 tol, 1e-3) or a step fails; the Newton polish then
+    starts from the gradient and D u at hand.  If it misses tol from
+    under a gate above tol, the descent goes on from where it started,
+    under a tenth of that point's residual.  The descent takes at most
+    max_iter gradients; iterations counts them all.  The result satisfies
+    energy(e) < 0 < beta <= energy_value; no positive rim, a ray maximum
+    at energy <= 0 (or NaN), or a ray without one raises GeometryError.
     """
     _regime_gate(st, "mountain_pass", "superlinear")
     ws = _Workspace(st)
-    rng = np.random.default_rng(seed)
-    beta = _rim_value(ws, rng)
+    beta = _rim_value(st)
 
     # D(s w0) == s (D w0) bitwise: s is a power of two
     (w0,), (dw0,) = ws.unit_sines(np.ones((1, 1)))

@@ -450,6 +450,35 @@ def test_geometry_error_is_numerical_error(tmp_path, capsys, monkeypatch):
     assert _one_line(capsys.readouterr().err) == "numerical error: no rim above the origin"
 
 
+def test_solve_without_positive_rim_is_numerical_error(tmp_path, capsys):
+    # f = 100 u outgrows the p = 2 energy's quadratic part on every sphere,
+    # so the mountain pass finds no positive rim; no monkeypatch
+    nl = {"family": "TABLE", "table": {"breakpoints": [-10.0, 10.0], "values": [-1000.0, 1000.0]}}
+    path = write_config(tmp_path, nonlinearity=nl, **{"solver.method": "mountain_pass"})
+    assert main(["solve", "--config", str(path)]) == 2
+    assert _one_line(capsys.readouterr().err).startswith("numerical error: no positive rim")
+    assert not (tmp_path / "rep.json").exists() and not (tmp_path / "sol.csv").exists()
+
+
+def test_mountain_pass_reports_differ_only_in_seed(tmp_path):
+    # the mountain pass draws nothing: the seed is only reported
+    runs = []
+    for seed in (0, 3):
+        path = write_config(
+            tmp_path,
+            nonlinearity={"family": "SUPERLINEAR_POWER", "mu": 4.0},
+            **{"problem.alpha": 0.7, "solver.method": "mountain_pass", "solver.tol": 1e-8,
+               "solver.seed": seed},
+        )
+        assert main(["solve", "--config", str(path)]) == 0
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        runs.append(((tmp_path / "sol.csv").read_bytes(), rep))
+    (sol0, rep0), (sol3, rep3) = runs
+    assert sol0 == sol3
+    assert (rep0.pop("seed"), rep3.pop("seed")) == (0, 3)
+    assert rep0 == rep3
+
+
 @pytest.mark.parametrize("T", ["1e308", "1e-300"])
 def test_verify_extreme_T_is_config_error(capsys, T):
     # SEMIGROUP's factor h^(2 alpha) overflows at T = 1e308 and underflows

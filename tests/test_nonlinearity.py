@@ -217,3 +217,42 @@ def test_table_antiderivative_near_origin_is_accurate(breakpoints):
     # the samples inside [-1, 1] cover -u too, so evenness is checked there
     rep = validate_hypotheses(spec, PARAMS, "SUBLINEAR", seed=0)
     assert rep.record("evenness").holds
+
+
+@pytest.mark.parametrize(
+    "spec, exact",
+    [
+        # a non-odd profile whose |f| peaks inside [-r, r] at breakpoints
+        (table_spec([-2.0, -0.5, 0.3, 1.0, 3.0], [1.5, -0.4, 0.9, -2.0, 4.0]), False),
+        # f vanishes for u > 0, so F peaks at -r
+        (table_spec([-1.0, 0.0, 1.0], [-5.0, 0.0, 0.0]), False),
+        # a coefficient that changes sign over [0, 1], so F peaks at -r for some t
+        (
+            table_spec(
+                [-1.0, -0.2, 1.0], [-1.0, 0.3, 1.0],
+                a_coeff=CoefficientFn(kind="sine", value=0.2, amplitude=1.0, frequency=7.0),
+            ),
+            False,
+        ),
+        (superlinear_power(3.0), True),
+    ],
+    ids=["non_odd_table", "one_sided_table", "sign_changing_a", "superlinear"],
+)
+def test_F_bound_covers_brute_force_max(spec, exact):
+    t = np.linspace(0.0, 1.0, 11)
+    for r in (0.0, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 1.0):
+        s = np.broadcast_to(np.linspace(-r, r, 20001), (len(t), 20001))
+        brute = np.max(spec.F_values(t[:, None], s), axis=1)
+        # the bound node by node (weight 1 at one node), then the weighted sum
+        per_node = np.array([spec.F_bound(t[i : i + 1], np.ones(1), r) for i in range(len(t))])
+        total = spec.F_bound(t, np.full(len(t), 0.1), r)
+        if exact:
+            np.testing.assert_allclose(per_node, brute, rtol=1e-15, atol=0.0)
+        assert np.all(per_node >= brute)
+        assert total >= 0.1 * np.sum(brute) * (1.0 - 1e-14)  # the sums round apart
+
+
+def test_F_bound_is_inf_past_the_table():
+    spec = table_spec([-2.0, -0.5, 0.3, 1.0, 3.0], [1.5, -0.4, 0.9, -2.0, 4.0])
+    bound = spec.F_bound(np.zeros(3), np.ones(3), np.array([1.5, 2.0, 2.5]))
+    assert np.all(np.isfinite(bound[:2])) and bound[2] == np.inf

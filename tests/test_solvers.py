@@ -3,9 +3,9 @@ import pytest
 
 from conftest import dense
 from fracplap import fracops, solvers
-from fracplap.fracops import _rows
-from fracplap.energy import _gradient_and_du, phi
-from fracplap.grid import sine_series, trapezoid_weights
+from fracplap.fracops import _alpha_rows, _rows
+from fracplap.energy import _energy_rows, _gradient_and_du, phi
+from fracplap.grid import _lp_rows, sine_series, trapezoid_weights
 
 from fracplap import (
     CoefficientFn,
@@ -993,3 +993,94 @@ def test_mountain_pass_polishes_top_state_when_sweep_step_fails(monkeypatch):
     assert rep.converged and rep.residual <= 1e-8 and not rep.trivial
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
     assert rep.energy_value == pytest.approx(1.9721865433488235, rel=1e-12)
+
+
+# (alpha, p, mu) of the proven-rim checks, all at n 1024; below alpha = 1/p
+# C_n grows with n and the rim is small but positive
+RIM_CASES = [(0.7, 2.0, 4.0), (0.9, 3.0, 6.0), (1.0, 1.5, 3.0), (0.3, 2.0, 4.0), (0.3, 1.5, 2.25)]
+
+
+def sup_constant(st):
+    """C_n = (h^(1-p') sum_{k<n-1} |iota_k|^p')^(1/p') for the I^alpha weights iota."""
+    p, n = st.params.p, st.grid.n
+    q = p / (p - 1.0)
+    iota = np.abs(st.ops.left_int.col[: n - 1])
+    return (st.grid.h ** (1.0 - q) * np.sum(iota**q)) ** (1.0 / q)
+
+
+def best_rim(st, mu):
+    """The best radius rho* and the value beta* of the lower bound
+    rho^p / p - T (C_n rho)^mu / mu of the SUPERLINEAR_POWER energy on the
+    sphere ||w||_alpha = rho."""
+    p = st.params.p
+    rho = (st.grid.T * sup_constant(st) ** mu) ** (-1.0 / (mu - p))
+    return rho, (1.0 / p - 1.0 / mu) * rho**p
+
+
+@pytest.mark.parametrize("alpha, p, mu", RIM_CASES)
+def test_rim_value_meets_closed_form(alpha, p, mu):
+    # the sampled rim was 0.0050 against beta* 0.118 at (0.7, 2, 4)
+    st = make_state(alpha, p, 1024, superlinear_power(mu))
+    _, beta = best_rim(st, mu)
+    assert 0.95 * beta <= solvers._rim_value(st) <= beta
+
+
+def sphere_blocks(n, rng):
+    """10^4 pinned directions in blocks of at most 1000 rows: the n - 1
+    single-node spikes, then smooth rows (cumulative sums of white noise)
+    and rough rows (white noise) in turn."""
+    yield np.eye(n + 1)[1:n]
+    rows = 10_000 - (n - 1)
+    for start in range(0, rows, 1000):
+        W = rng.standard_normal((min(1000, rows - start), n + 1))
+        if start % 2000 == 0:
+            W = np.cumsum(W, axis=1)
+        W[:, 0] = W[:, -1] = 0.0
+        yield W
+
+
+@pytest.mark.parametrize("alpha, p, mu", RIM_CASES)
+def test_no_direction_on_the_sphere_falls_below_the_rim(alpha, p, mu):
+    n = 1024
+    st = make_state(alpha, p, n, superlinear_power(mu))
+    rim = solvers._rim_value(st)
+    rho, _ = best_rim(st, mu)
+    count, lowest = 0, np.inf
+    for W in sphere_blocks(n, np.random.default_rng(0)):
+        DW = _rows(st.ops.left_deriv, W)
+        scale = rho / np.array(_lp_rows(DW, p, st.ops.deriv_quad_weights))[:, None]
+        lowest = min(lowest, float(np.min(_energy_rows(st, scale * W, scale * DW))))
+        count += len(W)
+    assert count == 10_000
+    assert lowest >= rim > 0.0
+
+
+@pytest.mark.parametrize("alpha, p, mu", RIM_CASES)
+def test_sup_constant_is_attained(alpha, p, mu):
+    # the Hoelder-extremal y_k = sign(iota_{n-1-k}) |iota_{n-1-k}|^(p'-1),
+    # k = 1..n-1, gives w = I^alpha y with |w_{n-1}| = C_n ||w||_alpha, so
+    # C_n is sharp and not only valid; w_n is left free
+    n = 1024
+    st = make_state(alpha, p, n, superlinear_power(mu))
+    iota = st.ops.left_int.col[n - 2 :: -1]
+    y = np.zeros(n + 1)
+    y[1:n] = np.sign(iota) * np.abs(iota) ** (1.0 / (p - 1.0))
+    w = st.ops.left_int @ y
+    norm = _alpha_rows(st.ops, w, p)[0]
+    assert abs(w[n - 1]) == pytest.approx(sup_constant(st) * norm, rel=1e-12, abs=0.0)
+
+
+def test_mountain_pass_without_positive_rim_is_geometry_error():
+    # f = 100 u outgrows the p = 2 energy's quadratic part on every sphere
+    st = make_state(0.6, 2.0, 64, table_spec([-10.0, 10.0], [-1000.0, 1000.0]))
+    with pytest.raises(solvers.GeometryError, match="no positive rim"):
+        mountain_pass(st)
+
+
+def test_mountain_pass_does_not_depend_on_seed():
+    st = make_state(0.7, 2.0, 256, superlinear_power(4.0))
+    a = mountain_pass(st, tol=1e-8, seed=0)
+    b = mountain_pass(st, tol=1e-8, seed=3)
+    assert np.array_equal(a.solution.values, b.solution.values)
+    assert (a.energy_value, a.rim_value) == (b.energy_value, b.rim_value)
+    assert (a.seed, b.seed) == (0, 3)

@@ -14,10 +14,16 @@ mountain_pass takes no block product in its loop, which walks rays, not
 a path, and _ray_max takes no product at all: it scales the D image of
 the point it is given, as D(t w) = t (D w), and a ray search that took
 D(t w) afresh at each trial t would still pass every test, only slower.
-Likewise the sine rays of the rim, the endpoint march and the
-multiplicity starts combine the table of mode images that
-_Workspace.unit_sines takes with its one block product, so _rim_value,
-mountain_pass and multiplicity_search take none.
+Likewise the sine rays of the endpoint march and the multiplicity starts
+combine the table of mode images that _Workspace.unit_sines takes with
+its one block product, so mountain_pass and multiplicity_search take
+none, and _rim_value, a bound read off the I^alpha weights, takes none
+either.
+
+mountain_pass and _rim_value draw no random numbers: the rim is a proven
+lower bound on a whole sphere, not a sampled minimum, so a mountain pass
+is a function of its config alone, and a sampler brought back would
+still pass every test of the rim's bounds.
 
 solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
@@ -32,6 +38,7 @@ only slower.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracplap
@@ -311,3 +318,34 @@ def gl_weights(order, m):
 """
     assert python_loops(snippet, "gl_weights") == [3, 5, 7]
     assert python_loops("def other():\n    pass\n", "gl_weights") is None
+
+
+# default_rng and every public Generator method, each a draw or a new stream
+RNG_CALLS = {"default_rng"} | {m for m in dir(np.random.Generator) if not m.startswith("_")}
+
+
+def rng_calls(source: str, owners=("mountain_pass", "_rim_value")) -> list:
+    """(function, line) of each call of an RNG_CALLS name in the owners."""
+    return sorted(
+        site for name in RNG_CALLS for site in call_sites(source, name) if site[0] in owners
+    )
+
+
+def test_mountain_pass_draws_nothing():
+    source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
+    assert rng_calls(source) == []
+
+
+def test_draw_guard_flags_rng():
+    snippet = """
+def _rim_value(ws, rng):
+    return rng.standard_normal((40, 6))
+
+def mountain_pass(st, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(3)
+
+def multiplicity_search(st, seed=0):
+    return np.random.default_rng(seed).normal()
+"""
+    assert rng_calls(snippet) == [("_rim_value", 3), ("mountain_pass", 6), ("mountain_pass", 7)]
