@@ -181,12 +181,7 @@ class NonlinearitySpec:
             return self.a_coeff(t) * np.abs(u) ** self.q
         if self.family is Family.SUPERLINEAR_POWER:
             return np.abs(u) ** self.mu / self.mu
-        idx = self._table_segment(u)
-        bp, fv, slope, cum = self._table_nodes
-        # expand about the nearer end of the segment, so nothing cancels
-        j = idx + (u - bp[idx] > bp[idx + 1] - u)
-        du = u - bp[j]
-        return self.a_coeff(t) * (cum[j] + (fv[j] * du + 0.5 * slope[idx] * du * du))
+        return self.a_coeff(t) * self._table_F(u)
 
     def fu_values(self, t, u):
         """Vectorized df/du; |u| is floored where the power is singular."""
@@ -200,19 +195,43 @@ class NonlinearitySpec:
             return (mu - 1.0) * (np.abs(u) + (_FU_FLOOR if mu < 2.0 else 0.0)) ** (mu - 2.0)
         return self.a_coeff(t) * self._table_nodes[2][self._table_segment(u)]
 
-    def F_bound(self, t, w, r):
-        """An upper bound of sum_i w_i max_{|s| <= r} F(t_i, s) for w >= 0: exact
-        for SUPERLINEAR_POWER; r (w . |a|) max|f| on [-r, r], or inf, for TABLE."""
+    def quadratic_bound(self, t, r):
+        """(m, k) with 2 |F(t, s)| <= m(t) k(r) s^2 for |s| <= r, k(r) the
+        least such factor for each radius r > 0 in r; inf where [-r, r]
+        leaves a table's range, or where f(t, 0) != 0.  For SUPERLINEAR_POWER
+        m k r^2 / 2 is max |F| on [-r, r]; below mu = 2, where no such
+        factor exists, k bounds only that max."""
+        m = np.abs(self.a_coeff(t))
         if self.family is Family.SUPERLINEAR_POWER:
-            return np.sum(w) * r**self.mu / self.mu
-        bp, fv = self._table_nodes[:2]
-        # |f| peaks on [-r, r] at +-r or at a node there; node 0 is always one
-        order = np.argsort(np.abs(bp))
-        peak = np.maximum.accumulate(np.abs(fv[order]))
-        m = np.maximum(peak[np.searchsorted(np.abs(bp[order]), r, "right") - 1],
-                       np.abs(np.interp([r, -r], bp, fv)).max(axis=0))
-        m = np.sum(w * np.abs(self.a_coeff(t))) * r * m
-        return np.where(r <= min(-bp[0], bp[-1]), m, np.inf)
+            return np.ones_like(m), 2.0 * r ** (self.mu - 2.0) / self.mu
+        bp, fv, slope, cum = self._table_nodes
+        k0 = int(np.searchsorted(bp, 0.0))
+        # on a segment F / a = slope s^2 / 2 + b s + c, so 2 F / (a s^2) is a
+        # quadratic in 1 / s: |.| peaks at +-r, at a node, at s = -2 c / b,
+        # or next to 0, where it is the slope there if f(t, 0) = 0
+        near = np.abs(slope[max(k0 - 1, 0) : k0 + 1]).max() if fv[k0] == 0.0 else np.inf
+        x0, f0 = bp[:-1], fv[:-1]
+        b, c = f0 - slope * x0, cum[:-1] - x0 * (f0 - 0.5 * slope * x0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = -2.0 * c / b
+        z = np.concatenate([bp[bp != 0.0], v[(x0 < v) & (v < bp[1:]) & (x0 * bp[1:] > 0.0)]])
+        z = z[np.argsort(np.abs(z))]
+        ratio = 2.0 * np.abs(self._table_F(z)) / z**2
+        peak = np.maximum.accumulate(np.concatenate([[near], ratio]))
+        inside = r <= min(-bp[0], bp[-1])
+        r = np.where(inside, r, 1.0)
+        ends = 2.0 * np.abs(self._table_F(np.stack([r, -r]))).max(axis=0) / r**2
+        k = np.maximum(peak[np.searchsorted(np.abs(z), r, "right")], ends)
+        return m, np.where(inside, k, np.inf)
+
+    def _table_F(self, u: np.ndarray) -> np.ndarray:
+        """F / a for a table: the exact antiderivative of its interpolant."""
+        idx = self._table_segment(u)
+        bp, fv, slope, cum = self._table_nodes
+        # expand about the nearer end of the segment, so nothing cancels
+        j = idx + (u - bp[idx] > bp[idx + 1] - u)
+        du = u - bp[j]
+        return cum[j] + (fv[j] * du + 0.5 * slope[idx] * du * du)
 
     def _table_segment(self, u: np.ndarray) -> np.ndarray:
         """Index of the segment between _table_nodes that holds each u;

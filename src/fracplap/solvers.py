@@ -86,6 +86,7 @@ POLISH_MAX_STEPS = 20
 POLISH_MAX_HALVINGS = 10
 ARMIJO_MAX_HALVINGS = 60
 RAY_STEPS = 200
+EIGEN_SOLVES = 8
 MINRES_RTOL = 1e-12
 FORCING = 0.1
 MINRES_MAX_ITER = 200
@@ -224,6 +225,27 @@ class _Workspace:
         w = np.zeros_like(du)
         w[1:] = self.linear_weights[1:] * slope
         return np.maximum(w, PRECOND_FLOOR * np.max(w))
+
+    def eigen_bound(self, qa: np.ndarray) -> float:
+        """A lower bound of min ||w||_alpha^2 / sum_i qa_i w_i^2 over pinned w
+        at p = 2 (node weights qa >= 0), by EIGEN_SOLVES inverse iterations
+        from w = 1 and Collatz-Wielandt.  The linear metric H (||w||_alpha^2
+        = h w^T H w) is a Z-matrix: its off-diagonal entries are truncated
+        sums of the centered fractional difference's negative weights.  So
+        for y = H^-1 (qa x) > 0 and lam = min h x_i / y_i over qa_i > 0,
+        h H - lam diag(qa) scaled by y is a diagonally dominant Z-matrix,
+        hence semidefinite."""
+        n = self.st.grid.n
+        solve = self.metric_solver(self.linear_weights)
+        x, lam, b = np.ones(n - 1), 0.0, np.zeros(n + 1)
+        for _ in range(EIGEN_SOLVES):
+            b[1:n] = qa[1:n] * x
+            y = solve(b)[1:n]
+            if not np.all(y > 0.0):
+                break
+            lam = max(lam, self.st.grid.h * float(np.min((x / y)[qa[1:n] > 0.0])))
+            x = y / np.max(y)
+        return lam
 
     def residual(self, g: np.ndarray) -> float:
         """Weak residual of the point whose gradient is g."""
@@ -527,18 +549,30 @@ def _ray_max(st: ProblemState, w: np.ndarray, dw: np.ndarray) -> tuple[np.ndarra
     raise GeometryError("the energy has no maximum along the ray")
 
 
-def _rim_value(st: ProblemState) -> float:
+def _rim_value(ws: _Workspace) -> float:
     """The largest, over radii rho = r / C on a ladder of ratio 2^(1/8), of
-    rho^p / p - sum_i quad_i max_{|s| <= r} F(t_i, s), a lower bound of the
-    energy on the sphere ||w||_alpha = rho: a pinned w is I^alpha D w, and
-    rows 1..n-1 of D w weigh h, so by Hoelder max|w| <= C ||w||_alpha with
-    C = h^(-1/p) ||(iota_0, .., iota_{n-2})||_p' for the I^alpha weights."""
+    a lower bound of the energy on the sphere ||w||_alpha = rho.
+
+    A pinned w is I^alpha D w and rows 1..n-1 of D w weigh h, so Hoelder
+    gives max|w| <= C ||w||_alpha, C = h^(-1/p) ||(iota_0..iota_{n-2})||_p'
+    for the I^alpha weights; with the spec's 2 |F(t, s)| <= m(t) k(r) s^2
+    on |s| <= r, the energy is at least rho^p / p - k r^2 sum(quad m) / 2.
+    Where that proves nothing at p >= 2, sum_i quad_i m_i w_i^2 is at most
+    ||w||_{alpha,2}^2 / lam (_Workspace.eigen_bound), and by Hoelder on D's
+    weights wd at most (sum wd)^(1 - 2/p) rho^2 / lam, so the energy is at
+    least rho^p / p - k (sum wd)^(1 - 2/p) rho^2 / (2 lam)."""
+    st = ws.st
     p = st.params.p
     q = p / (p - 1.0)
     c = st.grid.h ** (-1.0 / p) * _lp_rows(st.ops.left_int.col[: st.grid.n - 1], q, 1.0)[0]
     r = 2.0 ** np.arange(-100.0, 20.125, 0.125)
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = float(np.max((r / c) ** p / p - st.spec.F_bound(st.grid.nodes, st._quad, r)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m, k = st.spec.quadratic_bound(st.grid.nodes, r)
+        qa = st._quad * m
+        beta = float(np.max((r / c) ** p / p - k * r**2 * np.sum(qa) / 2.0))
+        if not beta > 0.0 and p >= 2.0:
+            lam = ws.eigen_bound(qa) * np.sum(st.ops.deriv_quad_weights) ** (2.0 / p - 1.0)
+            beta = float(np.max((r / c) ** p / p - k * (r / c) ** 2 / (2.0 * lam)))
     if not beta > 0.0:
         raise GeometryError("no positive rim found: energy is not positive near 0")
     return beta
@@ -643,7 +677,7 @@ def mountain_pass(
     """
     _regime_gate(st, "mountain_pass", "superlinear")
     ws = _Workspace(st)
-    beta = _rim_value(st)
+    beta = _rim_value(ws)
 
     # D(s w0) == s (D w0) bitwise: s is a power of two
     (w0,), (dw0,) = ws.unit_sines(np.ones((1, 1)))

@@ -220,39 +220,67 @@ def test_table_antiderivative_near_origin_is_accurate(breakpoints):
 
 
 @pytest.mark.parametrize(
-    "spec, exact",
+    "spec",
     [
-        # a non-odd profile whose |f| peaks inside [-r, r] at breakpoints
-        (table_spec([-2.0, -0.5, 0.3, 1.0, 3.0], [1.5, -0.4, 0.9, -2.0, 4.0]), False),
+        # a non-odd profile that changes sign inside [-r, r] three times
+        table_spec([-2.0, -0.5, 0.0, 0.3, 1.0, 3.0], [1.5, -0.4, 0.0, 0.9, -2.0, 4.0]),
         # f vanishes for u > 0, so F peaks at -r
-        (table_spec([-1.0, 0.0, 1.0], [-5.0, 0.0, 0.0]), False),
-        # a coefficient that changes sign over [0, 1], so F peaks at -r for some t
-        (
-            table_spec(
-                [-1.0, -0.2, 1.0], [-1.0, 0.3, 1.0],
-                a_coeff=CoefficientFn(kind="sine", value=0.2, amplitude=1.0, frequency=7.0),
-            ),
-            False,
+        table_spec([-1.0, 0.0, 1.0], [-5.0, 0.0, 0.0]),
+        # a coefficient that changes sign over [0, 1]
+        table_spec(
+            [-1.0, -0.2, 0.0, 1.0], [-1.0, 0.3, 0.0, 1.0],
+            a_coeff=CoefficientFn(kind="sine", value=0.2, amplitude=1.0, frequency=7.0),
         ),
-        (superlinear_power(3.0), True),
+        superlinear_power(3.0),
     ],
     ids=["non_odd_table", "one_sided_table", "sign_changing_a", "superlinear"],
 )
-def test_F_bound_covers_brute_force_max(spec, exact):
+def test_quadratic_bound_covers_the_max_of_F(spec):
     t = np.linspace(0.0, 1.0, 11)
-    for r in (0.0, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 1.0):
+    for r in (0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 1.0):
         s = np.broadcast_to(np.linspace(-r, r, 20001), (len(t), 20001))
-        brute = np.max(spec.F_values(t[:, None], s), axis=1)
-        # the bound node by node (weight 1 at one node), then the weighted sum
-        per_node = np.array([spec.F_bound(t[i : i + 1], np.ones(1), r) for i in range(len(t))])
-        total = spec.F_bound(t, np.full(len(t), 0.1), r)
-        if exact:
-            np.testing.assert_allclose(per_node, brute, rtol=1e-15, atol=0.0)
-        assert np.all(per_node >= brute)
-        assert total >= 0.1 * np.sum(brute) * (1.0 - 1e-14)  # the sums round apart
+        brute = np.max(np.abs(spec.F_values(t[:, None], s)), axis=1)
+        m, k = spec.quadratic_bound(t, np.array([r]))
+        bound = m * k[0] * r * r / 2.0
+        assert np.all(bound >= brute * (1.0 - 1e-14))  # the two round apart
+        if spec.table_breakpoints is None:
+            np.testing.assert_allclose(bound, brute, rtol=1e-15, atol=0.0)
 
 
-def test_F_bound_is_inf_past_the_table():
-    spec = table_spec([-2.0, -0.5, 0.3, 1.0, 3.0], [1.5, -0.4, 0.9, -2.0, 4.0])
-    bound = spec.F_bound(np.zeros(3), np.ones(3), np.array([1.5, 2.0, 2.5]))
-    assert np.all(np.isfinite(bound[:2])) and bound[2] == np.inf
+QUADRATIC_SPECS = [
+    table_spec([-2.0, -0.5, 0.0, 0.3, 1.0, 3.0], [1.5, -0.4, 0.0, 0.9, -2.0, 4.0]),
+    table_spec([-1.0, 0.0, 1.0], [-5.0, 0.0, 0.0]),
+    table_spec(np.linspace(-3.0, 3.0, 61), np.linspace(-3.0, 3.0, 61) ** 3),
+    # 2 F / s^2 peaks inside the segment [2, 4], at s = 28 / 13, not at a node
+    table_spec([-4.0, 0.0, 1.0, 2.0, 4.0], [-1.0, 0.0, 1.0, 6.0, -14.0]),
+    superlinear_power(3.0),
+    superlinear_power(2.5),
+] + [
+    table_spec(bp, np.where(bp == 0.0, 0.0, np.random.default_rng(seed).standard_normal(9)))
+    for seed in range(8)
+    for bp in [np.sort(np.append(np.random.default_rng(seed).uniform(-3.0, 3.0, 8), 0.0))]
+]
+
+
+@pytest.mark.parametrize("spec", QUADRATIC_SPECS)
+def test_quadratic_bound_is_the_max_of_the_F_ratio(spec):
+    for r in (0.05, 0.3, 0.7, 1.0, 2.5):
+        if spec.table_breakpoints is not None and not r <= min(
+            -spec.table_breakpoints[0], spec.table_breakpoints[-1]
+        ):
+            continue
+        s = np.linspace(-r, r, 200_002)
+        brute = np.max(2.0 * np.abs(spec.F_values(0.0, s)) / s**2)
+        bound = spec.quadratic_bound(0.0, np.array([r]))[1][0]
+        # the grid point and the peak round apart in the last bits
+        assert brute * (1.0 - 1e-12) <= bound <= brute * (1.0 + 1e-6)
+
+
+def test_quadratic_bound_is_inf_off_a_zero_at_0_or_past_the_table():
+    # f(0) = 0.1 makes 2 F / s^2 blow up at 0
+    spec = table_spec([-1.0, 1.0], [-0.9, 1.1])
+    assert np.all(spec.quadratic_bound(0.0, np.array([1e-3, 0.5]))[1] == np.inf)
+    spec = table_spec([-2.0, 0.0, 1.0], [-2.0, 0.0, 1.0])
+    assert list(spec.quadratic_bound(0.0, np.array([0.5, 1.0, 1.5]))[1]) == [1.0, 1.0, np.inf]
+
+

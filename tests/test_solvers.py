@@ -997,7 +997,10 @@ def test_mountain_pass_polishes_top_state_when_sweep_step_fails(monkeypatch):
 
 # (alpha, p, mu) of the proven-rim checks, all at n 1024; below alpha = 1/p
 # C_n grows with n and the rim is small but positive
-RIM_CASES = [(0.7, 2.0, 4.0), (0.9, 3.0, 6.0), (1.0, 1.5, 3.0), (0.3, 2.0, 4.0), (0.3, 1.5, 2.25)]
+RIM_CASES = [
+    (0.7, 2.0, 4.0), (0.9, 3.0, 6.0), (1.0, 1.5, 3.0), (0.3, 2.0, 4.0), (0.3, 1.5, 2.25),
+    (0.7, 1.5, 1.8),  # mu < 2: 2 F / s^2 is unbounded near 0, max F is not
+]
 
 
 def sup_constant(st):
@@ -1022,7 +1025,7 @@ def test_rim_value_meets_closed_form(alpha, p, mu):
     # the sampled rim was 0.0050 against beta* 0.118 at (0.7, 2, 4)
     st = make_state(alpha, p, 1024, superlinear_power(mu))
     _, beta = best_rim(st, mu)
-    assert 0.95 * beta <= solvers._rim_value(st) <= beta
+    assert 0.95 * beta <= solvers._rim_value(solvers._Workspace(st)) <= beta
 
 
 def sphere_blocks(n, rng):
@@ -1043,7 +1046,7 @@ def sphere_blocks(n, rng):
 def test_no_direction_on_the_sphere_falls_below_the_rim(alpha, p, mu):
     n = 1024
     st = make_state(alpha, p, n, superlinear_power(mu))
-    rim = solvers._rim_value(st)
+    rim = solvers._rim_value(solvers._Workspace(st))
     rho, _ = best_rim(st, mu)
     count, lowest = 0, np.inf
     for W in sphere_blocks(n, np.random.default_rng(0)):
@@ -1068,6 +1071,104 @@ def test_sup_constant_is_attained(alpha, p, mu):
     w = st.ops.left_int @ y
     norm = _alpha_rows(st.ops, w, p)[0]
     assert abs(w[n - 1]) == pytest.approx(sup_constant(st) * norm, rel=1e-12, abs=0.0)
+
+
+def cubic_table(bound, count, slope=0.0):
+    """f = slope u + u^3 on count breakpoints of [-bound, bound]."""
+    u = np.linspace(-bound, bound, count)
+    return table_spec(u, slope * u + u**3)
+
+
+def linear_metric(st):
+    """The dense interior block of D^T diag(wd) D: ||w||_alpha^2 at p = 2."""
+    n = st.grid.n
+    D = dense(st.ops.left_deriv)
+    return ((D.T * st.ops.deriv_quad_weights) @ D)[1:n, 1:n]
+
+
+def first_eigenvalue(st, qa):
+    """min ||w||_alpha^2 / sum_i qa_i w_i^2 over pinned w at p = 2, dense."""
+    n = st.grid.n
+    s = np.sqrt(qa[1:n])
+    return 1.0 / np.linalg.eigvalsh(s[:, None] * np.linalg.inv(linear_metric(st)) * s).max()
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 1.0])
+def test_linear_metric_is_a_z_matrix(alpha):
+    # eigen_bound's proof rests on this: off the diagonal the metric is <= 0
+    st = make_state(alpha, 2.0, 256, superlinear_power(4.0))
+    H = linear_metric(st)
+    assert np.all(H[~np.eye(len(H), dtype=bool)] <= 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("weight", ["one", "abs_sine", "half_sine"])
+def test_eigen_bound_is_a_sharp_lower_bound(alpha, weight):
+    # node weights quad |a| for a = 1, |sin 4 pi t| (zero at four nodes)
+    # and sin^2 4 pi t on the first half only
+    st = make_state(alpha, 2.0, 128, superlinear_power(4.0))
+    t = st.grid.nodes
+    a = {"one": np.ones_like(t), "abs_sine": np.abs(np.sin(4 * np.pi * t)),
+         "half_sine": np.sin(4 * np.pi * t) ** 2 * (t < 0.5)}[weight]
+    qa = st._quad * a
+    lam, exact = solvers._Workspace(st).eigen_bound(qa), first_eigenvalue(st, qa)
+    assert 0.98 * exact <= lam <= exact * (1.0 + 1e-12)
+
+
+# tables linear near 0 at p = 2, whose sup-norm bound proves no rim; the
+# energies are those the sampled rim converged to
+TABLE_RIMS = [
+    (0.7, cubic_table(50.0, 101), 1.448774092045222, 6),  # slope 1 on [-1, 1]
+    (0.9, cubic_table(50.0, 51), 3.973342614203159, 4),  # slope 4 on [-2, 2]
+    (0.7, cubic_table(10.0, 2001, 1.0), 1.0174131701029885, 5),  # f = u + u^3
+]
+
+
+@pytest.mark.parametrize("alpha, spec, energy, iterations", TABLE_RIMS)
+def test_mountain_pass_proves_the_rim_of_a_table_linear_near_0(alpha, spec, energy, iterations):
+    st = make_state(alpha, 2.0, 256, spec)
+    # the sup-norm bound alone proves no rim here
+    r = 2.0 ** np.arange(-100.0, 20.125, 0.125)
+    k = spec.quadratic_bound(st.grid.nodes, r)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.max((r / sup_constant(st)) ** 2 / 2.0 - k * r * r * np.sum(st._quad) / 2.0) > 0.0
+    rep = mountain_pass(st, tol=1e-8)
+    assert rep.converged and rep.iterations == iterations
+    assert rep.energy_value == pytest.approx(energy, rel=1e-12, abs=0.0)
+    assert 0.0 < rep.rim_value <= rep.energy_value
+
+
+def test_no_direction_on_the_sphere_falls_below_a_table_rim():
+    # the rim of f = u + u^3 at p = 2 from the eigenvalue bound; its radius
+    # is the ladder's best for that bound
+    n = 256
+    st = make_state(0.7, 2.0, n, cubic_table(10.0, 2001, 1.0))
+    ws = solvers._Workspace(st)
+    rim = solvers._rim_value(ws)
+    r = 2.0 ** np.arange(-100.0, 20.125, 0.125)
+    lam = ws.eigen_bound(st._quad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (r / sup_constant(st)) ** 2 / 2.0 * (1.0 - st.spec.quadratic_bound(0.0, r)[1] / lam)
+    assert rim == np.max(bound) > 0.0
+    rho = r[np.argmax(bound)] / sup_constant(st)
+    # the pencil's first eigenvector, the worst direction near 0, first
+    H = linear_metric(st)
+    s = np.sqrt(st._quad[1:n])
+    v = np.zeros(n + 1)
+    v[1:n] = np.linalg.solve(H, s * np.linalg.eigh(s[:, None] * np.linalg.inv(H) * s)[1][:, -1])
+    lowest = np.inf
+    for W in [v[None, :], *sphere_blocks(n, np.random.default_rng(1))]:
+        DW = _rows(st.ops.left_deriv, W)
+        scale = rho / np.array(_lp_rows(DW, 2.0, st.ops.deriv_quad_weights))[:, None]
+        lowest = min(lowest, float(np.min(_energy_rows(st, scale * W, scale * DW))))
+    assert lowest >= rim
+
+
+def test_rim_value_overflows_quietly():
+    # r^mu overflows at the ladder's top radii, where a RuntimeWarning
+    # would fail the suite; the best radius lies far below them
+    st = make_state(0.7, 10.0, 128, superlinear_power(60.0))
+    assert 0.0 < solvers._rim_value(solvers._Workspace(st)) < np.inf
 
 
 def test_mountain_pass_without_positive_rim_is_geometry_error():

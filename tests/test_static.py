@@ -18,7 +18,8 @@ Likewise the sine rays of the endpoint march and the multiplicity starts
 combine the table of mode images that _Workspace.unit_sines takes with
 its one block product, so mountain_pass and multiplicity_search take
 none, and _rim_value, a bound read off the I^alpha weights, takes none
-either.
+either; where that bound proves nothing it calls _Workspace.eigen_bound,
+whose metric solves take their products.
 
 mountain_pass and _rim_value draw no random numbers: the rim is a proven
 lower bound on a whole sphere, not a sampled minimum, so a mountain pass
