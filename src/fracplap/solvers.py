@@ -9,13 +9,25 @@ shrink 0.5, initial step 1) in the lagged-diffusivity metric rebuilt at
 the state from the flux's slopes at D u (_Workspace.descent_weights): it
 follows the curvature of the p-energy, so the direct minimizer's
 iteration count stays flat in p and n, and at p = 2 it is the metric of
-the linear part, D^T diag(wd) D / h.  A step that finds no descent or no
-lower energy ends the direct descent, and hands the mountain pass's
-iterate to the polish.  The mountain pass walks rays, not a path: its
-step moves each trial point to the energy's maximum along the point's
-ray from 0 (_ray_max), so it descends the ray-maximum level (the local
-minimax method with support {0}; Li & Zhou, SIAM J. Sci. Comput. 23,
-2001).  Critical points that are not minima (the higher symmetric pairs,
+the linear part, D^T diag(wd) D / h.  Each descent also keeps a secant
+memory (_SecantMemory): the last QN_MEMORY pairs of step and gradient
+change, which the L-BFGS two-loop recursion combines with the metric
+solve into a quasi-Newton step (Nocedal, Math. Comp. 35, 1980).  It is
+valid for one metric only and is cleared whenever the weights change,
+so it serves p = 2, where the metric misses only the -f_u part of the
+Hessian; at every other p the weights change at each step and the step
+is the plain metric step, bit for bit.  The recursion applies the metric
+solve by linearity and takes no product, and the pairs come from the
+gradients the descents take anyway, so an iteration still costs one
+gradient, one metric solve and its line search at every p.  A memory
+step that finds no descent or no lower energy clears the memory and is
+retried as the plain metric step; a plain step that finds no descent, no
+lower energy or no move off its start ends the direct descent, and
+hands the mountain pass's iterate to the polish.  The mountain pass
+walks rays, not a path: its step moves each trial point to the energy's
+maximum along the point's ray from 0 (_ray_max), so it descends the
+ray-maximum level (the local minimax method with support {0}; Li & Zhou,
+SIAM J. Sci. Comput. 23, 2001).  Critical points that are not minima (the higher symmetric pairs,
 and the mountain-pass maximizer) are finished by one backtracking Newton
 engine (_polish_root).  Its steps come from MINRES on Hessian-vector
 products, preconditioned by the closed-form metric with the Hessian's
@@ -91,6 +103,7 @@ MINRES_RTOL = 1e-12
 FORCING = 0.1
 MINRES_MAX_ITER = 200
 PRECOND_FLOOR = 1e-12
+QN_MEMORY = 5
 
 
 class GeometryError(RuntimeError):
@@ -109,6 +122,7 @@ class SolveReport:
     eps_reg_used: float
     trivial: bool
     rim_value: Optional[float] = None
+    rim_radius: Optional[float] = None
     endpoint_energy: Optional[float] = None
 
 
@@ -424,19 +438,79 @@ def _armijo_step(
     return un, En, dun
 
 
+class _SecantMemory:
+    """The last QN_MEMORY secant pairs (s, y) = (u_{k+1} - u_k, g_{k+1} -
+    g_k) of one descent, valid for the one metric H0 they were taken under
+    (L-BFGS; Nocedal, Math. Comp. 35, 1980).
+
+    Each pair also keeps H0 y = H0 g_{k+1} - H0 g_k, the difference of the
+    two points' plain metric steps, so the two-loop recursion applies H0
+    by linearity, H0 q = H0 g - sum_i a_i H0 y_i, and takes no product
+    beyond the plain step's one solve.  A pair is kept only if s . y is
+    positive and finite, so the update stays positive definite; the h of
+    the h-weighted pairing cancels in each of the recursion's ratios.
+    """
+
+    def __init__(self):
+        self.weights = None
+        self.last = None
+        self.pairs = []
+
+    def direction(self, w: np.ndarray, u: np.ndarray, g: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """H g for the L-BFGS inverse seeded with H0 = H_w^{-1}, at the
+        point u of gradient g and plain step z = H0 g; the memory takes
+        the pair from its last point first, or is cleared if w is a new
+        metric.  With no pair this is z itself."""
+        if not np.array_equal(w, self.weights):
+            self.weights, self.pairs = w, []
+        else:
+            s, y = u - self.last[0], g - self.last[1]
+            sy = float(np.sum(s * y))
+            if sy > 0.0 and math.isfinite(sy):
+                self.pairs = [*self.pairs, (s, y, z - self.last[2], sy)][-QN_MEMORY:]
+        self.last = (u, g, z)
+        if not self.pairs:
+            return z
+        q, r, coeffs = g.copy(), z.copy(), []
+        for s, y, hy, sy in reversed(self.pairs):
+            a = float(np.sum(s * q)) / sy
+            q -= a * y
+            r -= a * hy
+            coeffs.append(a)
+        for (s, y, _, sy), a in zip(self.pairs, reversed(coeffs)):
+            r += (a - float(np.sum(y * r)) / sy) * s
+        return r
+
+
 def _descend(
-    ws: _Workspace, u: np.ndarray, E: float, g: np.ndarray, du: np.ndarray, ray: bool = False
+    ws: _Workspace, u: np.ndarray, E: float, g: np.ndarray, du: np.ndarray,
+    memory: _SecantMemory, ray: bool = False,
 ) -> Optional[tuple[np.ndarray, float, np.ndarray]]:
     """One Armijo step from the pinned u, of energy E, gradient g and D
     image du, in the p-adapted metric at du (trials at their ray maxima if
-    ray is set).  Returns the accepted point, its energy and its D image;
-    None when the slope is not negative (or NaN) or the search ends above E."""
-    d = -ws.metric_solver(ws.descent_weights(du))(g)
-    slope = float(np.sum(ws.st.grid.h * g * d))
-    if not slope < 0.0:
-        return None
-    un, En, dun = _armijo_step(ws.st, u, E, d, slope, ray)
-    return (un, En, dun) if En <= E else None
+    ray is set), with the quasi-Newton memory of the descent.
+
+    The metric solve of g seeds the memory's L-BFGS direction; the memory
+    is cleared whenever the metric's weights change, so it is used only at
+    p = 2, and at every other p the step is the plain metric step.  If the
+    memory's direction has a slope that is not negative (or NaN), or its
+    search ends above E or back at u, the memory is cleared and the plain
+    step is searched instead.  Returns the accepted point, its energy and
+    its D image; None when the plain step fails alike.  A search that ends
+    back at u (the roundoff floor, where the step underflows) fails, as
+    every later step from u would repeat it."""
+    w = ws.descent_weights(du)
+    z = ws.metric_solver(w)(g)
+    d = -memory.direction(w, u, g, z)
+    while True:
+        slope = float(np.sum(ws.st.grid.h * g * d))
+        if slope < 0.0:
+            un, En, dun = _armijo_step(ws.st, u, E, d, slope, ray)
+            if En <= E and not np.array_equal(un, u):
+                return un, En, dun
+        if not memory.pairs:
+            return None
+        memory.pairs, d = [], -z
 
 
 def _report(st: ProblemState, u: np.ndarray, E: float, res: float, iterations: int,
@@ -483,11 +557,15 @@ def minimize_direct(
     """Armijo descent on the energy in the p-adapted metric.
 
     Each direction solves D^T diag(w) D d = -g with the weights
-    _Workspace.descent_weights builds from D u.  The start's energy and
+    _Workspace.descent_weights builds from D u, and at p = 2, where the
+    weights never change, the descent's secant memory turns it into the
+    L-BFGS step seeded with that solve (_descend).  The start's energy and
     gradient share its derivative image, and the line search keeps the
     image of the point it accepts for the next gradient, so an iteration
     costs one Toeplitz product for the gradient, two for the metric solve
-    and one per energy call of the line search.
+    and one per energy call of the line search, with or without memory.
+    The descent ends when the plain metric step fails: no descent, no
+    lower energy, or a search that ends back at u (the roundoff floor).
 
     Requires a sublinear-regime nonlinearity (coercive energy).  On
     convergence the weak residual is at or below tol; starting from a
@@ -501,13 +579,13 @@ def minimize_direct(
     u[0] = u[-1] = 0.0
     du = st.ops.left_deriv @ u
     E = float(_energy_rows(st, u, du))
-    steps = 0
+    steps, memory = 0, _SecantMemory()
     while True:
         g = _gradient_rows(st, u, du)
         res = ws.residual(g)
         if res <= tol or steps >= max_iter:
             break
-        if (step := _descend(ws, u, E, g, du)) is None:
+        if (step := _descend(ws, u, E, g, du, memory)) is None:
             break  # no descent, or a failed line search: keep the last point
         u, E, du = step
         steps += 1
@@ -549,9 +627,10 @@ def _ray_max(st: ProblemState, w: np.ndarray, dw: np.ndarray) -> tuple[np.ndarra
     raise GeometryError("the energy has no maximum along the ray")
 
 
-def _rim_value(ws: _Workspace) -> float:
+def _rim_value(ws: _Workspace) -> tuple[float, float]:
     """The largest, over radii rho = r / C on a ladder of ratio 2^(1/8), of
-    a lower bound of the energy on the sphere ||w||_alpha = rho.
+    a lower bound of the energy on the sphere ||w||_alpha = rho, and the
+    radius rho at which it is largest.
 
     A pinned w is I^alpha D w and rows 1..n-1 of D w weigh h, so Hoelder
     gives max|w| <= C ||w||_alpha, C = h^(-1/p) ||(iota_0..iota_{n-2})||_p'
@@ -569,13 +648,14 @@ def _rim_value(ws: _Workspace) -> float:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m, k = st.spec.quadratic_bound(st.grid.nodes, r)
         qa = st._quad * m
-        beta = float(np.max((r / c) ** p / p - k * r**2 * np.sum(qa) / 2.0))
-        if not beta > 0.0 and p >= 2.0:
+        bound = (r / c) ** p / p - k * r**2 * np.sum(qa) / 2.0
+        if not np.max(bound) > 0.0 and p >= 2.0:
             lam = ws.eigen_bound(qa) * np.sum(st.ops.deriv_quad_weights) ** (2.0 / p - 1.0)
-            beta = float(np.max((r / c) ** p / p - k * (r / c) ** 2 / (2.0 * lam)))
-    if not beta > 0.0:
+            bound = (r / c) ** p / p - k * (r / c) ** 2 / (2.0 * lam)
+    i = int(np.argmax(bound))
+    if not bound[i] > 0.0:
         raise GeometryError("no positive rim found: energy is not positive near 0")
-    return beta
+    return float(bound[i]), float(r[i] / c)
 
 
 def _merit_below(r: float, log_m: float, best: float, best_log_m: float) -> bool:
@@ -665,19 +745,22 @@ def mountain_pass(
     The rim value beta > 0 bounds the energy below on a whole sphere
     (_rim_value), so seed is only reported; the endpoint e marches out
     the first sine ray until the energy turns negative.  From the maximum
-    along the first sine's ray, the direct minimizer's step is taken with
+    along the first sine's ray, the direct minimizer's step, with its own
+    secant memory of the ray maxima and their gradients, is taken with
     each trial moved to its ray maximum, until the residual meets the
     gate max(100 tol, 1e-3) or a step fails; the Newton polish then
     starts from the gradient and D u at hand.  If it misses tol from
     under a gate above tol, the descent goes on from where it started,
     under a tenth of that point's residual.  The descent takes at most
-    max_iter gradients; iterations counts them all.  The result satisfies
-    energy(e) < 0 < beta <= energy_value; no positive rim, a ray maximum
-    at energy <= 0 (or NaN), or a ray without one raises GeometryError.
+    max_iter gradients; iterations counts them all.  rim_radius is the
+    radius of the sphere on which beta bounds the energy.  The result
+    satisfies energy(e) < 0 < beta <= energy_value; no positive rim, a
+    ray maximum at energy <= 0 (or NaN), or a ray without one raises
+    GeometryError.
     """
     _regime_gate(st, "mountain_pass", "superlinear")
     ws = _Workspace(st)
-    beta = _rim_value(ws)
+    beta, rho = _rim_value(ws)
 
     # D(s w0) == s (D w0) bitwise: s is a power of two
     (w0,), (dw0,) = ws.unit_sines(np.ones((1, 1)))
@@ -693,12 +776,13 @@ def mountain_pass(
     u, du = _ray_max(st, w0, dw0)
     E = float(_energy_rows(st, u, du))
     g = _gradient_rows(st, u, du)
-    iterations, gate, polished = 1, max(100.0 * tol, 1e-3), None
+    iterations, gate, polished, memory = 1, max(100.0 * tol, 1e-3), None, _SecantMemory()
     while True:
         if not E > 0.0:
             raise GeometryError(f"mountain-pass ray maximum at non-positive level {E}")
         res = ws.residual(g)
-        step = _descend(ws, u, E, g, du, ray=True) if res > gate and iterations < max_iter else None
+        descend = res > gate and iterations < max_iter
+        step = _descend(ws, u, E, g, du, memory, ray=True) if descend else None
         if step is not None:
             u, E, du = step
             g = _gradient_rows(st, u, du)
@@ -716,7 +800,7 @@ def mountain_pass(
     converged = res_z <= tol and E >= beta and sup_norm(z) > TRIVIAL_SUP
     return _report(
         st, z, E, res_z, iterations, converged, "mountain_pass", seed,
-        rim_value=beta, endpoint_energy=endpoint_energy,
+        rim_value=beta, rim_radius=rho, endpoint_energy=endpoint_energy,
     )
 
 

@@ -230,6 +230,23 @@ def test_solve_mountain_pass(tmp_path):
     assert rep["energy_value"] >= rep["rim_value"]
 
 
+def test_solve_reports_rim_radius(tmp_path):
+    # the radius of the sphere the mountain pass's rim bounds; the direct
+    # method has no rim and writes null
+    path = write_config(
+        tmp_path,
+        nonlinearity={"family": "SUPERLINEAR_POWER", "mu": 4.0},
+        **{"problem.alpha": 0.7, "solver.method": "mountain_pass", "solver.tol": 1e-5},
+    )
+    assert main(["solve", "--config", str(path)]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    _, st = load_config(path).build_state()
+    _, radius = fracplap.solvers._rim_value(fracplap.solvers._Workspace(st))
+    assert rep["rim_radius"] == radius > 0.0
+    assert main(["solve", "--config", str(write_config(tmp_path))]) == 0
+    assert json.loads((tmp_path / "rep.json").read_text())["rim_radius"] is None
+
+
 def test_solve_multiplicity(tmp_path):
     path = write_config(
         tmp_path,

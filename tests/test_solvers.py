@@ -207,8 +207,9 @@ def test_minimize_product_budget(monkeypatch):
     # set-up is one product (L^-T r); every energy call takes its point's
     # derivative image (1), which the next gradient reuses, so a gradient
     # costs its D^T product (1) and an iteration adds one gradient and its
-    # metric solve (2); the start's energy and gradient share its image
-    st = make_state(0.6, 3.0, 128, sublinear_power(2.0))
+    # metric solve (2); the start's energy and gradient share its image.
+    # At p = 2 the secant memory shapes the step and adds no product.
+    states = [make_state(0.6, p, 128, sublinear_power(q)) for p, q in ((3.0, 2.0), (2.0, 1.5))]
     counts = {"matmul": 0, "energy": 0}
     matmul, rows_fn = fracops.Toeplitz.__matmul__, solvers._energy_rows
 
@@ -222,11 +223,81 @@ def test_minimize_product_budget(monkeypatch):
 
     monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers, "_energy_rows", counted_rows)
-    for max_iter in (3, 2000):
-        counts.update(matmul=0, energy=0)
-        rep = minimize_direct(st, bump_init(st), tol=1e-8, max_iter=max_iter)
-        assert (rep.iterations == 3) if max_iter == 3 else rep.converged
-        assert counts["matmul"] == 2 + 3 * rep.iterations + counts["energy"]
+    for st in states:
+        for max_iter in (3, 2000):
+            counts.update(matmul=0, energy=0)
+            rep = minimize_direct(st, bump_init(st), tol=1e-8, max_iter=max_iter)
+            assert (rep.iterations == 3) if max_iter == 3 else rep.converged
+            assert counts["matmul"] == 2 + 3 * rep.iterations + counts["energy"]
+
+
+def count_products(monkeypatch) -> list:
+    """A one-item list that counts every Toeplitz product from here on."""
+    counts, matmul = [0], fracops.Toeplitz.__matmul__
+
+    def counted(self, x):
+        counts[0] += 1
+        return matmul(self, x)
+
+    monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_secant_memory_cuts_direct_products_at_p2(n, monkeypatch):
+    # the plain metric step took 16 and 14 iterations, 67 and 59 products
+    st = make_state(0.6, 2.0, n, sublinear_power(1.5))
+    counts = count_products(monkeypatch)
+    rep = minimize_direct(st, bump_init(st), tol=1e-8)
+    assert rep.converged and counts[0] <= 37
+
+
+def test_secant_memory_leaves_the_p3_descent_bitwise(monkeypatch):
+    # the lagged-diffusivity weights change at every step, so the memory
+    # is cleared at every step and each step is the plain metric step
+    st = make_state(0.6, 3.0, 1024, sublinear_power(2.0))
+    counts = count_products(monkeypatch)
+    rep = minimize_direct(st, bump_init(st), tol=1e-8)
+    assert rep.converged and (rep.iterations, counts[0]) == (17, 79)
+    assert rep.energy_value == -0.058030821822805514
+
+
+def test_secant_memory_converges_where_the_metric_step_crawled():
+    # the plain metric step ended all 3000 iterations above tol here
+    st = make_state(0.1, 2.0, 1024, sublinear_power(1.9))
+    rep = minimize_direct(st, bump_init(st), tol=1e-8)
+    assert rep.converged and rep.iterations <= 60
+
+
+def test_secant_memory_speeds_the_slow_ray_descent(monkeypatch):
+    # the plain ray descent took 524 gradients and 2515 products here
+    st = make_state(0.3, 2.0, 256, superlinear_power(4.0))
+    counts = count_products(monkeypatch)
+    rep = mountain_pass(st, tol=1e-8)
+    assert rep.converged and counts[0] <= 400
+    assert rep.energy_value == pytest.approx(0.2845973681270813, rel=0.0, abs=1e-10)
+
+
+def test_direct_descent_stops_at_the_floor_at_tol_0(monkeypatch):
+    # at the roundoff floor an Armijo search halves its step until the
+    # trial is u itself, and every later search from u would repeat it
+    # (60 energy calls for no move each, until max_iter).  So a search that
+    # ends at u fails: the memory's direction first, then the plain metric
+    # step, which ends the descent.
+    st = make_state(0.6, 2.0, 256, sublinear_power(1.5))
+    searches, armijo = [], solvers._armijo_step
+
+    def recorded(st, u, E, d, slope, ray):
+        searches.append((u, d))
+        return armijo(st, u, E, d, slope, ray)
+
+    monkeypatch.setattr(solvers, "_armijo_step", recorded)
+    rep = minimize_direct(st, bump_init(st), tol=0.0, max_iter=500)
+    assert not rep.converged and rep.iterations < 50
+    u, d = searches[-1]
+    assert np.array_equal(u, rep.solution.values)
+    ws = solvers._Workspace(st)
+    assert np.array_equal(d, -ws.metric_solver(ws.linear_weights)(_gradient_and_du(st, u)[0]))
 
 
 def test_minimize_reports_energy_of_its_solution():
@@ -712,6 +783,40 @@ def test_weighted_metric_solver_matches_dense(alpha):
     assert np.max(np.abs(x[1:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_secant_memory_matches_dense_bfgs_update():
+    # the two-loop recursion, with H0 applied by linearity, is the BFGS
+    # inverse update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T,
+    # rho = 1 / s.y, of H0 = H_w^-1 over the last QN_MEMORY pairs
+    st = make_state(0.6, 2.0, 64, sublinear_power(1.5))
+    n, m = st.grid.n, solvers.QN_MEMORY
+    ws = solvers._Workspace(st)
+    w = ws.linear_weights
+    solve = ws.metric_solver(w)
+    rng = np.random.default_rng(2)
+    B = rng.standard_normal((n - 1, n - 1))
+    A = B @ B.T / n + np.eye(n - 1)  # positive definite: every s.y > 0
+    memory, points = solvers._SecantMemory(), []
+    for _ in range(m + 2):
+        u, g = np.zeros(n + 1), np.zeros(n + 1)
+        u[1:n] = rng.standard_normal(n - 1)
+        g[1:n] = A @ u[1:n]
+        d = memory.direction(w, u, g, solve(g))
+        points.append((u[1:n], g[1:n]))
+    D = dense(st.ops.left_deriv)
+    H = np.linalg.inv(((D.T * w) @ D)[1:n, 1:n])
+    for (u0, g0), (u1, g1) in zip(points[-m - 1 : -1], points[-m:]):
+        s, y = u1 - u0, g1 - g0
+        V = np.eye(n - 1) - np.outer(y, s) / (s @ y)
+        H = V.T @ H @ V + np.outer(s, s) / (s @ y)
+    ref = H @ points[-1][1]
+    assert len(memory.pairs) == m and d[0] == d[-1] == 0.0
+    assert np.max(np.abs(d[1:n] - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # the same point again adds no pair; another metric clears the memory
+    u, g, z = memory.last
+    assert np.array_equal(memory.direction(w, u, g, z), d) and len(memory.pairs) == m
+    assert memory.direction(2.0 * w, u, g, z) is z and memory.pairs == []
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_newton_step_matches_dense_hessian(p):
     # at the mountain-pass maximizer the Hessian is indefinite
@@ -1024,8 +1129,11 @@ def best_rim(st, mu):
 def test_rim_value_meets_closed_form(alpha, p, mu):
     # the sampled rim was 0.0050 against beta* 0.118 at (0.7, 2, 4)
     st = make_state(alpha, p, 1024, superlinear_power(mu))
-    _, beta = best_rim(st, mu)
-    assert 0.95 * beta <= solvers._rim_value(solvers._Workspace(st)) <= beta
+    rho, beta = best_rim(st, mu)
+    rim, radius = solvers._rim_value(solvers._Workspace(st))
+    assert 0.95 * beta <= rim <= beta
+    # the ladder's radius lies within one rung, 2^(1/8), of the best one
+    assert 2.0 ** -0.125 <= radius / rho <= 2.0**0.125
 
 
 def sphere_blocks(n, rng):
@@ -1046,7 +1154,7 @@ def sphere_blocks(n, rng):
 def test_no_direction_on_the_sphere_falls_below_the_rim(alpha, p, mu):
     n = 1024
     st = make_state(alpha, p, n, superlinear_power(mu))
-    rim = solvers._rim_value(solvers._Workspace(st))
+    rim, _ = solvers._rim_value(solvers._Workspace(st))
     rho, _ = best_rim(st, mu)
     count, lowest = 0, np.inf
     for W in sphere_blocks(n, np.random.default_rng(0)):
@@ -1144,13 +1252,14 @@ def test_no_direction_on_the_sphere_falls_below_a_table_rim():
     n = 256
     st = make_state(0.7, 2.0, n, cubic_table(10.0, 2001, 1.0))
     ws = solvers._Workspace(st)
-    rim = solvers._rim_value(ws)
+    rim, radius = solvers._rim_value(ws)
     r = 2.0 ** np.arange(-100.0, 20.125, 0.125)
     lam = ws.eigen_bound(st._quad)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = (r / sup_constant(st)) ** 2 / 2.0 * (1.0 - st.spec.quadratic_bound(0.0, r)[1] / lam)
     assert rim == np.max(bound) > 0.0
     rho = r[np.argmax(bound)] / sup_constant(st)
+    assert radius == pytest.approx(rho, rel=1e-14, abs=0.0)
     # the pencil's first eigenvector, the worst direction near 0, first
     H = linear_metric(st)
     s = np.sqrt(st._quad[1:n])
@@ -1168,7 +1277,7 @@ def test_rim_value_overflows_quietly():
     # r^mu overflows at the ladder's top radii, where a RuntimeWarning
     # would fail the suite; the best radius lies far below them
     st = make_state(0.7, 10.0, 128, superlinear_power(60.0))
-    assert 0.0 < solvers._rim_value(solvers._Workspace(st)) < np.inf
+    assert 0.0 < solvers._rim_value(solvers._Workspace(st))[0] < np.inf
 
 
 def test_mountain_pass_without_positive_rim_is_geometry_error():

@@ -21,6 +21,12 @@ none, and _rim_value, a bound read off the I^alpha weights, takes none
 either; where that bound proves nothing it calls _Workspace.eigen_bound,
 whose metric solves take their products.
 
+The secant memory of the descents takes no product: its two-loop
+recursion applies the metric solve by linearity, from the plain step and
+the stored differences of plain steps, so a descent iteration costs one
+metric solve at every p, and a recursion that solved afresh would pass
+every convergence test, only with more products.
+
 mountain_pass and _rim_value draw no random numbers: the rim is a proven
 lower bound on a whole sphere, not a sampled minimum, so a mountain pass
 is a function of its config alone, and a sampler brought back would
@@ -219,6 +225,11 @@ def _ray_max(st, w, dw):
 def test_sine_rays_take_no_product(name):
     source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
     assert products_in(source, name) == []
+
+
+def test_secant_recursion_takes_no_product():
+    source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
+    assert products_in(source, "direction") == []
 
 
 def test_unit_sines_takes_one_table_product():
