@@ -50,6 +50,7 @@ __all__ = [
     "build_operators",
     "apply",
     "alpha_norm",
+    "embedding_constants",
     "MAX_GRID_CELLS",
 ]
 
@@ -307,6 +308,29 @@ def alpha_norm(ops: OperatorSet, u: GridFunction, p: float) -> float:
     if p < 1.0:
         raise ValueError(f"alpha_norm requires p >= 1, got {p}")
     return _alpha_rows(ops, ops.check_grid(u), p)[0]
+
+
+def embedding_constants(ops: OperatorSet, p: float) -> tuple[float, float]:
+    """Discrete constants (C_n, K_n) of max|u| <= C_n ||u||_{alpha,p} and
+    ||u||_p <= K_n ||u||_{alpha,p} for every pinned u, read off the
+    I^alpha weights iota:
+
+        C_n = h^(-1/p) ||(iota_0 .. iota_{n-2})||_p',
+        K_n = iota_0 + ... + iota_{n-2}.
+
+    A pinned u is I^alpha D u, with (D u)_0 = 0 and u_n = 0, so u_i for
+    i <= n-1 is the convolution of iota with rows 1..n-1 of D u, and
+    those rows weigh h in ||.||_{alpha,p}.  Hoelder on each u_i gives the
+    first bound, Young's inequality (the l^p norm of a convolution is at
+    most the l^1 norm of iota times the l^p norm of D u) the second; the
+    weight of row n only adds to the right side.  C_n is sharp: the
+    Hoelder-extremal rows 1..n-1 of D u put |u_{n-1}| at C_n ||u||_{alpha,p}
+    (with u_n left free).  K_n is a certified upper bound of the Poincare
+    constant, not attained.
+    """
+    q = p / (p - 1.0)
+    iota = ops.left_int.col[: ops.grid.n - 1]
+    return ops.grid.h ** (-1.0 / p) * _lp_rows(iota, q, 1.0)[0], float(np.sum(iota))
 
 
 def _alpha_rows(ops: OperatorSet, V: np.ndarray, p: float) -> list[float]:

@@ -74,7 +74,7 @@ from .energy import (
     basis_alpha_norms,
     phi,
 )
-from .fracops import _alpha_rows, _gl_operator, _rows
+from .fracops import _alpha_rows, _gl_operator, _rows, embedding_constants
 from .grid import GridFunction, _lp_rows, sup_norm
 from .nonlinearity import Family
 
@@ -632,18 +632,17 @@ def _rim_value(ws: _Workspace) -> tuple[float, float]:
     a lower bound of the energy on the sphere ||w||_alpha = rho, and the
     radius rho at which it is largest.
 
-    A pinned w is I^alpha D w and rows 1..n-1 of D w weigh h, so Hoelder
-    gives max|w| <= C ||w||_alpha, C = h^(-1/p) ||(iota_0..iota_{n-2})||_p'
-    for the I^alpha weights; with the spec's 2 |F(t, s)| <= m(t) k(r) s^2
-    on |s| <= r, the energy is at least rho^p / p - k r^2 sum(quad m) / 2.
+    Every pinned w has max|w| <= C ||w||_alpha, C the sharp discrete
+    constant C_n of fracops.embedding_constants; with the spec's
+    2 |F(t, s)| <= m(t) k(r) s^2 on |s| <= r, the energy is at least
+    rho^p / p - k r^2 sum(quad m) / 2.
     Where that proves nothing at p >= 2, sum_i quad_i m_i w_i^2 is at most
     ||w||_{alpha,2}^2 / lam (_Workspace.eigen_bound), and by Hoelder on D's
     weights wd at most (sum wd)^(1 - 2/p) rho^2 / lam, so the energy is at
     least rho^p / p - k (sum wd)^(1 - 2/p) rho^2 / (2 lam)."""
     st = ws.st
     p = st.params.p
-    q = p / (p - 1.0)
-    c = st.grid.h ** (-1.0 / p) * _lp_rows(st.ops.left_int.col[: st.grid.n - 1], q, 1.0)[0]
+    c = embedding_constants(st.ops, p)[0]
     r = 2.0 ** np.arange(-100.0, 20.125, 0.125)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m, k = st.spec.quadratic_bound(st.grid.nodes, r)

@@ -1,6 +1,8 @@
 """Property-verification engine: every quantitative identity and
-inequality the operator calculus and the energy rest on, checked on
-seeded random ensembles with machine-readable margin reports.
+inequality the operator calculus and the energy rest on, with
+machine-readable margin reports.  Two embedding records are proven for
+the whole pinned space; every other property is checked on a seeded
+random ensemble.
 
 Margins are signed slacks normalized to the local scale, so 0 is the
 pass boundary before tolerance.  Checks come in three kinds.  Identities
@@ -15,7 +17,17 @@ smooth (up to 8 random sine modes) and half rough (i.i.d. nodal noise);
 the inequalities hold on the whole discrete space, not just on smooth
 functions.
 
-Every check streams its ensemble in row blocks of at most
+SUP_EMBED and POINCARE are proven, not sampled: every pinned u is
+I^alpha D u, so Hoelder and Young bound max|u| and ||u||_p by the
+discrete constants C_n and K_n of fracops.embedding_constants times
+||u||_{alpha,p}, and the margin (C - C_n)/C or (C - K_n)/C against the
+continuum constant C holds for every pinned u.  These two draw nothing
+and take no product; samples is only echoed in the report.  RL_CAPUTO
+checks the Caputo boundary term alone: its gap cap + corr - rl cancels
+the Riemann-Liouville values rl, so it compares _caputo_correction with
+its closed form and would not see a wrong D.
+
+Every sampled check streams its ensemble in row blocks of at most
 fracops._BLOCK_DOUBLES values (a check that holds several rows per
 sample takes that many times fewer samples per block): each block is
 drawn from the rng in sample order, each operator is applied to it once
@@ -51,6 +63,7 @@ from .fracops import (
     _gl_operator,
     _rows,
     build_operators,
+    embedding_constants,
     gamma,
 )
 from .grid import FracParams, Grid, _lp_rows, _max_scaled, make_grid, sine_series, trapezoid_weights
@@ -247,6 +260,9 @@ def _check_ibp_integral(params, ops, samples, rng):
 
 
 def _check_rl_caputo(params, ops, samples, rng):
+    """Caputo = RL - u(0) t^(-alpha) / Gamma(1 - alpha) away from t = 0.
+    rl cancels from the gap, so this checks _caputo_correction against
+    its closed form, not D itself."""
     grid = ops.grid
     a = params.alpha
     worst = 0.0
@@ -266,19 +282,6 @@ def _check_rl_caputo(params, ops, samples, rng):
     return _Outcome(-worst, IDENTITY_TOL)
 
 
-def _ensemble_bound(constant, dirichlet, small, large, params, ops, samples, rng):
-    """small(u) <= C large(u) on the ensemble, C = constant(params); the
-    margin is the smallest slack relative to the right side.  small and
-    large are row-wise norms called as (ops, block, p)."""
-    C = constant(params)
-    worst = math.inf
-    for block in _ensemble(ops.grid, rng, samples, dirichlet=dirichlet):
-        for lg, sm in zip(large(ops, block, params.p), small(ops, block, params.p)):
-            rhs = C * lg
-            worst = _fold(min, worst, (rhs - sm) / max(rhs, 1e-300))
-    return _Outcome(worst, _ledger_tolerance(ops.grid.n), bound=C)
-
-
 def _young_constant(params: FracParams) -> float:
     return params.T**params.alpha / gamma(params.alpha + 1.0)
 
@@ -288,16 +291,29 @@ def _sup_embed_constant(params: FracParams) -> float:
     return params.T ** (a - 1.0 / p) / (gamma(a) * ((a - 1.0) * q + 1.0) ** (1.0 / q))
 
 
-def _lp(ops, block, p) -> list[float]:
-    return _lp_rows(block, p, trapezoid_weights(ops.grid))
+def _check_young_bound(params, ops, samples, rng):
+    """||I^alpha u||_p <= T^alpha / Gamma(alpha + 1) ||u||_p on a non-pinned
+    ensemble, as the smallest slack relative to the right side.  u is not
+    pinned and its end nodes weigh h/2, so the K_n of the pinned space
+    does not bound it, and the bound stays sampled."""
+    C = _young_constant(params)
+    w = trapezoid_weights(ops.grid)
+    worst = math.inf
+    for block in _ensemble(ops.grid, rng, samples, dirichlet=False):
+        small = _lp_rows(_rows(ops.left_int, block), params.p, w)
+        for lg, sm in zip(_lp_rows(block, params.p, w), small):
+            rhs = C * lg
+            worst = _fold(min, worst, (rhs - sm) / max(rhs, 1e-300))
+    return _Outcome(worst, _ledger_tolerance(ops.grid.n), bound=C)
 
 
-def _lp_of_integral(ops, block, p) -> list[float]:
-    return _lp(ops, _rows(ops.left_int, block), p)
-
-
-def _sup(ops, block, p) -> list[float]:
-    return np.max(np.abs(block), axis=1).tolist()
+def _check_embedding(params, ops, samples, rng, sup):
+    """max|u| (sup) or ||u||_p <= C ||u||_{alpha,p}, C the continuum
+    constant, proven for every pinned u by the C_n or K_n of
+    fracops.embedding_constants: the margin is (C - K) / C."""
+    C = (_sup_embed_constant if sup else _young_constant)(params)
+    K = embedding_constants(ops, params.p)[0 if sup else 1]
+    return _Outcome((C - K) / C, _ledger_tolerance(ops.grid.n), bound=C)
 
 
 def _check_embed_lq(params, ops, samples, rng):
@@ -496,9 +512,9 @@ _CHECKERS = {
     PropertyId.IBP_EXACT: _check_ibp_exact,
     PropertyId.IBP_INTEGRAL: _check_ibp_integral,
     PropertyId.RL_CAPUTO: _check_rl_caputo,
-    PropertyId.YOUNG_BOUND: partial(_ensemble_bound, _young_constant, False, _lp_of_integral, _lp),
-    PropertyId.POINCARE: partial(_ensemble_bound, _young_constant, True, _lp, _alpha_rows),
-    PropertyId.SUP_EMBED: partial(_ensemble_bound, _sup_embed_constant, True, _sup, _alpha_rows),
+    PropertyId.YOUNG_BOUND: _check_young_bound,
+    PropertyId.POINCARE: partial(_check_embedding, sup=False),
+    PropertyId.SUP_EMBED: partial(_check_embedding, sup=True),
     PropertyId.EMBED_LQ: _check_embed_lq,
     PropertyId.TRANSLATION_COMPACT: _check_translation,
     PropertyId.MONOTONE_GAP: _check_monotone_gap,

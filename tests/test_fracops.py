@@ -20,7 +20,7 @@ from fracplap import (
     make_grid,
 )
 from conftest import dense
-from fracplap.fracops import MAX_GRID_CELLS
+from fracplap.fracops import MAX_GRID_CELLS, embedding_constants
 from fracplap.grid import _lp_rows
 
 
@@ -315,6 +315,27 @@ def test_young_type_bound_sampled():
             u = rng.standard_normal(257)
             lhs = lp_norm(ops.left_int @ u, p, grid)
             assert lhs <= bound * lp_norm(u, p, grid) * 1.05
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 1.0])
+@pytest.mark.parametrize("p, n, T", [(1.2, 16, 1.0), (2.0, 256, 10.0), (130.0, 1024, 1.0)])
+def test_embedding_constants_closed_forms(alpha, p, n, T):
+    # K_n = h^a Gamma(n-1+a) / (Gamma(a+1) Gamma(n-1)) by the hockey-stick
+    # sum of the I^a weights, below T^a / Gamma(a+1) by Gautschi's
+    # inequality; C_n against the plain p'-power sum, and at a = 1, where
+    # every weight is h, against ((n-1) h)^(1/p')
+    grid, ops = _ops(alpha, n, T=T, p=p)
+    C_n, K_n = embedding_constants(ops, p)
+    with mpmath.workdps(30):
+        h = mpmath.mpf(T) / n
+        ref = h**alpha * mpmath.gamma(n - 1 + alpha) / (mpmath.gamma(alpha + 1) * mpmath.gamma(n - 1))
+    assert K_n == pytest.approx(float(ref), rel=1e-12)
+    assert K_n < T**alpha / gamma(alpha + 1.0)
+    q = p / (p - 1.0)
+    iota = ops.left_int.col[: n - 1]
+    assert C_n == pytest.approx((grid.h ** (1.0 - q) * np.sum(iota**q)) ** (1.0 / q), rel=1e-12)
+    if alpha == 1.0:
+        assert C_n == pytest.approx(((n - 1) * grid.h) ** (1.0 / q), rel=1e-12)
 
 
 def test_refinement_halves_power_rule_error():

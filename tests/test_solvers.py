@@ -1109,11 +1109,9 @@ RIM_CASES = [
 
 
 def sup_constant(st):
-    """C_n = (h^(1-p') sum_{k<n-1} |iota_k|^p')^(1/p') for the I^alpha weights iota."""
-    p, n = st.params.p, st.grid.n
-    q = p / (p - 1.0)
-    iota = np.abs(st.ops.left_int.col[: n - 1])
-    return (st.grid.h ** (1.0 - q) * np.sum(iota**q)) ** (1.0 / q)
+    """C_n = h^(-1/p) ||(iota_0 .. iota_{n-2})||_p' for the I^alpha weights
+    iota, the constant _rim_value reads off fracops.embedding_constants."""
+    return fracops.embedding_constants(st.ops, st.params.p)[0]
 
 
 def best_rim(st, mu):
@@ -1134,6 +1132,12 @@ def test_rim_value_meets_closed_form(alpha, p, mu):
     assert 0.95 * beta <= rim <= beta
     # the ladder's radius lies within one rung, 2^(1/8), of the best one
     assert 2.0 ** -0.125 <= radius / rho <= 2.0**0.125
+
+
+def test_rim_value_is_pinned_at_the_workload_config():
+    # the mountain-pass workload's rim, bit for bit
+    st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
+    assert solvers._rim_value(solvers._Workspace(st)) == (0.11764865382935369, 0.6966328356162286)
 
 
 def sphere_blocks(n, rng):

@@ -32,6 +32,12 @@ lower bound on a whole sphere, not a sampled minimum, so a mountain pass
 is a function of its config alone, and a sampler brought back would
 still pass every test of the rim's bounds.
 
+The proven SUP_EMBED and POINCARE records (verify._check_embedding) and
+the constants they read (fracops.embedding_constants) take no product
+and draw no random number: the bound is read off the I^alpha weights for
+the whole pinned space, and an ensemble drawn beside the bound would
+still pass every margin test, only slower.
+
 solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
 while it drifts from the guarded one (the slope and energy checks, the
@@ -361,3 +367,40 @@ def multiplicity_search(st, seed=0):
     return np.random.default_rng(seed).normal()
 """
     assert rng_calls(snippet) == [("_rim_value", 3), ("mountain_pass", 6), ("mountain_pass", 7)]
+
+
+# verify's sampling layer: a call of any of these is an ensemble
+ENSEMBLE_CALLS = ("_ensemble", "_draw", "_alpha_rows")
+
+
+def ensemble_calls(source: str, name: str) -> list:
+    """(function, line) of each ENSEMBLE_CALLS call in the function name."""
+    return sorted(
+        site for callee in ENSEMBLE_CALLS for site in call_sites(source, callee) if site[0] == name
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name", [("verify.py", "_check_embedding"), ("fracops.py", "embedding_constants")]
+)
+def test_proven_embedding_takes_no_product_and_draws_nothing(module, name):
+    source = (Path(fracplap.__file__).parent / module).read_text(encoding="utf-8")
+    assert products_in(source, name) == []
+    assert rng_calls(source, owners=(name,)) == []
+    assert ensemble_calls(source, name) == []
+
+
+def test_embedding_guard_flags_ensemble():
+    snippet = """
+def _check_embedding(params, ops, samples, rng, sup):
+    for block in _ensemble(ops.grid, rng, samples, dirichlet=True):
+        norms = _alpha_rows(ops, block, params.p)
+    noise = rng.standard_normal(4)
+    return _rows(ops.left_deriv, noise)
+"""
+    assert products_in(snippet, "_check_embedding") == ["line 6: _rows("]
+    assert rng_calls(snippet, owners=("_check_embedding",)) == [("_check_embedding", 5)]
+    assert ensemble_calls(snippet, "_check_embedding") == [
+        ("_check_embedding", 3),
+        ("_check_embedding", 4),
+    ]

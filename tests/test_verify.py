@@ -1,9 +1,13 @@
+import dataclasses
 import importlib
 import math
 
+import numpy as np
 import pytest
 
-from fracplap import FracParams, PropertyId, gamma, make_grid, run_suite, verify
+from fracplap import FracParams, PropertyId, build_operators, gamma, make_grid, run_suite, verify
+from fracplap.fracops import _alpha_rows, embedding_constants
+from fracplap.grid import _lp_rows, trapezoid_weights
 from fracplap.verify import _CHECKERS, translation_bound
 
 
@@ -85,6 +89,72 @@ def test_poincare_constant_recomputed():
     assert rep.bound_constant == pytest.approx(
         1.0**0.5 / gamma(1.5), rel=1e-12
     )
+
+
+def sampled_embedding_margin(prop, params, grid, samples, seed=0):
+    """The sampled SUP_EMBED or POINCARE record that the proven one
+    replaced: the smallest slack of max|u| (or ||u||_p) <= C ||u||_{a,p}
+    relative to the right side, over verify's pinned ensemble with the
+    property's own stream."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    ops = build_operators(params, grid)
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(prop)])
+    if prop is PropertyId.SUP_EMBED:
+        C = verify_mod._sup_embed_constant(params)
+        small = lambda block: np.max(np.abs(block), axis=1).tolist()
+    else:
+        C = verify_mod._young_constant(params)
+        small = lambda block: _lp_rows(block, params.p, trapezoid_weights(grid))
+    worst = math.inf
+    for block in verify_mod._ensemble(grid, rng, samples, dirichlet=True):
+        for lg, sm in zip(_alpha_rows(ops, block, params.p), small(block)):
+            rhs = C * lg
+            worst = verify_mod._fold(min, worst, (rhs - sm) / max(rhs, 1e-300))
+    return worst
+
+
+def test_sampled_reference_reproduces_the_old_records():
+    # the 100-sample records of the suite config before the proof
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert sampled_embedding_margin(PropertyId.SUP_EMBED, params, grid, 100) == 0.5535430588671049
+    assert sampled_embedding_margin(PropertyId.POINCARE, params, grid, 100) == 0.7312657588957632
+
+
+@pytest.mark.parametrize(
+    "alpha, p, n", [(0.6, 2.0, 64), (1.0, 2.0, 16), (0.9, 1.5, 64), (0.6, 3.0, 128), (0.6, 130.0, 1024)]
+)
+@pytest.mark.parametrize("prop", [PropertyId.SUP_EMBED, PropertyId.POINCARE])
+def test_proven_embedding_margin_is_below_every_sample(prop, alpha, p, n):
+    # the proven margin bounds every pinned function's slack, so no sample
+    # of a large ensemble falls below it; samples is only echoed
+    params = FracParams(alpha=alpha, p=p, T=1.0)
+    grid = make_grid(1.0, n)
+    rep = verify(prop, params, grid, samples=7, seed=0)
+    C_n, K_n = embedding_constants(build_operators(params, grid), p)
+    K = C_n if prop is PropertyId.SUP_EMBED else K_n
+    C = rep.bound_constant
+    assert rep.worst_margin == (C - K) / C
+    assert rep.passed and rep.samples == 7
+    assert rep.worst_margin <= sampled_embedding_margin(prop, params, grid, 2000)
+
+
+def test_rl_caputo_fails_with_a_wrong_order_correction(monkeypatch):
+    # the gap cap + corr - rl cancels rl, so the check compares
+    # _caputo_correction with its closed form and no more: a correction
+    # of the wrong order fails it
+    verify_mod = importlib.import_module("fracplap.verify")
+    fracops = importlib.import_module("fracplap.fracops")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert verify(PropertyId.RL_CAPUTO, params, grid, samples=10).passed
+
+    def wrong_order(ops, left):
+        return fracops._caputo_correction(dataclasses.replace(ops, alpha=0.3), left)
+
+    monkeypatch.setattr(verify_mod, "_caputo_correction", wrong_order)
+    rep = verify(PropertyId.RL_CAPUTO, params, grid, samples=10)
+    assert not rep.passed and rep.worst_margin < -1e-3
 
 
 def test_sup_embed_precondition_raises():
