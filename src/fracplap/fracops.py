@@ -108,7 +108,8 @@ class Toeplitz:
     once.  Of the linear convolution's 2m - 1 terms, only the last,
     col[m-1] x[m-1], can wrap around, onto y[0], and it is subtracted
     there.  The fold is exact under power-of-two scaling of x, so
-    A @ (2^k x) == 2^k (A @ x) bitwise away from overflow and underflow.
+    A @ (2^k x) == 2^k (A @ x) bitwise away from overflow and underflow,
+    and every step is sign-symmetric, so A @ (-x) == -(A @ x) bitwise.
     Each column of a 2-D product is bitwise equal to the product with
     that column alone, whatever the memory layout of x, so a batch of
     vectors can be applied in one call without changing a bit.  ``A.T``

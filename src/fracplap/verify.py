@@ -1,14 +1,14 @@
 """Property-verification engine: every quantitative identity and
 inequality the operator calculus and the energy rest on, with
-machine-readable margin reports.  Two embedding records are proven for
-the whole pinned space; every other property is checked on a seeded
-random ensemble.
+machine-readable margin reports.  Two identity records and two embedding
+records are proven for the whole space; every other property is checked
+on a seeded random ensemble.
 
 Margins are signed slacks normalized to the local scale, so 0 is the
 pass boundary before tolerance.  Checks come in three kinds.  Identities
 report minus the largest normalized gap (tolerance 1e-12, times
-max(1, n/1024) for the composed products of SEMIGROUP and LEFT_INVERSE,
-whose rounding grows with n); inequalities the smallest normalized
+max(1, n/1024) for SEMIGROUP and LEFT_INVERSE, whose column products
+round more as n grows); inequalities the smallest normalized
 right-minus-left slack (tolerance 0.05 below n = 512, 0.03 from there);
 and the one refinement statement, IBP_INTEGRAL, minus its worst relative
 gap together with the gap ratio under one grid doubling.  A non-finite
@@ -17,15 +17,16 @@ smooth (up to 8 random sine modes) and half rough (i.i.d. nodal noise);
 the inequalities hold on the whole discrete space, not just on smooth
 functions.
 
-SUP_EMBED and POINCARE are proven, not sampled: every pinned u is
-I^alpha D u, so Hoelder and Young bound max|u| and ||u||_p by the
-discrete constants C_n and K_n of fracops.embedding_constants times
-||u||_{alpha,p}, and the margin (C - C_n)/C or (C - K_n)/C against the
-continuum constant C holds for every pinned u.  These two draw nothing
-and take no product; samples is only echoed in the report.  RL_CAPUTO
-checks the Caputo boundary term alone: its gap cap + corr - rl cancels
-the Riemann-Liouville values rl, so it compares _caputo_correction with
-its closed form and would not see a wrong D.
+SEMIGROUP and LEFT_INVERSE are column records (_check_column): Young's
+inequality bounds their gap for every u by the first column of the
+difference, one product each.  SUP_EMBED and POINCARE are proven too: every pinned u is I^alpha D u, so
+Hoelder and Young bound max|u| and ||u||_p by the discrete constants C_n
+and K_n of fracops.embedding_constants times ||u||_{alpha,p}, and the
+margin (C - C_n)/C or (C - K_n)/C against the continuum constant C holds
+for every pinned u.  These four draw nothing; samples is only echoed in
+the report.  RL_CAPUTO checks the Caputo boundary term alone: its gap
+cap + corr - rl cancels the Riemann-Liouville values rl, so it compares
+_caputo_correction with its closed form and would not see a wrong D.
 
 Every sampled check streams its ensemble in row blocks of at most
 fracops._BLOCK_DOUBLES values (a check that holds several rows per
@@ -36,10 +37,14 @@ drawn from the rng in sample order, each operator is applied to it once
 margin is folded in sample order.  The energy checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY)
 evaluate the energy, its gradient and the monotonicity gap with
 energy.py's row bodies on the block and its derivative image, and take
-every p-th root per row as a scalar.  Reports therefore do not depend on
-the block size, and memory stays at a few blocks.  No check calls
-energy, gradient, monotonicity_gap or alpha_norm: tests/test_static.py
-keeps per-sample loops out.
+every p-th root per row as a scalar.  GRAD_FD takes u +- eps v's images
+as D u +- eps D v, and EVEN_ENERGY takes -(D u) as -u's, bitwise the
+product's own as the FFT product is odd.  So EVEN_ENERGY tests the
+evenness of F and the oddness of phi_p and f, not D, and reads exactly
+-0.0: every step of that pipeline is sign-symmetric in IEEE arithmetic.
+Reports do not depend on the block size, and memory stays at a few
+blocks.  No check calls energy, gradient, monotonicity_gap or
+alpha_norm: tests/test_static.py keeps per-sample loops out.
 """
 
 from __future__ import annotations
@@ -173,34 +178,25 @@ def _fold(op, worst: float, *values: float) -> float:
     return worst
 
 
-def _identity_check(params, ops, samples, rng, sides, pin_left=False) -> _Outcome:
-    """Exact matrix identity lhs u = rhs u on a non-pinned ensemble, with
-    u(0) set to 0 first if pin_left; sides(params, ops) returns the map
-    from a row block to its (lhs, rhs) blocks.  The margin is minus the
-    worst ||lhs - rhs||_p / ||rhs||_p, relative to the exact side so that
-    T drops out.  Rounding grows with the length of the composed product,
-    hence the tolerance scales with n."""
-    w = trapezoid_weights(ops.grid)
-    both = sides(params, ops)
-    worst = 0.0
-    for block in _ensemble(ops.grid, rng, samples, dirichlet=False):
-        if pin_left:
-            block[:, 0] = 0.0
-        lhs, rhs = both(block)
-        errs = zip(_lp_rows(lhs - rhs, params.p, w), _lp_rows(rhs, params.p, w))
-        worst = _fold(max, worst, *[e / max(size, 1e-300) for e, size in errs])
-    return _Outcome(-worst, IDENTITY_TOL * max(1.0, ops.grid.n / 1024))
-
-
-def _semigroup_sides(params, ops):
-    a, grid = params.alpha, ops.grid
-    # the composed order 2a may exceed 1, so build its weights directly
-    I2 = _gl_operator(-2.0 * a, grid)
-    return lambda x: (_rows(ops.left_int, _rows(ops.left_int, x)), _rows(I2, x))
-
-
-def _left_inverse_sides(params, ops):
-    return lambda x: (_rows(ops.left_deriv, _rows(ops.left_int, x)), x)
+def _check_column(params, ops, samples, rng, semigroup):
+    """SEMIGROUP (I I = I^(2 alpha)) or LEFT_INVERSE (D I = Id) for every
+    u, read off one column.  Both sides are lower-triangular Toeplitz, so
+    their difference E has first column c = I iota - iota_2 or
+    D iota - e_0, iota the column of I and iota_2 that of the order-2 alpha
+    integral (built directly, as 2 alpha may exceed 1).  Young's inequality
+    gives ||E u||_p <= ||c||_1 ||u||_p in the h-weighted norm, and the
+    trapezoid end weights h/2 cost at most 2^(1/p).  SEMIGROUP's margin is
+    relative to ||iota_2||_1, the Young bound of I^(2 alpha), so T drops
+    out.  c is taken by the product routine: it holds that product's
+    rounding, but bounds no FFT rounding on other inputs."""
+    grid = ops.grid
+    if semigroup:
+        op, exact = ops.left_int, _gl_operator(-2.0 * params.alpha, grid).col
+    else:
+        op, exact = ops.left_deriv, np.eye(1, grid.n + 1)[0]
+    # ||e_0||_1 = 1, so LEFT_INVERSE's gap is absolute
+    gap = np.sum(np.abs(op @ ops.left_int.col - exact)) / np.sum(np.abs(exact))
+    return _Outcome(-(2.0 ** (1.0 / params.p)) * gap, IDENTITY_TOL * max(1.0, grid.n / 1024))
 
 
 def _pairing_gap(weight, left, right, pairs) -> float:
@@ -421,7 +417,7 @@ def _check_monotone_gap(params, ops, samples, rng):
 
 
 def _cleared_pairs(ops, rng, samples, clearance):
-    """Row blocks (U, DU, V) of GRAD_FD's samples, with DU = D U.
+    """Row blocks (U, DU, V, DV) of GRAD_FD's samples, DU = D U, DV = D V.
 
     Each sample redraws a smooth u until it clears (at most 50 tries,
     the last one kept) and then draws a smooth v.  Every draw takes 8
@@ -447,7 +443,7 @@ def _cleared_pairs(ops, rng, samples, clearance):
                 if ok or tries == 50:
                     u, du, tries = C[r], DC[r], 0
             else:
-                pairs.append((u, du, C[r]))
+                pairs.append((u, du, C[r], DC[r]))
                 u = None
         if pairs:
             done += len(pairs)
@@ -460,17 +456,17 @@ def _check_grad_fd(params, ops, samples, rng):
     Samples whose nodal values (or derivative samples) sit within ~100*eps
     of zero are redrawn: the integrands have |.|^(q-1)-type kinks there and
     central differences of the energy lose their O(eps^2) validity, which
-    would measure the instrument, not the gradient.  The gradient at u
-    reuses u's derivative image; the energies at u +- eps v are taken on
-    their own images, in one product.
+    would measure the instrument, not the gradient.  Every image is the
+    one the clearance test took: the gradient at u reuses D u, and the
+    energies at u +- eps v take D u +- eps D v, by linearity of D.
     """
     st = _default_state(params, ops)
     eps = 1e-6
     worst = 0.0
-    for U, DU, V in _cleared_pairs(ops, rng, samples, 100.0 * eps):
+    for U, DU, V, DV in _cleared_pairs(ops, rng, samples, 100.0 * eps):
         pair = np.sum(ops.grid.h * _gradient_rows(st, U, DU) * V, axis=1).tolist()
         W = np.concatenate((U + eps * V, U - eps * V))
-        E = _energy_rows(st, W, _rows(ops.left_deriv, W)).tolist()
+        E = _energy_rows(st, W, np.concatenate((DU + eps * DV, DU - eps * DV))).tolist()
         for r, pr in enumerate(pair):
             fd = (E[r] - E[len(pair) + r]) / (2.0 * eps)
             worst = _fold(max, worst, abs(fd - pr) / max(abs(fd), abs(pr), 1e-12))
@@ -483,12 +479,11 @@ def _check_even_energy(params, ops, samples, rng):
     worst = 0.0
     for start, stop in _blocks(grid, samples, rows=2):
         U = _draw(grid, rng, [i % 2 == 0 for i in range(start, stop)], dirichlet=True)
-        # -u goes through the operator itself, not through -(D u), so the
-        # check still tests the whole pipeline; energy and gradient at one
-        # point share its image
+        # -(D u) is the image of -u bit for bit, as the FFT product is odd;
+        # energy and gradient at one point share its image
         X = np.concatenate((U, -U))
-        X[:, 0] = X[:, -1] = 0.0
-        DX = _rows(ops.left_deriv, X)
+        DU = _rows(ops.left_deriv, U)
+        DX = np.concatenate((DU, -DU))
         E = _energy_rows(st, X, DX).tolist()
         G = _gradient_rows(st, X, DX)
         b = stop - start
@@ -507,8 +502,8 @@ def _precondition(prop: PropertyId, params: FracParams) -> Optional[str]:
 
 
 _CHECKERS = {
-    PropertyId.SEMIGROUP: partial(_identity_check, sides=_semigroup_sides),
-    PropertyId.LEFT_INVERSE: partial(_identity_check, sides=_left_inverse_sides, pin_left=True),
+    PropertyId.SEMIGROUP: partial(_check_column, semigroup=True),
+    PropertyId.LEFT_INVERSE: partial(_check_column, semigroup=False),
     PropertyId.IBP_EXACT: _check_ibp_exact,
     PropertyId.IBP_INTEGRAL: _check_ibp_integral,
     PropertyId.RL_CAPUTO: _check_rl_caputo,

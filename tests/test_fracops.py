@@ -444,6 +444,19 @@ def test_toeplitz_products_commute_with_power_of_two_scaling(k, n):
         assert np.array_equal(op @ (2.0**k * X), 2.0**k * (op @ X))
 
 
+@pytest.mark.parametrize("n", [64, 1024, 1080])
+def test_toeplitz_products_are_odd(n):
+    # EVEN_ENERGY takes -(D u) as the image of -u; every step of the FFT
+    # product and the wrapped term's fold is sign-symmetric
+    _, ops = _ops(0.6, n)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n + 1)
+    X = rng.standard_normal((n + 1, 3))
+    for op in (ops.left_deriv, ops.right_deriv, ops.left_int, ops.right_int):
+        assert np.array_equal(op @ -x, -(op @ x))
+        assert np.array_equal(op @ -X, -(op @ X))
+
+
 def test_interior_blocks_are_inverse():
     # L^{-1} is the interior block of the left integral, to roundoff
     from fracplap.fracops import Toeplitz

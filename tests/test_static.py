@@ -38,6 +38,12 @@ and draw no random number: the bound is read off the I^alpha weights for
 the whole pinned space, and an ensemble drawn beside the bound would
 still pass every margin test, only slower.
 
+The SEMIGROUP and LEFT_INVERSE records (verify._check_column) take one
+product, that of the first column, and draw nothing: both sides of each
+identity are lower-triangular Toeplitz, so Young's inequality bounds the
+gap for every u by the difference column, and a sampled ensemble beside
+it would still pass every margin test, only slower.
+
 solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
 while it drifts from the guarded one (the slope and energy checks, the
@@ -404,3 +410,27 @@ def _check_embedding(params, ops, samples, rng, sup):
         ("_check_embedding", 3),
         ("_check_embedding", 4),
     ]
+
+
+def test_column_identity_records_take_one_product_and_draw_nothing():
+    source = (Path(fracplap.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    assert [site.split(": ")[1] for site in products_in(source, "_check_column")] == ["@"]
+    assert rng_calls(source, owners=("_check_column",)) == []
+    assert ensemble_calls(source, "_check_column") == []
+
+
+def test_column_guard_flags_sampled_identity():
+    snippet = """
+def _check_column(params, ops, samples, rng, semigroup):
+    for block in _ensemble(ops.grid, rng, samples, dirichlet=False):
+        lhs = _rows(ops.left_int, _rows(ops.left_int, block))
+    noise = rng.standard_normal(ops.grid.n + 1)
+    return ops.left_int @ ops.left_int.col
+"""
+    assert products_in(snippet, "_check_column") == [
+        "line 4: _rows(",
+        "line 4: _rows(",
+        "line 6: @",
+    ]
+    assert rng_calls(snippet, owners=("_check_column",)) == [("_check_column", 5)]
+    assert ensemble_calls(snippet, "_check_column") == [("_check_column", 3)]

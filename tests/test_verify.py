@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracplap import FracParams, PropertyId, build_operators, gamma, make_grid, run_suite, verify
-from fracplap.fracops import _alpha_rows, embedding_constants
+from fracplap.fracops import _alpha_rows, _gl_operator, _rows, embedding_constants
 from fracplap.grid import _lp_rows, trapezoid_weights
 from fracplap.verify import _CHECKERS, translation_bound
 
@@ -137,6 +137,126 @@ def test_proven_embedding_margin_is_below_every_sample(prop, alpha, p, n):
     assert rep.worst_margin == (C - K) / C
     assert rep.passed and rep.samples == 7
     assert rep.worst_margin <= sampled_embedding_margin(prop, params, grid, 2000)
+
+
+def sampled_identity_margin(prop, params, grid, samples, seed=0):
+    """The sampled SEMIGROUP or LEFT_INVERSE record that the column record
+    replaced: minus the worst ||lhs u - rhs u||_p / ||rhs u||_p over
+    verify's non-pinned ensemble with the property's own stream, u(0) set
+    to 0 for LEFT_INVERSE."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    ops = build_operators(params, grid)
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(prop)])
+    w = trapezoid_weights(grid)
+    I = ops.left_int
+    if prop is PropertyId.SEMIGROUP:
+        I2 = _gl_operator(-2.0 * params.alpha, grid)
+        sides = lambda x: (_rows(I, _rows(I, x)), _rows(I2, x))
+    else:
+        sides = lambda x: (_rows(ops.left_deriv, _rows(I, x)), x)
+    worst = 0.0
+    for block in verify_mod._ensemble(grid, rng, samples, dirichlet=False):
+        if prop is PropertyId.LEFT_INVERSE:
+            block[:, 0] = 0.0
+        lhs, rhs = sides(block)
+        errs = zip(_lp_rows(lhs - rhs, params.p, w), _lp_rows(rhs, params.p, w))
+        worst = verify_mod._fold(max, worst, *[e / max(size, 1e-300) for e, size in errs])
+    return -worst
+
+
+def test_sampled_identity_reference_reproduces_the_old_records():
+    # the 100-sample records of the suite config before the column records
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert sampled_identity_margin(PropertyId.SEMIGROUP, params, grid, 100) == -2.2310060536786405e-15
+    assert sampled_identity_margin(PropertyId.LEFT_INVERSE, params, grid, 100) == -1.1121432396474603e-14
+
+
+# every (alpha, p, T, n) at which a test checks SEMIGROUP or LEFT_INVERSE
+IDENTITY_CONFIGS = [
+    *[(a, p, 1.0, 256) for a in (0.3, 0.6, 0.8) for p in (1.5, 2.0, 3.0)],
+    (0.5, 2.0, 1.0, 256),
+    (0.5, 2.0, 1.0, 128),
+    (0.5, 2.0, 1.0, 64),
+    (0.6, 2.0, 1.0, 32),
+    (0.6, 2.0, 1.0, 1024),
+    (0.6, 2.0, 0.01, 1024),
+    (0.6, 2.0, 100.0, 1024),
+    (0.6, 2.0, 1.0, 64),
+    (0.75, 2.0, 1.0, 64),
+    (0.3, 2.0, 1.0, 64),
+    (0.3, 3.0, 1.0, 64),
+    (0.9, 1.5, 1.0, 128),
+    (0.8, 1.5, 1.0, 64),
+    (1.0, 2.0, 1.0, 1024),
+    (0.9, 3.0, 10.0, 1024),
+    (0.9, 1.5, 100.0, 256),
+    (0.6, 130.0, 1.0, 1024),
+    (0.6, 400.0, 1.0, 64),
+    (0.6, 2.0, 1.0, 5000),
+]
+
+
+@pytest.mark.parametrize("alpha, p, T, n", IDENTITY_CONFIGS)
+@pytest.mark.parametrize("prop", [PropertyId.SEMIGROUP, PropertyId.LEFT_INVERSE])
+def test_column_and_sampled_identity_records_pass(prop, alpha, p, T, n):
+    # the column record holds for every u, the sampled one on 100 of them;
+    # both sit at the rounding level under the same tolerance
+    params = FracParams(alpha=alpha, p=p, T=T)
+    grid = make_grid(T, n)
+    rep = verify(prop, params, grid, samples=100, seed=0)
+    assert rep.passed and rep.worst_margin < 0.0, rep.worst_margin
+    assert sampled_identity_margin(prop, params, grid, 100) >= -rep.tolerance_used
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_semigroup_fails_with_one_perturbed_weight(monkeypatch, k):
+    verify_mod = importlib.import_module("fracplap.verify")
+    fracops = importlib.import_module("fracplap.fracops")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 64)
+    assert verify(PropertyId.SEMIGROUP, params, grid).passed
+
+    def perturbed(order, grid):
+        col = fracops._gl_operator(order, grid).col.copy()
+        col[k] *= 1.0 + 1e-9
+        return fracops.Toeplitz(col)
+
+    monkeypatch.setattr(verify_mod, "_gl_operator", perturbed)
+    assert not verify(PropertyId.SEMIGROUP, params, grid).passed
+
+
+def test_left_inverse_fails_with_a_wrong_order_derivative(monkeypatch):
+    verify_mod = importlib.import_module("fracplap.verify")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert verify(PropertyId.LEFT_INVERSE, params, grid).passed
+    build = verify_mod.build_operators
+
+    def wrong_order(params, grid):
+        ops = build(params, grid)
+        return dataclasses.replace(ops, left_deriv=_gl_operator(params.alpha + 0.01, grid))
+
+    monkeypatch.setattr(verify_mod, "build_operators", wrong_order)
+    rep = verify(PropertyId.LEFT_INVERSE, params, grid)
+    assert not rep.passed and rep.worst_margin < -1e-3
+
+
+def test_suite_column_budget(monkeypatch):
+    # Toeplitz columns of the benchmark's verify config: the identity
+    # records take one column each, GRAD_FD and EVEN_ENERGY reuse the
+    # images they hold (2530 columns before)
+    fracops = importlib.import_module("fracplap.fracops")
+    matmul = fracops.Toeplitz.__matmul__
+    columns = []
+
+    def counting(op, x):
+        columns.append(1 if np.ndim(x) == 1 else np.shape(x)[1])
+        return matmul(op, x)
+
+    monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counting)
+    run_suite([FracParams(alpha=0.6, p=2.0, T=1.0)], make_grid(1.0, 1024), seed=0, samples=100)
+    assert sum(columns) == 1732
 
 
 def test_rl_caputo_fails_with_a_wrong_order_correction(monkeypatch):
