@@ -1,8 +1,8 @@
 """Property-verification engine: every quantitative identity and
 inequality the operator calculus and the energy rest on, with
-machine-readable margin reports.  Two identity records and two embedding
-records are proven for the whole space; every other property is checked
-on a seeded random ensemble.
+machine-readable margin reports.  Two identity records, two embedding
+records and TRANSLATION_COMPACT are proven for the whole space; every
+other property is checked on a seeded random ensemble.
 
 Margins are signed slacks normalized to the local scale, so 0 is the
 pass boundary before tolerance.  Checks come in three kinds.  Identities
@@ -19,14 +19,17 @@ functions.
 
 SEMIGROUP and LEFT_INVERSE are column records (_check_column): Young's
 inequality bounds their gap for every u by the first column of the
-difference, one product each.  SUP_EMBED and POINCARE are proven too: every pinned u is I^alpha D u, so
-Hoelder and Young bound max|u| and ||u||_p by the discrete constants C_n
-and K_n of fracops.embedding_constants times ||u||_{alpha,p}, and the
-margin (C - C_n)/C or (C - K_n)/C against the continuum constant C holds
-for every pinned u.  These four draw nothing; samples is only echoed in
-the report.  RL_CAPUTO checks the Caputo boundary term alone: its gap
-cap + corr - rl cancels the Riemann-Liouville values rl, so it compares
-_caputo_correction with its closed form and would not see a wrong D.
+difference, one product each.  SUP_EMBED and POINCARE are proven too:
+every pinned u is I^alpha D u, so Hoelder and Young bound max|u| and
+||u||_p by C_n and K_n of fracops.embedding_constants times
+||u||_{alpha,p}, and the margin (C - C_n)/C or (C - K_n)/C against the
+continuum constant C holds for every pinned u; TRANSLATION_COMPACT reads
+its constants off their partial sums.  These five draw nothing; samples
+is only echoed.  RL_CAPUTO checks the Caputo boundary term alone: its
+gap cap + corr - rl cancels the Riemann-Liouville values rl, so it
+compares _caputo_correction with its closed form and would not see a
+wrong D.  EMBED_LQ's q ladder starts at q = p, where its two sides are
+one sum, so its margin is exactly 0; only its reported constant informs.
 
 Every sampled check streams its ensemble in row blocks of at most
 fracops._BLOCK_DOUBLES values (a check that holds several rows per
@@ -353,49 +356,45 @@ def translation_bound(params: FracParams, shift: float) -> float:
                                  + T^(a(p-1)) h^a / G(a+1)^p ] ||u||_{a,p}^p.
 
     The first term collects the two kernel pieces on [0, T-h], the second
-    the cut-off tail where the translation is zero.  A bound past the
-    float range is inf.
+    the cut-off tail.  1/G(a+1) stays out of the root, as G(a+1)^p
+    underflows at large p; past the float range the bound is inf.
     """
     a, p, T = params.alpha, params.p, params.T
-    g1 = gamma(a + 1.0)
     try:
-        return float(
-            (
-                (2.0 * shift**a / g1) ** p
-                + T ** (a * (p - 1.0)) * shift**a / g1**p
-            )
-            ** (1.0 / p)
-        )
+        root = float(((2.0 * shift**a) ** p + T ** (a * (p - 1.0)) * shift**a) ** (1.0 / p))
     except OverflowError:
         return math.inf
+    return root / gamma(a + 1.0)
 
 
 def _check_translation(params, ops, samples, rng):
-    grid = ops.grid
-    p = params.p
-    n = grid.n
-    w = trapezoid_weights(grid)
-    shifts = [max(1, n // 16), max(1, n // 32), max(1, n // 64)]
-    sups = [0.0] * len(shifts)
-    for block in _ensemble(grid, rng, max(samples, 4), dirichlet=True):
-        an = np.array(_alpha_rows(ops, block, p))
-        if not np.all(np.isfinite(an)):  # dividing by inf would scale a sample to zero
-            sups = [math.nan] * len(shifts)
-        members = block[an > 0] / an[an > 0, None]
-        for k, m in enumerate(shifts):
-            tu = np.zeros_like(members)
-            tu[:, : n + 1 - m] = members[:, m:]
-            sups[k] = _fold(max, sups[k], *_lp_rows(tu - members, p, w))
-    margins = []
-    bound = None
-    for m, s in zip(shifts, sups):
-        bound = translation_bound(params, m * grid.h)
+    """||tau_m u - u||_p <= K_m ||u||_{alpha,p} for every pinned u, read off
+    the partial sums S_r = iota_0 + ... + iota_{r-1} of the I^alpha weights
+    iota, which do not increase for alpha <= 1, with K = S_{n-1}:
+
+        K_m^p = c_m^p + S_m K^(p-1),   c_m = 2 S_m - (S_{n-1} - S_{n-m-1}).
+
+    u = I^alpha y for y = D u, whose rows 1..n-1 weigh h.  Rows 0..n-m-1
+    of tau_m u - u convolve them with the shifted difference of iota, of
+    l^1 norm c_m (Young); rows n-m..n-1 are -u_i, a block of column sums
+    at most S_m and row sums at most K (Schur test).  By Gautschi's
+    inequality S_m < (m h)^alpha / G(alpha+1) and K < T^alpha / G(alpha+1),
+    so K_m is below translation_bound(m h) term by term.  The margin folds
+    (bound - K_m) / bound at three shifts with the decay of K_m.
+    """
+    n, p = ops.grid.n, params.p
+    S = [0.0] + np.cumsum(ops.left_int.col[: n - 1]).tolist()
+    K = S[-1]
+    consts, margins = [], []
+    for m in (max(1, n // 16), max(1, n // 32), max(1, n // 64)):
+        c = 2.0 * S[m] - (K - S[n - m - 1])
+        top = max(c, K)  # every ratio below is at most 1, so no power overflows
+        consts.append(top * ((c / top) ** p + S[m] / top * (K / top) ** (p - 1.0)) ** (1.0 / p))
+        bound = translation_bound(params, m * ops.grid.h)
         # a bound that underflowed to 0 or overflowed certifies nothing
-        margins.append((bound - s) / bound if 0.0 < bound < math.inf else math.nan)
-    # monotone decay of the sup as the shift shrinks
-    for a, b in zip(sups, sups[1:]):
-        margins.append(a - b)  # family is normalized, so absolute slack
-    ratio = sups[-1] / sups[-2] if sups[-2] > 0 else 0.0
+        margins.append((bound - consts[-1]) / bound if 0.0 < bound < math.inf else math.nan)
+    margins += [a - b for a, b in zip(consts, consts[1:])]  # decay as the shift shrinks
+    ratio = consts[-1] / consts[-2]
     return _Outcome(_fold(min, math.inf, *margins), _ledger_tolerance(n), bound=bound, ratio=ratio)
 
 

@@ -529,6 +529,16 @@ def test_translation_bound_overflow_fails_record_without_warning(capsys):
     assert record["status"] == "failed" and record["bound_constant"] == "inf"
 
 
+def test_translation_bound_at_huge_p_passes_record(capsys):
+    # Gamma(1.5)^10000 underflows to 0, and the bound once divided by it
+    code = main(["verify", "--alpha", "0.5", "--p", "10000", "--T", "1", "--n", "64",
+                 "--property", "TRANSLATION_COMPACT"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    (record,) = json.loads(out)
+    assert record["passed"] and record["worst_margin"] > 0.0
+
+
 def test_verify_nonfinite_margin_fails(tmp_path):
     # at p = 400 the energy of each of these ensembles overflows, so the
     # energy checks fail with NaN; every norm is taken on max-scaled rows,

@@ -38,6 +38,12 @@ and draw no random number: the bound is read off the I^alpha weights for
 the whole pinned space, and an ensemble drawn beside the bound would
 still pass every margin test, only slower.
 
+The proven TRANSLATION_COMPACT record (verify._check_translation) takes
+no product and draws nothing either: its constants K_m come from the
+partial sums of the I^alpha weights and hold for every pinned u, and the
+ensemble it replaced, shifted and normed beside the bound, would still
+pass every margin test, only slower.
+
 The SEMIGROUP and LEFT_INVERSE records (verify._check_column) take one
 product, that of the first column, and draw nothing: both sides of each
 identity are lower-triangular Toeplitz, so Young's inequality bounds the
@@ -387,7 +393,12 @@ def ensemble_calls(source: str, name: str) -> list:
 
 
 @pytest.mark.parametrize(
-    "module, name", [("verify.py", "_check_embedding"), ("fracops.py", "embedding_constants")]
+    "module, name",
+    [
+        ("verify.py", "_check_embedding"),
+        ("fracops.py", "embedding_constants"),
+        ("verify.py", "_check_translation"),
+    ],
 )
 def test_proven_embedding_takes_no_product_and_draws_nothing(module, name):
     source = (Path(fracplap.__file__).parent / module).read_text(encoding="utf-8")

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -244,8 +245,9 @@ def test_left_inverse_fails_with_a_wrong_order_derivative(monkeypatch):
 
 def test_suite_column_budget(monkeypatch):
     # Toeplitz columns of the benchmark's verify config: the identity
-    # records take one column each, GRAD_FD and EVEN_ENERGY reuse the
-    # images they hold (2530 columns before)
+    # records take one column each, TRANSLATION_COMPACT none, GRAD_FD and
+    # EVEN_ENERGY reuse the images they hold (2530 columns before, 1732
+    # with the sampled TRANSLATION_COMPACT)
     fracops = importlib.import_module("fracplap.fracops")
     matmul = fracops.Toeplitz.__matmul__
     columns = []
@@ -256,7 +258,7 @@ def test_suite_column_budget(monkeypatch):
 
     monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counting)
     run_suite([FracParams(alpha=0.6, p=2.0, T=1.0)], make_grid(1.0, 1024), seed=0, samples=100)
-    assert sum(columns) == 1732
+    assert sum(columns) == 1632
 
 
 def test_rl_caputo_fails_with_a_wrong_order_correction(monkeypatch):
@@ -297,6 +299,130 @@ def test_translation_compact_report():
 def test_translation_bound_past_float_range_is_inf():
     params = FracParams(alpha=0.6, p=2.0, T=1e308)
     assert translation_bound(params, 1e306) == math.inf
+
+
+def translation_shifts(n):
+    return [max(1, n // 16), max(1, n // 32), max(1, n // 64)]
+
+
+def sampled_translation_record(params, grid, samples, seed=0):
+    """The sampled TRANSLATION_COMPACT record that the proven one
+    replaced, as (margin, sups): sups[k] is the largest
+    ||tau_m u - u||_p / ||u||_{a,p} at the k-th shift over verify's pinned
+    ensemble with the property's own stream, and the margin folds the
+    slack to translation_bound at each shift with the decay of the sups."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    ops = build_operators(params, grid)
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(PropertyId.TRANSLATION_COMPACT)])
+    n, p = grid.n, params.p
+    w = trapezoid_weights(grid)
+    shifts = translation_shifts(n)
+    sups = [0.0] * len(shifts)
+    for block in verify_mod._ensemble(grid, rng, max(samples, 4), dirichlet=True):
+        an = np.array(_alpha_rows(ops, block, p))
+        if not np.all(np.isfinite(an)):
+            sups = [math.nan] * len(shifts)
+        members = block[an > 0] / an[an > 0, None]
+        for k, m in enumerate(shifts):
+            tu = np.zeros_like(members)
+            tu[:, : n + 1 - m] = members[:, m:]
+            sups[k] = verify_mod._fold(max, sups[k], *_lp_rows(tu - members, p, w))
+    margins = []
+    for m, s in zip(shifts, sups):
+        bound = translation_bound(params, m * grid.h)
+        margins.append((bound - s) / bound if 0.0 < bound < math.inf else math.nan)
+    margins += [a - b for a, b in zip(sups, sups[1:])]
+    return verify_mod._fold(min, math.inf, *margins), sups
+
+
+def translation_constants(params, n):
+    """(K_m, bound) at each shift in mpmath, from the closed form
+    S_m = h^a Gamma(m + a) / (Gamma(a + 1) Gamma(m)) of the partial sums of
+    the I^a weights and the continuum bound's own formula."""
+    a, p, T = params.alpha, mpmath.mpf(params.p), mpmath.mpf(params.T)
+    with mpmath.workdps(40):
+        h, g = T / n, mpmath.gamma(a + 1)
+        S = lambda m: h**a * mpmath.gamma(m + a) * mpmath.rgamma(m) / g
+        K = S(n - 1)
+        out = []
+        for m in translation_shifts(n):
+            c = 2 * S(m) - (K - S(n - m - 1))
+            s = m * h
+            bound = ((2 * s**a / g) ** p + T ** (a * (p - 1)) * s**a / g**p) ** (1 / p)
+            out.append(((c**p + S(m) * K ** (p - 1)) ** (1 / p), bound))
+        return out
+
+
+def test_sampled_translation_reference_reproduces_the_old_records():
+    # the 100-sample records before the proof: the suite config, and the
+    # config whose sampled decay term 1.0317 - 1.0822 failed it
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    assert sampled_translation_record(params, make_grid(1.0, 1024), 100)[0] == 0.052234528060458044
+    params = FracParams(alpha=0.1, p=1.2, T=1.0)
+    margin, sups = sampled_translation_record(params, make_grid(1.0, 64), 100)
+    assert margin == -0.050515827224710375 and sups[0] - sups[1] == margin
+
+
+# (0.1, 1.2, 64) is the config the sampled record failed
+TRANSLATION_ORACLE_CONFIGS = [
+    (0.1, 1.2, 64), (0.6, 2.0, 1024), (0.4, 2.0, 256), (0.6, 130.0, 1024), (0.9, 1.5, 64), (1.0, 2.0, 16)
+]
+
+
+@pytest.mark.parametrize("alpha, p, n", TRANSLATION_ORACLE_CONFIGS)
+def test_proven_translation_constant_is_above_every_sample(alpha, p, n):
+    # the record is the smallest of its five margins, computed here from
+    # the closed-form partial sums, and no sample of a large ensemble
+    # translates by more than K_m; samples is only echoed
+    params = FracParams(alpha=alpha, p=p, T=1.0)
+    grid = make_grid(1.0, n)
+    rep = verify(PropertyId.TRANSLATION_COMPACT, params, grid, samples=7, seed=0)
+    consts = translation_constants(params, n)
+    Km = [K for K, _ in consts]
+    margins = [(b - K) / b for K, b in consts] + [a - b for a, b in zip(Km, Km[1:])]
+    assert rep.worst_margin == pytest.approx(float(min(margins)), rel=1e-12)
+    assert rep.bound_constant == pytest.approx(float(consts[-1][1]), rel=1e-12)
+    assert rep.refinement_ratio == pytest.approx(float(Km[-1] / Km[-2]), rel=1e-12)
+    assert rep.passed and rep.samples == 7
+    sups = sampled_translation_record(params, grid, 2000)[1]
+    assert all(s <= K for s, K in zip(sups, Km)), (sups, Km)
+
+
+def test_translation_compact_passes_wherever_the_bound_is_finite():
+    # the record takes no product, so a wide sweep is cheap; where a bound
+    # over- or underflows the record reads NaN and fails
+    finite = 0
+    for alpha in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        for p in (1.01, 1.2, 2.0, 3.0, 130.0, 400.0):
+            for n in (16, 64, 1024, 8192):
+                for T in (1e-3, 1.0, 1e3):
+                    params = FracParams(alpha=alpha, p=p, T=T)
+                    rep = verify(PropertyId.TRANSLATION_COMPACT, params, make_grid(T, n), samples=1)
+                    bounds = [translation_bound(params, m * T / n) for m in translation_shifts(n)]
+                    if all(0.0 < b < math.inf for b in bounds):
+                        finite += 1
+                        assert rep.passed and rep.worst_margin >= 0.0, (alpha, p, n, T, rep.worst_margin)
+                    else:
+                        assert math.isnan(rep.worst_margin) and not rep.passed, (alpha, p, n, T)
+    assert finite == 448
+
+
+def test_translation_compact_fails_with_a_wrong_order_integral(monkeypatch):
+    # I^alpha of order alpha - 0.05 puts the partial sums above the
+    # continuum bound; at p = 130 the margin is only -0.006, so p is 2
+    verify_mod = importlib.import_module("fracplap.verify")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert verify(PropertyId.TRANSLATION_COMPACT, params, grid).passed
+    build = verify_mod.build_operators
+
+    def wrong_order(params, grid):
+        ops = build(params, grid)
+        return dataclasses.replace(ops, left_int=_gl_operator(-(params.alpha - 0.05), grid))
+
+    monkeypatch.setattr(verify_mod, "build_operators", wrong_order)
+    rep = verify(PropertyId.TRANSLATION_COMPACT, params, grid)
+    assert not rep.passed and rep.worst_margin < -0.1
 
 
 def test_suite_skip_routing_low_alpha():
