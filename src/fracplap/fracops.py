@@ -311,27 +311,29 @@ def alpha_norm(ops: OperatorSet, u: GridFunction, p: float) -> float:
     return _alpha_rows(ops, ops.check_grid(u), p)[0]
 
 
-def embedding_constants(ops: OperatorSet, p: float) -> tuple[float, float]:
-    """Discrete constants (C_n, K_n) of max|u| <= C_n ||u||_{alpha,p} and
-    ||u||_p <= K_n ||u||_{alpha,p} for every pinned u, read off the
-    I^alpha weights iota:
+def embedding_constants(ops: OperatorSet, p: float, qs=()) -> tuple[float, ...]:
+    """Discrete constants (C_n, K_n, K_q for each q in qs) of max|u|, ||u||_p
+    and ||u||_q <= that constant times ||u||_{alpha,p} for every pinned u,
+    read off the I^alpha weights iota = (iota_0 .. iota_{n-2}):
 
-        C_n = h^(-1/p) ||(iota_0 .. iota_{n-2})||_p',
-        K_n = iota_0 + ... + iota_{n-2}.
+        K_q = h^(1/q - 1/p) ||iota||_r,   1/r = 1 + 1/q - 1/p,
+
+    K_n = ||iota||_1 at q = p and C_n = h^(-1/p) ||iota||_p' at q = inf.
 
     A pinned u is I^alpha D u, with (D u)_0 = 0 and u_n = 0, so u_i for
     i <= n-1 is the convolution of iota with rows 1..n-1 of D u, and
-    those rows weigh h in ||.||_{alpha,p}.  Hoelder on each u_i gives the
-    first bound, Young's inequality (the l^p norm of a convolution is at
-    most the l^1 norm of iota times the l^p norm of D u) the second; the
+    those rows weigh h in ||.||_{alpha,p}.  Young's inequality (the l^q
+    norm of a convolution is at most the l^r norm of iota times the l^p
+    norm of D u) gives each bound, Hoelder on each u_i the sup one; the
     weight of row n only adds to the right side.  C_n is sharp: the
     Hoelder-extremal rows 1..n-1 of D u put |u_{n-1}| at C_n ||u||_{alpha,p}
     (with u_n left free).  K_n is a certified upper bound of the Poincare
     constant, not attained.
     """
-    q = p / (p - 1.0)
-    iota = ops.left_int.col[: ops.grid.n - 1]
-    return ops.grid.h ** (-1.0 / p) * _lp_rows(iota, q, 1.0)[0], float(np.sum(iota))
+    h, iota = ops.grid.h, ops.left_int.col[: ops.grid.n - 1]
+    K = [h ** (1.0 / q - 1.0 / p) * _lp_rows(iota, 1.0 / (1.0 + 1.0 / q - 1.0 / p), 1.0)[0]
+         for q in qs]
+    return (h ** (-1.0 / p) * _lp_rows(iota, p / (p - 1.0), 1.0)[0], float(np.sum(iota)), *K)
 
 
 def _alpha_rows(ops: OperatorSet, V: np.ndarray, p: float) -> list[float]:

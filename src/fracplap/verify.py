@@ -1,35 +1,35 @@
 """Property-verification engine: every quantitative identity and
 inequality the operator calculus and the energy rest on, with
-machine-readable margin reports.  Two identity records, two embedding
-records and TRANSLATION_COMPACT are proven for the whole space; every
-other property is checked on a seeded random ensemble.
+machine-readable margin reports.  Eight records are proven for the whole
+space or checked pointwise; IBP_EXACT, IBP_INTEGRAL, YOUNG_BOUND,
+MONOTONE_GAP and GRAD_FD are checked on a seeded random ensemble.
 
 Margins are signed slacks normalized to the local scale, so 0 is the
 pass boundary before tolerance.  Checks come in three kinds.  Identities
 report minus the largest normalized gap (tolerance 1e-12, times
-max(1, n/1024) for SEMIGROUP and LEFT_INVERSE, whose column products
-round more as n grows); inequalities the smallest normalized
-right-minus-left slack (tolerance 0.05 below n = 512, 0.03 from there);
-and the one refinement statement, IBP_INTEGRAL, minus its worst relative
-gap together with the gap ratio under one grid doubling.  A non-finite
-per-sample value leaves the margin NaN, which fails.  Ensembles are half
-smooth (up to 8 random sine modes) and half rough (i.i.d. nodal noise);
-the inequalities hold on the whole discrete space, not just on smooth
-functions.
+max(1, n/1024) for the column records SEMIGROUP, LEFT_INVERSE and
+RL_CAPUTO, whose products round more as n grows); inequalities the
+smallest normalized right-minus-left slack (tolerance 0.05 below
+n = 512, 0.03 from there); and the one refinement statement,
+IBP_INTEGRAL, minus its worst relative gap together with the gap ratio
+under one grid doubling.  A non-finite per-sample value leaves the
+margin NaN, which fails.  Ensembles are half smooth (up to 8 random sine
+modes) and half rough (i.i.d. nodal noise); the inequalities hold on the
+whole discrete space, not just on smooth functions.
 
-SEMIGROUP and LEFT_INVERSE are column records (_check_column): Young's
-inequality bounds their gap for every u by the first column of the
-difference, one product each.  SUP_EMBED and POINCARE are proven too:
-every pinned u is I^alpha D u, so Hoelder and Young bound max|u| and
-||u||_p by C_n and K_n of fracops.embedding_constants times
-||u||_{alpha,p}, and the margin (C - C_n)/C or (C - K_n)/C against the
-continuum constant C holds for every pinned u; TRANSLATION_COMPACT reads
-its constants off their partial sums.  These five draw nothing; samples
-is only echoed.  RL_CAPUTO checks the Caputo boundary term alone: its
-gap cap + corr - rl cancels the Riemann-Liouville values rl, so it
-compares _caputo_correction with its closed form and would not see a
-wrong D.  EMBED_LQ's q ladder starts at q = p, where its two sides are
-one sum, so its margin is exactly 0; only its reported constant informs.
+SEMIGROUP and LEFT_INVERSE (_check_column) read the first column of the
+difference of their two sides, RL_CAPUTO D 1 against the exact
+h^(-alpha) gl_weights(alpha - 1): one product each.  Every pinned u is
+I^alpha D u, so Young's inequality bounds max|u|, ||u||_p and ||u||_q by
+C_n, K_n and K_q of fracops.embedding_constants times ||u||_{alpha,p};
+SUP_EMBED, POINCARE and EMBED_LQ (_check_embedding) report the margin
+(C - K)/C against the continuum constant C, EMBED_LQ on three q strictly
+between p and p* = p/(1 - alpha p).  TRANSLATION_COMPACT reads its
+constants off the partial sums of the I^alpha weights.  These seven draw
+nothing; samples is only echoed.  EVEN_ENERGY keeps its draws but takes
+no product: the FFT product is odd bit for bit, so the energy is even and
+its gradient odd wherever F is even and f and phi_p are odd, which it
+checks at the drawn nodes.
 
 Every sampled check streams its ensemble in row blocks of at most
 fracops._BLOCK_DOUBLES values (a check that holds several rows per
@@ -37,17 +37,14 @@ sample takes that many times fewer samples per block): each block is
 drawn from the rng in sample order, each operator is applied to it once
 (a batched FFT product, bitwise equal to the per-vector one), norms
 (grid._lp_rows) and pairings are reduced row by row, and the worst
-margin is folded in sample order.  The energy checks (MONOTONE_GAP, GRAD_FD, EVEN_ENERGY)
-evaluate the energy, its gradient and the monotonicity gap with
+margin is folded in sample order.  The energy checks (MONOTONE_GAP and
+GRAD_FD) evaluate the energy, its gradient and the monotonicity gap with
 energy.py's row bodies on the block and its derivative image, and take
 every p-th root per row as a scalar.  GRAD_FD takes u +- eps v's images
-as D u +- eps D v, and EVEN_ENERGY takes -(D u) as -u's, bitwise the
-product's own as the FFT product is odd.  So EVEN_ENERGY tests the
-evenness of F and the oddness of phi_p and f, not D, and reads exactly
--0.0: every step of that pipeline is sign-symmetric in IEEE arithmetic.
-Reports do not depend on the block size, and memory stays at a few
-blocks.  No check calls energy, gradient, monotonicity_gap or
-alpha_norm: tests/test_static.py keeps per-sample loops out.
+as D u +- eps D v.  Reports do not depend on the block size, and memory
+stays at a few blocks.  No check calls energy, gradient,
+monotonicity_gap or alpha_norm: tests/test_static.py keeps per-sample
+loops out.
 """
 
 from __future__ import annotations
@@ -60,11 +57,10 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import ProblemState, _energy_rows, _gap_rows, _gradient_rows
+from .energy import ProblemState, _energy_rows, _gap_rows, _gradient_rows, phi
 from .fracops import (
     MAX_GRID_CELLS,
     OperatorSet,
-    _alpha_rows,
     _block_len,
     _blocks,
     _caputo_correction,
@@ -73,6 +69,7 @@ from .fracops import (
     build_operators,
     embedding_constants,
     gamma,
+    gl_weights,
 )
 from .grid import FracParams, Grid, _lp_rows, _max_scaled, make_grid, sine_series, trapezoid_weights
 from .nonlinearity import sublinear_power
@@ -258,27 +255,28 @@ def _check_ibp_integral(params, ops, samples, rng):
     return _Outcome(-gap, _ledger_tolerance(n), ratio=ratio, ratio_cap=0.75)
 
 
+def _caputo_closed_form(grid: Grid, a: float) -> np.ndarray:
+    """t^(-a) / Gamma(1 - a) at the nodes, 0 at t = 0 and for a = 1."""
+    closed = np.zeros(grid.n + 1)
+    if a < 1.0:
+        closed[1:] = grid.nodes[1:] ** (-a) / gamma(1.0 - a)
+    return closed
+
+
 def _check_rl_caputo(params, ops, samples, rng):
-    """Caputo = RL - u(0) t^(-alpha) / Gamma(1 - alpha) away from t = 0.
-    rl cancels from the gap, so this checks _caputo_correction against
-    its closed form, not D itself."""
+    """D 1 = h^(-alpha) w, w = gl_weights(alpha - 1, n), exactly by the
+    symbol identity (1-z)^alpha / (1-z) = (1-z)^(alpha-1): one product
+    reads D against w, relative to h^(-alpha) = h^(-alpha) w_0.  Caputo =
+    RL - u(0) t^(-alpha) / Gamma(1 - alpha), so _caputo_correction is read
+    against that closed form, relative to its largest value (absolutely
+    at alpha = 1, where it vanishes)."""
     grid = ops.grid
     a = params.alpha
-    worst = 0.0
-    coef = 0.0 if a >= 1.0 else 1.0 / gamma(1.0 - a)
-    caputo = _caputo_correction(ops, left=True)
-    decay = grid.nodes[1:] ** (-a)
-    for block in _ensemble(grid, rng, samples, dirichlet=False):
-        u0 = block[:, :1]
-        # the relation is only informative with u(0) != 0
-        u0[np.abs(u0) < 0.5] = 1.5
-        rl = _rows(ops.left_deriv, block)
-        cap = rl - u0 * caputo
-        corr = (u0 * coef) * decay if a < 1.0 else 0.0
-        gap = np.abs(cap[:, 1:] + corr - rl[:, 1:])
-        scale = np.maximum(np.abs(rl[:, 1:]), 1.0)
-        worst = _fold(max, worst, *np.max(gap / scale, axis=1).tolist())
-    return _Outcome(-worst, IDENTITY_TOL)
+    exact = gl_weights(a - 1.0, grid.n) / grid.h**a
+    gap = np.max(np.abs(ops.left_deriv @ np.ones(grid.n + 1) - exact)) / exact[0]
+    closed = _caputo_closed_form(grid, a)
+    corr = np.max(np.abs(_caputo_correction(ops, left=True) - closed)) / (closed[1] or 1.0)
+    return _Outcome(-_fold(max, gap, corr), IDENTITY_TOL * max(1.0, grid.n / 1024))
 
 
 def _young_constant(params: FracParams) -> float:
@@ -306,46 +304,43 @@ def _check_young_bound(params, ops, samples, rng):
     return _Outcome(worst, _ledger_tolerance(ops.grid.n), bound=C)
 
 
-def _check_embedding(params, ops, samples, rng, sup):
-    """max|u| (sup) or ||u||_p <= C ||u||_{alpha,p}, C the continuum
-    constant, proven for every pinned u by the C_n or K_n of
-    fracops.embedding_constants: the margin is (C - K) / C."""
-    C = (_sup_embed_constant if sup else _young_constant)(params)
-    K = embedding_constants(ops, params.p)[0 if sup else 1]
-    return _Outcome((C - K) / C, _ledger_tolerance(ops.grid.n), bound=C)
+def _lq_ladder(params: FracParams) -> list[float]:
+    """EMBED_LQ's three q, geometric above p (the rung p is POINCARE) up to
+    p + 0.9 (p* - p) below p* = p/(1 - alpha p), the top of the compact
+    embedding range, or up to 3p where alpha p >= 1 and p* is inf."""
+    p, ap = params.p, params.alpha * params.p
+    q_hi = p * (1.0 - 0.1 * ap) / (1.0 - ap) if ap < 1.0 else 3.0 * p
+    return np.geomspace(p, q_hi, 4)[1:].tolist()
 
 
-def _check_embed_lq(params, ops, samples, rng):
-    """Interpolation bound ||u||_q^q <= ||u||_inf^(q-p) ||u||_p^p on a
-    geometric ladder of q, plus the empirical embedding constant
-    max ||u||_q / ||u||_{alpha,p}, which is reported, not asserted.  Both
-    take v = |u| / ||u||_inf, as the norm kernel does: the bound reads
-    sum w v^q <= sum w v^p, and ||u||_q = ||u||_inf (sum w v^q)^(1/q).
+def _lq_constant(params: FracParams, q: float) -> float:
+    """C_q = ||t^(alpha-1) / G(alpha)||_{L^r(0,T)} = (T^s / s)^(1/r) / G(alpha),
+    s = (alpha - 1) r + 1, 1/r = 1 + 1/q - 1/p: Young's constant of
+    ||I^alpha y||_q <= C_q ||y||_p, finite exactly for q < p*; it is
+    _young_constant at q = p and _sup_embed_constant at q = inf."""
+    a = params.alpha
+    r = 1.0 / (1.0 + 1.0 / q - 1.0 / params.p)
+    s = (a - 1.0) * r + 1.0
+    return params.T ** (s / r) / (s ** (1.0 / r) * gamma(a))
 
-    For alpha*p < 1 the ladder stops at 0.9 * p/(1 - alpha*p), the top of
-    the compact-embedding range; otherwise the embedding reaches every
-    finite q and the ladder is capped at 3p.
-    """
-    grid = ops.grid
+
+def _check_embedding(params, ops, samples, rng, norm):
+    """max|u| (norm "sup"), ||u||_p ("p") or ||u||_q on each rung of
+    _lq_ladder ("lq") <= C ||u||_{alpha,p}, C the continuum constant,
+    proven for every pinned u by the C_n, K_n or K_q of
+    fracops.embedding_constants: the margin is the smallest (C - K) / C,
+    and the bound C, at the top rung for "lq"."""
     p = params.p
-    if params.alpha * p < 1.0:
-        q_hi = 0.9 * p / (1.0 - params.alpha * p)
+    if norm == "lq":
+        qs = _lq_ladder(params)
+        Cs = [_lq_constant(params, q) for q in qs]
+        Ks = embedding_constants(ops, p, qs)[2:]
     else:
-        q_hi = 3.0 * p
-    qs = np.geomspace(p, max(q_hi, p * 1.01), 4)
-    worst = math.inf
-    cmax = 0.0
-    w = trapezoid_weights(grid)
-    for block in _ensemble(grid, rng, samples, dirichlet=True):
-        unit, sups = _max_scaled(block)
-        lp_p = np.sum(w * unit**p, axis=1).tolist()
-        lq_p = [np.sum(w * unit**q, axis=1).tolist() for q in qs]
-        for r, an in enumerate(_alpha_rows(ops, block, p)):
-            for q, lq in zip(qs, lq_p):
-                worst = _fold(min, worst, (lp_p[r] - lq[r]) / max(lp_p[r], 1e-300))
-                if an > 0:
-                    cmax = max(cmax, sups[r] * lq[r] ** (1.0 / q) / an)
-    return _Outcome(worst, 1e-10, bound=cmax)
+        sup = norm == "sup"
+        Cs = [(_sup_embed_constant if sup else _young_constant)(params)]
+        Ks = [embedding_constants(ops, p)[0 if sup else 1]]
+    margin = _fold(min, math.inf, *[(C - K) / C for C, K in zip(Cs, Ks)])
+    return _Outcome(margin, _ledger_tolerance(ops.grid.n), bound=Cs[-1])
 
 
 def translation_bound(params: FracParams, shift: float) -> float:
@@ -356,15 +351,15 @@ def translation_bound(params: FracParams, shift: float) -> float:
                                  + T^(a(p-1)) h^a / G(a+1)^p ] ||u||_{a,p}^p.
 
     The first term collects the two kernel pieces on [0, T-h], the second
-    the cut-off tail.  1/G(a+1) stays out of the root, as G(a+1)^p
-    underflows at large p; past the float range the bound is inf.
+    the cut-off tail.  With x = (h/T)^a <= 1 the bound is
+    T^a / G(a+1) ((2 x)^p + x)^(1/p), and the root is taken on the terms
+    2 x and x^(1/p) scaled by the larger, so no intermediate power leaves
+    the float range where the bound itself does not.
     """
-    a, p, T = params.alpha, params.p, params.T
-    try:
-        root = float(((2.0 * shift**a) ** p + T ** (a * (p - 1.0)) * shift**a) ** (1.0 / p))
-    except OverflowError:
-        return math.inf
-    return root / gamma(a + 1.0)
+    a, p = params.alpha, params.p
+    c, d = 2.0 * (shift / params.T) ** a, (shift / params.T) ** (a / p)
+    top = max(c, d)
+    return _young_constant(params) * top * ((c / top) ** p + (d / top) ** p) ** (1.0 / p)
 
 
 def _check_translation(params, ops, samples, rng):
@@ -393,7 +388,8 @@ def _check_translation(params, ops, samples, rng):
         bound = translation_bound(params, m * ops.grid.h)
         # a bound that underflowed to 0 or overflowed certifies nothing
         margins.append((bound - consts[-1]) / bound if 0.0 < bound < math.inf else math.nan)
-    margins += [a - b for a, b in zip(consts, consts[1:])]  # decay as the shift shrinks
+    # decay as the shift shrinks, relative so that the unit of T drops out
+    margins += [(a - b) / max(a, b) for a, b in zip(consts, consts[1:])]
     ratio = consts[-1] / consts[-2]
     return _Outcome(_fold(min, math.inf, *margins), _ledger_tolerance(n), bound=bound, ratio=ratio)
 
@@ -473,24 +469,26 @@ def _check_grad_fd(params, ops, samples, rng):
 
 
 def _check_even_energy(params, ops, samples, rng):
-    grid = ops.grid
+    """F(t, -u) = F(t, u), f(t, -u) = -f(t, u) and phi_p(-y) = -phi_p(y) at
+    every node of the drawn pinned rows, all that the energy's evenness
+    and the gradient's oddness rest on as D(-u) = -(D u) bit for bit.
+    phi_p takes the rows over their max |.|, so no power overflows.  Each
+    gap is relative to the row's largest |F|, |f| or |phi_p|, floored at 1."""
     st = _default_state(params, ops)
+    t = ops.grid.nodes
+    terms = (
+        (partial(st.spec.F_values, t), 1.0),
+        (partial(st.spec.f_values, t), -1.0),
+        (partial(phi, p=params.p, eps_reg=st.eps_reg), -1.0),
+    )
     worst = 0.0
-    for start, stop in _blocks(grid, samples, rows=2):
-        U = _draw(grid, rng, [i % 2 == 0 for i in range(start, stop)], dirichlet=True)
-        # -(D u) is the image of -u bit for bit, as the FFT product is odd;
-        # energy and gradient at one point share its image
-        X = np.concatenate((U, -U))
-        DU = _rows(ops.left_deriv, U)
-        DX = np.concatenate((DU, -DU))
-        E = _energy_rows(st, X, DX).tolist()
-        G = _gradient_rows(st, X, DX)
-        b = stop - start
-        gmax = np.max(np.abs(G[:b]), axis=1).tolist()
-        gsum = np.max(np.abs(G[:b] + G[b:]), axis=1).tolist()
-        for r in range(b):
-            worst = _fold(max, worst, abs(E[r] - E[b + r]) / max(abs(E[r]), 1.0))
-            worst = _fold(max, worst, gsum[r] / max(gmax[r], 1.0))
+    for U in _ensemble(ops.grid, rng, samples, dirichlet=True):
+        Y = U / np.array(_max_scaled(U)[1])[:, None]
+        for (value, sign), X in zip(terms, (U, U, Y)):
+            plus = value(X)
+            gap = np.max(np.abs(value(-X) - sign * plus), axis=1)
+            scale = np.maximum(np.max(np.abs(plus), axis=1), 1.0)
+            worst = _fold(max, worst, *(gap / scale).tolist())
     return _Outcome(-worst, IDENTITY_TOL)
 
 
@@ -507,9 +505,9 @@ _CHECKERS = {
     PropertyId.IBP_INTEGRAL: _check_ibp_integral,
     PropertyId.RL_CAPUTO: _check_rl_caputo,
     PropertyId.YOUNG_BOUND: _check_young_bound,
-    PropertyId.POINCARE: partial(_check_embedding, sup=False),
-    PropertyId.SUP_EMBED: partial(_check_embedding, sup=True),
-    PropertyId.EMBED_LQ: _check_embed_lq,
+    PropertyId.POINCARE: partial(_check_embedding, norm="p"),
+    PropertyId.SUP_EMBED: partial(_check_embedding, norm="sup"),
+    PropertyId.EMBED_LQ: partial(_check_embedding, norm="lq"),
     PropertyId.TRANSLATION_COMPACT: _check_translation,
     PropertyId.MONOTONE_GAP: _check_monotone_gap,
     PropertyId.GRAD_FD: _check_grad_fd,

@@ -338,6 +338,26 @@ def test_embedding_constants_closed_forms(alpha, p, n, T):
         assert C_n == pytest.approx(((n - 1) * grid.h) ** (1.0 / q), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha, n", [(1.0, 64), (0.6, 64), (0.1, 16)])
+@pytest.mark.parametrize("p", [1.2, 2.0, 130.0])
+def test_lq_embedding_constants(alpha, p, n):
+    # K_q = h^(1/q - 1/p) ||iota||_r against mpmath on the closed-form
+    # weights h^a Gamma(k + a) / (Gamma(a) Gamma(k + 1)), all h at a = 1;
+    # the rung q = p is K_n and the rung q = inf is C_n
+    grid, ops = _ops(alpha, n, p=p)
+    qs = [p * 1.01, 1.5 * p, 4.0 * p]
+    C_n, K_n, *K = embedding_constants(ops, p, qs + [p, math.inf])
+    with mpmath.workdps(30):
+        h = mpmath.mpf(1) / n
+        iota = [h**alpha * mpmath.gamma(k + alpha) * mpmath.rgamma(alpha) * mpmath.rgamma(k + 1)
+                for k in range(n - 1)]
+        for q, Kq in zip(qs, K):
+            r = 1 / (1 + mpmath.mpf(1) / q - mpmath.mpf(1) / p)
+            ref = h ** (mpmath.mpf(1) / q - mpmath.mpf(1) / p) * mpmath.fsum(x**r for x in iota) ** (1 / r)
+            assert Kq == pytest.approx(float(ref), rel=1e-12), q
+    assert K[-2] == pytest.approx(K_n, rel=1e-14) and K[-1] == pytest.approx(C_n, rel=1e-14)
+
+
 def test_refinement_halves_power_rule_error():
     alpha = 0.5
     errs = []
@@ -446,8 +466,9 @@ def test_toeplitz_products_commute_with_power_of_two_scaling(k, n):
 
 @pytest.mark.parametrize("n", [64, 1024, 1080])
 def test_toeplitz_products_are_odd(n):
-    # EVEN_ENERGY takes -(D u) as the image of -u; every step of the FFT
-    # product and the wrapped term's fold is sign-symmetric
+    # EVEN_ENERGY takes no product, as D(-u) = -(D u) here bit for bit:
+    # every step of the FFT product and the wrapped term's fold is
+    # sign-symmetric
     _, ops = _ops(0.6, n)
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n + 1)

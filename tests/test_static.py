@@ -32,11 +32,11 @@ lower bound on a whole sphere, not a sampled minimum, so a mountain pass
 is a function of its config alone, and a sampler brought back would
 still pass every test of the rim's bounds.
 
-The proven SUP_EMBED and POINCARE records (verify._check_embedding) and
-the constants they read (fracops.embedding_constants) take no product
-and draw no random number: the bound is read off the I^alpha weights for
-the whole pinned space, and an ensemble drawn beside the bound would
-still pass every margin test, only slower.
+The proven SUP_EMBED, POINCARE and EMBED_LQ records
+(verify._check_embedding) and the constants they read
+(fracops.embedding_constants) take no product and draw no random number: the bound is read off the I^alpha weights for the
+whole pinned space, and an ensemble drawn beside the bound would still
+pass every margin test, only slower.
 
 The proven TRANSLATION_COMPACT record (verify._check_translation) takes
 no product and draws nothing either: its constants K_m come from the
@@ -48,7 +48,13 @@ The SEMIGROUP and LEFT_INVERSE records (verify._check_column) take one
 product, that of the first column, and draw nothing: both sides of each
 identity are lower-triangular Toeplitz, so Young's inequality bounds the
 gap for every u by the difference column, and a sampled ensemble beside
-it would still pass every margin test, only slower.
+it would still pass every margin test, only slower.  RL_CAPUTO
+(verify._check_rl_caputo) likewise takes the one product D 1.
+
+EVEN_ENERGY (verify._check_even_energy) takes no product: it reads F, f
+and phi_p pointwise on its draws, as the FFT product is odd bit for bit,
+and a record that took D of its draws would pass every test, only
+slower.
 
 solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
@@ -428,6 +434,18 @@ def test_column_identity_records_take_one_product_and_draw_nothing():
     assert [site.split(": ")[1] for site in products_in(source, "_check_column")] == ["@"]
     assert rng_calls(source, owners=("_check_column",)) == []
     assert ensemble_calls(source, "_check_column") == []
+
+
+def test_rl_caputo_takes_one_product_and_draws_nothing():
+    source = (Path(fracplap.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    assert [site.split(": ")[1] for site in products_in(source, "_check_rl_caputo")] == ["@"]
+    assert rng_calls(source, owners=("_check_rl_caputo",)) == []
+    assert ensemble_calls(source, "_check_rl_caputo") == []
+
+
+def test_even_energy_takes_no_product():
+    source = (Path(fracplap.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    assert products_in(source, "_check_even_energy") == []
 
 
 def test_column_guard_flags_sampled_identity():

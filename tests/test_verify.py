@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from fracplap import FracParams, PropertyId, build_operators, gamma, make_grid, run_suite, verify
+from fracplap.energy import ProblemState, _energy_rows, _gradient_rows
 from fracplap.fracops import _alpha_rows, _gl_operator, _rows, embedding_constants
-from fracplap.grid import _lp_rows, trapezoid_weights
-from fracplap.verify import _CHECKERS, translation_bound
+from fracplap.grid import _lp_rows, _max_scaled, trapezoid_weights
+from fracplap.nonlinearity import table_spec
+from fracplap.verify import _CHECKERS, _lq_ladder, translation_bound
 
 
 def test_checker_coverage_matches_enumeration():
@@ -245,9 +247,10 @@ def test_left_inverse_fails_with_a_wrong_order_derivative(monkeypatch):
 
 def test_suite_column_budget(monkeypatch):
     # Toeplitz columns of the benchmark's verify config: the identity
-    # records take one column each, TRANSLATION_COMPACT none, GRAD_FD and
-    # EVEN_ENERGY reuse the images they hold (2530 columns before, 1732
-    # with the sampled TRANSLATION_COMPACT)
+    # records and RL_CAPUTO take one column each, the embedding records,
+    # TRANSLATION_COMPACT and EVEN_ENERGY none, GRAD_FD reuses the images it
+    # holds (2530 columns before, 1732 with the sampled TRANSLATION_COMPACT,
+    # 1632 with the sampled EMBED_LQ, RL_CAPUTO and EVEN_ENERGY)
     fracops = importlib.import_module("fracplap.fracops")
     matmul = fracops.Toeplitz.__matmul__
     columns = []
@@ -258,13 +261,12 @@ def test_suite_column_budget(monkeypatch):
 
     monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counting)
     run_suite([FracParams(alpha=0.6, p=2.0, T=1.0)], make_grid(1.0, 1024), seed=0, samples=100)
-    assert sum(columns) == 1632
+    assert sum(columns) == 1133
 
 
 def test_rl_caputo_fails_with_a_wrong_order_correction(monkeypatch):
-    # the gap cap + corr - rl cancels rl, so the check compares
-    # _caputo_correction with its closed form and no more: a correction
-    # of the wrong order fails it
+    # the record reads _caputo_correction against its closed form: a
+    # correction of the wrong order fails it
     verify_mod = importlib.import_module("fracplap.verify")
     fracops = importlib.import_module("fracplap.fracops")
     params = FracParams(alpha=0.6, p=2.0, T=1.0)
@@ -277,6 +279,231 @@ def test_rl_caputo_fails_with_a_wrong_order_correction(monkeypatch):
     monkeypatch.setattr(verify_mod, "_caputo_correction", wrong_order)
     rep = verify(PropertyId.RL_CAPUTO, params, grid, samples=10)
     assert not rep.passed and rep.worst_margin < -1e-3
+
+
+def sampled_rl_caputo_margin(params, ops, samples, seed=0):
+    """The sampled RL_CAPUTO record that the column record replaced: minus
+    the worst gap |cap + corr - rl| / max(|rl|, 1) over verify's unpinned
+    ensemble with the property's own stream, u(0) kept off 0.  rl cancels
+    from the gap, so it reads _caputo_correction and never D."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(PropertyId.RL_CAPUTO)])
+    grid, a = ops.grid, params.alpha
+    coef = 0.0 if a >= 1.0 else 1.0 / gamma(1.0 - a)
+    caputo = verify_mod._caputo_correction(ops, left=True)
+    worst = 0.0
+    for block in verify_mod._ensemble(grid, rng, samples, dirichlet=False):
+        u0 = block[:, :1]
+        u0[np.abs(u0) < 0.5] = 1.5
+        rl = _rows(ops.left_deriv, block)
+        cap = rl - u0 * caputo
+        corr = (u0 * coef) * grid.nodes[1:] ** (-a) if a < 1.0 else 0.0
+        gap = np.abs(cap[:, 1:] + corr - rl[:, 1:]) / np.maximum(np.abs(rl[:, 1:]), 1.0)
+        worst = verify_mod._fold(max, worst, *np.max(gap, axis=1).tolist())
+    return -worst
+
+
+def test_sampled_rl_caputo_reference_reproduces_the_old_record():
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    margin = sampled_rl_caputo_margin(params, build_operators(params, grid), 100)
+    assert margin == -4.440892098500626e-15
+
+
+def wrong_derivative(monkeypatch, make):
+    """Make verify build D as make(params, grid)."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    build = verify_mod.build_operators
+
+    def replaced(params, grid):
+        return dataclasses.replace(build(params, grid), left_deriv=make(params, grid))
+
+    monkeypatch.setattr(verify_mod, "build_operators", replaced)
+    return replaced
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda params, grid: _gl_operator(0.3, grid), lambda params, grid: _gl_operator(-params.alpha, grid)],
+    ids=["order-0.3 derivative", "I^alpha"],
+)
+def test_rl_caputo_fails_with_a_wrong_derivative(monkeypatch, make):
+    # D 1 is read against h^(-alpha) gl_weights(alpha - 1): the sampled
+    # record passed both of these, as its gap cancels D
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert verify(PropertyId.RL_CAPUTO, params, grid).passed
+    replaced = wrong_derivative(monkeypatch, make)
+    assert sampled_rl_caputo_margin(params, replaced(params, grid), 100) >= -1e-12
+    rep = verify(PropertyId.RL_CAPUTO, params, grid)
+    assert not rep.passed and rep.worst_margin < -0.1
+
+
+@pytest.mark.parametrize("k, rel", [(0, 1e-9), (-1, 1e-5)])
+def test_rl_caputo_fails_with_one_perturbed_weight(monkeypatch, k, rel):
+    # w_0 sets every partial sum of D 1; the last weight is about 4e-6 of
+    # w_0 at n 1024, so 1e-5 of it moves the last partial sum by 4e-11
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    fracops = importlib.import_module("fracplap.fracops")
+
+    def perturbed(params, grid):
+        col = _gl_operator(params.alpha, grid).col.copy()
+        col[k] *= 1.0 + rel
+        return fracops.Toeplitz(col)
+
+    wrong_derivative(monkeypatch, perturbed)
+    rep = verify(PropertyId.RL_CAPUTO, params, grid)
+    assert not rep.passed and rep.worst_margin < -rep.tolerance_used
+
+
+def old_lq_ladder(params):
+    """The sampled EMBED_LQ's ladder, which started at q = p."""
+    p = params.p
+    ap = params.alpha * p
+    q_hi = 0.9 * p / (1.0 - ap) if ap < 1.0 else 3.0 * p
+    return np.geomspace(p, max(q_hi, p * 1.01), 4).tolist()
+
+
+def sampled_lq_record(params, grid, samples, qs, seed=0):
+    """The sampled EMBED_LQ record that the proven one replaced, on the
+    rungs qs, as (margin, sups): the margin is the smallest slack of
+    sum w v^q <= sum w v^p for v = |u| / max|u|, and sups[k] the largest
+    ||u||_q / ||u||_{a,p} at qs[k], over verify's pinned ensemble with the
+    property's own stream."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    ops = build_operators(params, grid)
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(PropertyId.EMBED_LQ)])
+    p, w = params.p, trapezoid_weights(grid)
+    worst, sups = math.inf, [0.0] * len(qs)
+    for block in verify_mod._ensemble(grid, rng, samples, dirichlet=True):
+        unit, scale = _max_scaled(block)
+        lp_p = np.sum(w * unit**p, axis=1).tolist()
+        lq_p = [np.sum(w * unit**q, axis=1).tolist() for q in qs]
+        for r, an in enumerate(_alpha_rows(ops, block, p)):
+            for k, (q, lq) in enumerate(zip(qs, lq_p)):
+                worst = verify_mod._fold(min, worst, (lp_p[r] - lq[r]) / max(lp_p[r], 1e-300))
+                if an > 0:
+                    sups[k] = max(sups[k], scale[r] * lq[r] ** (1.0 / q) / an)
+    return worst, sups
+
+
+def test_sampled_lq_reference_reproduces_the_old_record():
+    # margin exactly 0 from the rung q = p; only the constant informed
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    margin, sups = sampled_lq_record(params, make_grid(1.0, 1024), 100, old_lq_ladder(params))
+    assert margin == 0.0 and max(sups) == 0.46003196827860043
+
+
+@pytest.mark.parametrize(
+    "alpha, p, n",
+    [(0.6, 2.0, 1024), (1.0, 2.0, 16), (0.9, 1.5, 64), (0.6, 3.0, 128), (0.6, 130.0, 1024),
+     (0.3, 2.0, 64), (0.1, 1.2, 64)],
+)
+def test_proven_lq_constant_is_above_every_sample(alpha, p, n):
+    # the proven K_q bounds every pinned function's ratio, so no sample of
+    # a large ensemble exceeds it on any rung; C_q is the L^r norm of the
+    # kernel t^(a-1) / G(a), here in mpmath; samples is only echoed
+    params = FracParams(alpha=alpha, p=p, T=1.0)
+    grid = make_grid(1.0, n)
+    rep = verify(PropertyId.EMBED_LQ, params, grid, samples=7, seed=0)
+    qs = _lq_ladder(params)
+    K = embedding_constants(build_operators(params, grid), p, qs)[2:]
+    with mpmath.workdps(30):
+        C = []
+        for q in qs:
+            r = 1 / (1 + mpmath.mpf(1) / q - mpmath.mpf(1) / p)
+            s = (alpha - 1) * r + 1  # int_0^1 t^((a-1) r) dt = 1/s
+            C.append((1 / s) ** (1 / r) / mpmath.gamma(alpha))
+    assert rep.worst_margin == pytest.approx(float(min((c - k) / c for c, k in zip(C, K))), rel=1e-9)
+    assert rep.bound_constant == pytest.approx(float(C[-1]), rel=1e-12)
+    assert rep.passed and rep.worst_margin > 0.0 and rep.samples == 7
+    sups = sampled_lq_record(params, grid, 2000, qs)[1]
+    assert all(s <= k for s, k in zip(sups, K)), (sups, K)
+
+
+@pytest.mark.parametrize("alpha, p", [(0.005, 1.2), (0.05, 1.01), (0.3, 2.0), (0.5, 2.0), (0.6, 2.0)])
+def test_lq_ladder_stays_below_the_critical_exponent(alpha, p):
+    # the rungs lie strictly above p (the rung p is POINCARE) and, for
+    # alpha p < 1, strictly below p* = p/(1 - alpha p), where C_q is finite;
+    # the old ladder's floor 1.01 p passed p* at (0.005, 1.2)
+    params = FracParams(alpha=alpha, p=p, T=1.0)
+    qs = _lq_ladder(params)
+    assert len(qs) == 3 and p < qs[0] < qs[1] < qs[2]
+    if alpha * p < 1.0:
+        assert qs[-1] < p / (1.0 - alpha * p)
+    rep = verify(PropertyId.EMBED_LQ, params, make_grid(1.0, 1024))
+    assert rep.passed and rep.worst_margin > 0.0 and math.isfinite(rep.bound_constant)
+
+
+def test_embed_lq_fails_with_a_wrong_order_integral(monkeypatch):
+    # I^alpha of order alpha - 0.05 puts K_q above the continuum C_q
+    verify_mod = importlib.import_module("fracplap.verify")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert verify(PropertyId.EMBED_LQ, params, grid).passed
+    build = verify_mod.build_operators
+
+    def wrong_order(params, grid):
+        ops = build(params, grid)
+        return dataclasses.replace(ops, left_int=_gl_operator(-(params.alpha - 0.05), grid))
+
+    monkeypatch.setattr(verify_mod, "build_operators", wrong_order)
+    rep = verify(PropertyId.EMBED_LQ, params, grid)
+    assert not rep.passed and rep.worst_margin < -rep.tolerance_used
+
+
+def sampled_even_energy_margin(params, grid, samples, seed=0):
+    """The sampled EVEN_ENERGY record that the pointwise one replaced:
+    minus the worst relative gap of E(u) = E(-u) and G(u) = -G(-u) over
+    verify's pinned ensemble with the property's own stream, -(D u) taken
+    as the image of -u."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    ops = build_operators(params, grid)
+    st = verify_mod._default_state(params, ops)
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(PropertyId.EVEN_ENERGY)])
+    worst = 0.0
+    for U in verify_mod._ensemble(grid, rng, samples, dirichlet=True):
+        DU = _rows(ops.left_deriv, U)
+        X, DX = np.concatenate((U, -U)), np.concatenate((DU, -DU))
+        E = _energy_rows(st, X, DX).tolist()
+        G = _gradient_rows(st, X, DX)
+        b = len(U)
+        gmax = np.max(np.abs(G[:b]), axis=1).tolist()
+        gsum = np.max(np.abs(G[:b] + G[b:]), axis=1).tolist()
+        for r in range(b):
+            worst = verify_mod._fold(max, worst, abs(E[r] - E[b + r]) / max(abs(E[r]), 1.0))
+            worst = verify_mod._fold(max, worst, gsum[r] / max(gmax[r], 1.0))
+    return -worst
+
+
+@pytest.mark.parametrize("alpha, p, n", [(0.6, 2.0, 1024), (0.9, 1.5, 128), (0.3, 3.0, 64), (1.0, 2.0, 64)])
+def test_even_energy_reads_the_sampled_record(alpha, p, n):
+    # both read -0.0: every step from u to E(u) and G(u) is sign-symmetric
+    params = FracParams(alpha=alpha, p=p, T=1.0)
+    grid = make_grid(1.0, n)
+    rep = verify(PropertyId.EVEN_ENERGY, params, grid, samples=40, seed=0)
+    ref = sampled_even_energy_margin(params, grid, 40)
+    assert rep.worst_margin == ref == 0.0 and math.copysign(1.0, ref) == -1.0
+    assert rep.passed
+
+
+@pytest.mark.parametrize("values, even", [([-1.0, 0.0, 2.0], False), ([-1.0, 0.0, 1.0], True)])
+def test_even_energy_reads_the_nonlinearity(monkeypatch, values, even):
+    # an asymmetric TABLE profile makes F uneven and f not odd
+    verify_mod = importlib.import_module("fracplap.verify")
+    spec = table_spec([-50.0, 0.0, 50.0], values)
+
+    def table_state(params, ops):
+        return ProblemState(params=params, grid=ops.grid, ops=ops, spec=spec)
+
+    monkeypatch.setattr(verify_mod, "_default_state", table_state)
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    rep = verify(PropertyId.EVEN_ENERGY, params, make_grid(1.0, 256), samples=20)
+    if even:
+        assert rep.passed
+    else:
+        assert not rep.passed and rep.worst_margin < -0.1
 
 
 def test_sup_embed_precondition_raises():
@@ -296,9 +523,14 @@ def test_translation_compact_report():
     assert translation_bound(params, 1.0 / 64.0) < translation_bound(params, 1.0 / 16.0)
 
 
-def test_translation_bound_past_float_range_is_inf():
+def test_translation_bound_at_float_range_edge_matches_mpmath():
+    # T^(a(p-1)) and (2 s^a)^p once left the float range here, and the
+    # bound read inf; it is of order T^a / G(a+1)
     params = FracParams(alpha=0.6, p=2.0, T=1e308)
-    assert translation_bound(params, 1e306) == math.inf
+    a, p, T, s = mpmath.mpf("0.6"), 2, mpmath.mpf(1e308), mpmath.mpf(1e306)
+    with mpmath.workdps(40):
+        ref = ((2 * s**a) ** p + T ** (a * (p - 1)) * s**a) ** (mpmath.mpf(1) / p) / mpmath.gamma(a + 1)
+    assert translation_bound(params, 1e306) == pytest.approx(float(ref), rel=1e-12)
 
 
 def translation_shifts(n):
@@ -379,7 +611,7 @@ def test_proven_translation_constant_is_above_every_sample(alpha, p, n):
     rep = verify(PropertyId.TRANSLATION_COMPACT, params, grid, samples=7, seed=0)
     consts = translation_constants(params, n)
     Km = [K for K, _ in consts]
-    margins = [(b - K) / b for K, b in consts] + [a - b for a, b in zip(Km, Km[1:])]
+    margins = [(b - K) / b for K, b in consts] + [(a - b) / max(a, b) for a, b in zip(Km, Km[1:])]
     assert rep.worst_margin == pytest.approx(float(min(margins)), rel=1e-12)
     assert rep.bound_constant == pytest.approx(float(consts[-1][1]), rel=1e-12)
     assert rep.refinement_ratio == pytest.approx(float(Km[-1] / Km[-2]), rel=1e-12)
@@ -389,9 +621,10 @@ def test_proven_translation_constant_is_above_every_sample(alpha, p, n):
 
 
 def test_translation_compact_passes_wherever_the_bound_is_finite():
-    # the record takes no product, so a wide sweep is cheap; where a bound
-    # over- or underflows the record reads NaN and fails
-    finite = 0
+    # the record takes no product, so a wide sweep is cheap; the bound's
+    # root is taken on scaled terms, so it is finite at every config here
+    # (at 56 of the 504 it once over- or underflowed and the record failed)
+    passed = 0
     for alpha in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
         for p in (1.01, 1.2, 2.0, 3.0, 130.0, 400.0):
             for n in (16, 64, 1024, 8192):
@@ -399,12 +632,21 @@ def test_translation_compact_passes_wherever_the_bound_is_finite():
                     params = FracParams(alpha=alpha, p=p, T=T)
                     rep = verify(PropertyId.TRANSLATION_COMPACT, params, make_grid(T, n), samples=1)
                     bounds = [translation_bound(params, m * T / n) for m in translation_shifts(n)]
-                    if all(0.0 < b < math.inf for b in bounds):
-                        finite += 1
-                        assert rep.passed and rep.worst_margin >= 0.0, (alpha, p, n, T, rep.worst_margin)
-                    else:
-                        assert math.isnan(rep.worst_margin) and not rep.passed, (alpha, p, n, T)
-    assert finite == 448
+                    assert all(0.0 < b < math.inf for b in bounds), (alpha, p, n, T)
+                    assert rep.passed and rep.worst_margin >= 0.0, (alpha, p, n, T, rep.worst_margin)
+                    passed += 1
+    assert passed == 504
+
+
+def test_translation_compact_margin_is_free_of_the_unit_of_t():
+    # the decay terms are relative to the larger K_m, as the bound terms
+    # are to the bound; an absolute decay term read 1.1e-181 at T 1e-300
+    params = [FracParams(alpha=0.6, p=2.0, T=T) for T in (1e-300, 1e-3, 1.0, 1e3)]
+    margins = [
+        verify(PropertyId.TRANSLATION_COMPACT, pr, make_grid(pr.T, 1024)).worst_margin for pr in params
+    ]
+    assert margins[0] > 0.0
+    assert margins == pytest.approx([margins[2]] * 4, rel=1e-9)
 
 
 def test_translation_compact_fails_with_a_wrong_order_integral(monkeypatch):
