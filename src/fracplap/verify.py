@@ -263,7 +263,7 @@ def _caputo_closed_form(grid: Grid, a: float) -> np.ndarray:
 def _check_rl_caputo(params, ops, samples, rng):
     """D 1 = h^(-alpha) w, w = gl_weights(alpha - 1, n), exactly by the
     symbol identity (1-z)^alpha / (1-z) = (1-z)^(alpha-1): one product
-    reads D against w, relative to h^(-alpha) = h^(-alpha) w_0.  Caputo =
+    reads D against w, relative to the first entry h^(-alpha).  Caputo =
     RL - u(0) t^(-alpha) / Gamma(1 - alpha), so _caputo_correction is read
     against that closed form, relative to its largest value (absolutely
     at alpha = 1, where it vanishes)."""

@@ -641,9 +641,10 @@ def test_translation_compact_passes_wherever_the_bound_is_finite():
 def test_translation_compact_margin_is_free_of_the_unit_of_t():
     # the decay terms are relative to the larger K_m, as the bound terms
     # are to the bound; an absolute decay term read 1.1e-181 at T 1e-300
-    params = [FracParams(alpha=0.6, p=2.0, T=T) for T in (1e-300, 1e-3, 1.0, 1e3)]
+    prop = PropertyId.TRANSLATION_COMPACT
     margins = [
-        verify(PropertyId.TRANSLATION_COMPACT, pr, make_grid(pr.T, 1024)).worst_margin for pr in params
+        verify(prop, FracParams(alpha=0.6, p=2.0, T=T), make_grid(T, 1024)).worst_margin
+        for T in (1e-300, 1e-3, 1.0, 1e3)
     ]
     assert margins[0] > 0.0
     assert margins == pytest.approx([margins[2]] * 4, rel=1e-9)
