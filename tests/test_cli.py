@@ -562,6 +562,25 @@ def test_verify_nonfinite_margin_fails(tmp_path):
         assert records[prop]["passed"] and 0.0 < -records[prop]["worst_margin"] <= 1e-12
 
 
+def test_verify_numpy_ratio_writes_json(tmp_path, monkeypatch):
+    # a checker's np.float64 ratio once made passed a np.bool_, which the
+    # JSON writer refused
+    import importlib
+
+    verify_mod = importlib.import_module("fracplap.verify")
+    prop = verify_mod.PropertyId.IBP_INTEGRAL
+    outcome = verify_mod._Outcome(
+        np.float64(-1e-3), 0.05, ratio=np.float64(0.5), ratio_cap=0.75
+    )
+    monkeypatch.setitem(verify_mod._CHECKERS, prop, lambda *args: outcome)
+    out = tmp_path / "v.json"
+    code = main(["verify", "--alpha", "0.6", "--p", "2", "--T", "1", "--n", "64",
+                 "--property", prop.value, "--out", str(out)])
+    assert code == 0
+    (record,) = json.loads(out.read_text())
+    assert record["passed"] is True and record["refinement_ratio"] == 0.5
+
+
 def test_verification_report_dict_nonfinite_forces_failed():
     from fracplap.cli import verification_report_dict
     from fracplap.verify import PropertyId, VerificationReport

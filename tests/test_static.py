@@ -34,9 +34,10 @@ still pass every test of the rim's bounds.
 
 The proven SUP_EMBED, POINCARE and EMBED_LQ records
 (verify._check_embedding) and the constants they read
-(fracops.embedding_constants) take no product and draw no random number: the bound is read off the I^alpha weights for the
-whole pinned space, and an ensemble drawn beside the bound would still
-pass every margin test, only slower.
+(fracops.embedding_constants, and verify._lq_constant for the continuum)
+take no product and draw no random number: the bound is read off the
+I^alpha weights for the whole pinned space, and an ensemble drawn beside
+the bound would still pass every margin test, only slower.
 
 The proven TRANSLATION_COMPACT record (verify._check_translation) takes
 no product and draws nothing either: its constants K_m come from the
@@ -49,7 +50,11 @@ product, that of the first column, and draw nothing: both sides of each
 identity are lower-triangular Toeplitz, so Young's inequality bounds the
 gap for every u by the difference column, and a sampled ensemble beside
 it would still pass every margin test, only slower.  RL_CAPUTO
-(verify._check_rl_caputo) likewise takes the one product D 1.
+(verify._check_rl_caputo) likewise takes the one product D 1, and
+IBP_EXACT and IBP_INTEGRAL (verify._check_ibp) the one product of the
+right-sided operator with e_n; IBP_INTEGRAL reads its trapezoid boundary
+form off the I^alpha weights, at 2n off gl_weights, and builds no
+operator.
 
 EVEN_ENERGY (verify._check_even_energy) takes no product: it reads F, f
 and phi_p pointwise on its draws, as the FFT product is odd bit for bit,
@@ -275,16 +280,18 @@ def _rim_value(ws, rng):
     assert products_in(snippet, "_rim_value") == ["line 8: @"]
 
 
-def call_sites(source: str, name: str) -> list:
-    """(function, line) of each call of name, bare or as an attribute, by
-    the outermost function or method it sits in; None outside any."""
+def call_sites(source: str, name: str, bare: bool = True) -> list:
+    """(function, line) of each call of name, as an attribute or, if bare,
+    also bare, by the outermost function or method it sits in; None
+    outside any."""
     sites = []
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 f = child.func
-                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                called = f.id if bare and isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if called == name:
                     sites.append((fn, child.lineno))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, fn or (child.name if is_def else None))
@@ -356,15 +363,19 @@ def gl_weights(order, m):
     assert python_loops("def other():\n    pass\n", "gl_weights") is None
 
 
-# default_rng and every public Generator method, each a draw or a new stream
-RNG_CALLS = {"default_rng"} | {m for m in dir(np.random.Generator) if not m.startswith("_")}
+# every public Generator method, each a draw; a bare call of one of these
+# names is another function, such as gamma, which is math.gamma
+GENERATOR_METHODS = {m for m in dir(np.random.Generator) if not m.startswith("_")}
 
 
 def rng_calls(source: str, owners=("mountain_pass", "_rim_value")) -> list:
-    """(function, line) of each call of an RNG_CALLS name in the owners."""
-    return sorted(
-        site for name in RNG_CALLS for site in call_sites(source, name) if site[0] in owners
-    )
+    """(function, line) of each call in the owners of default_rng, bare or
+    as an attribute, a new stream, or of a GENERATOR_METHODS name as an
+    attribute, a draw."""
+    sites = call_sites(source, "default_rng") + [
+        site for name in GENERATOR_METHODS for site in call_sites(source, name, bare=False)
+    ]
+    return sorted(site for site in sites if site[0] in owners)
 
 
 def test_mountain_pass_draws_nothing():
@@ -375,16 +386,25 @@ def test_mountain_pass_draws_nothing():
 def test_draw_guard_flags_rng():
     snippet = """
 def _rim_value(ws, rng):
-    return rng.standard_normal((40, 6))
+    scale = gamma(1.5) * normal(0.0)
+    rng = default_rng(0)
+    return scale * rng.standard_normal((40, 6))
 
 def mountain_pass(st, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.integers(3)
+    return rng.integers(3) + rng.gamma(2.0)
 
 def multiplicity_search(st, seed=0):
     return np.random.default_rng(seed).normal()
 """
-    assert rng_calls(snippet) == [("_rim_value", 3), ("mountain_pass", 6), ("mountain_pass", 7)]
+    # a bare gamma( or normal( is no Generator method
+    assert rng_calls(snippet) == [
+        ("_rim_value", 4),
+        ("_rim_value", 5),
+        ("mountain_pass", 8),
+        ("mountain_pass", 9),
+        ("mountain_pass", 9),
+    ]
 
 
 # verify's sampling layer: a call of any of these is an ensemble
@@ -404,6 +424,7 @@ def ensemble_calls(source: str, name: str) -> list:
         ("verify.py", "_check_embedding"),
         ("fracops.py", "embedding_constants"),
         ("verify.py", "_check_translation"),
+        ("verify.py", "_lq_constant"),
     ],
 )
 def test_proven_embedding_takes_no_product_and_draws_nothing(module, name):
@@ -434,6 +455,14 @@ def test_column_identity_records_take_one_product_and_draw_nothing():
     assert [site.split(": ")[1] for site in products_in(source, "_check_column")] == ["@"]
     assert rng_calls(source, owners=("_check_column",)) == []
     assert ensemble_calls(source, "_check_column") == []
+
+
+def test_ibp_records_take_one_product_and_draw_nothing():
+    source = (Path(fracplap.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    assert [site.split(": ")[1] for site in products_in(source, "_check_ibp")] == ["@"]
+    assert rng_calls(source, owners=("_check_ibp", "_boundary_form")) == []
+    assert ensemble_calls(source, "_check_ibp") == []
+    assert "_check_ibp" not in [fn for fn, _ in call_sites(source, "build_operators")]
 
 
 def test_rl_caputo_takes_one_product_and_draws_nothing():

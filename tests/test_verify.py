@@ -245,12 +245,188 @@ def test_left_inverse_fails_with_a_wrong_order_derivative(monkeypatch):
     assert not rep.passed and rep.worst_margin < -1e-3
 
 
+def sampled_ibp_record(prop, params, grid, samples, seed=0):
+    """The sampled IBP_EXACT or IBP_INTEGRAL record that the proven one
+    replaced, as (margin, ratio): minus the worst gap of (left u, v) =
+    (u, right v) over (smooth u, rough v) pairs of verify's draws with the
+    property's own stream, relative to max(|l|, |r|, 1), and for
+    IBP_INTEGRAL the ratio of that gap from n to 2n on matched smooth
+    pairs (None for IBP_EXACT)."""
+    verify_mod = importlib.import_module("fracplap.verify")
+    fracops = importlib.import_module("fracplap.fracops")
+    ops = build_operators(params, grid)
+    rng = np.random.default_rng([seed, 0, list(PropertyId).index(prop)])
+    integral = prop is PropertyId.IBP_INTEGRAL
+
+    def gap(operators, pairs):
+        weight = trapezoid_weights(operators.grid) if integral else operators.grid.h
+        left, right = (
+            (operators.left_int, operators.right_int)
+            if integral
+            else (operators.left_deriv, operators.right_deriv)
+        )
+        worst = 0.0
+        for U, V in pairs:
+            lhs = np.sum(weight * _rows(left, U) * V, axis=1)
+            rhs = np.sum(weight * U * _rows(right, V), axis=1)
+            for l, r in zip(lhs.tolist(), rhs.tolist()):
+                worst = verify_mod._fold(max, worst, abs(l - r) / max(abs(l), abs(r), 1.0))
+        return worst
+
+    def random_pairs():
+        for start, stop in fracops._blocks(grid, samples, rows=2):
+            uv = verify_mod._draw(grid, rng, [True, False] * (stop - start), not integral)
+            yield uv[0::2], uv[1::2]
+
+    margin = -gap(ops, random_pairs())
+    if not integral:
+        return margin, None
+    coeff_pairs = rng.standard_normal((max(8, samples // 4), 2, 10))
+
+    def matched_gap(operators):
+        g = operators.grid
+        smooth = verify_mod._smooth
+        return gap(operators, (
+            (smooth(g, coeff_pairs[start:stop, 0]), smooth(g, coeff_pairs[start:stop, 1]))
+            for start, stop in fracops._blocks(g, len(coeff_pairs), rows=2)
+        ))
+
+    e1 = matched_gap(ops)
+    e2 = matched_gap(build_operators(params, make_grid(grid.T, 2 * grid.n)))
+    return margin, 0.0 if e1 <= 1e-13 else e2 / e1
+
+
+def test_sampled_ibp_reference_reproduces_the_old_records():
+    # the 100-sample records of the suite config before the proven ones
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert sampled_ibp_record(PropertyId.IBP_EXACT, params, grid, 100) == (
+        -3.497202527569243e-15, None
+    )
+    assert sampled_ibp_record(PropertyId.IBP_INTEGRAL, params, grid, 100) == (
+        -0.0023944153026742576, 0.5030960202082303
+    )
+
+
+def boundary_form(ops):
+    """(B, P) of the trapezoid pairing from the I^alpha column, written out
+    with the grid's own weights: B = h (iota_1 + ... + iota_{n-1}) and
+    P = sum_i W_i (iota_0 + ... + iota_i)."""
+    iota = ops.left_int.col
+    return ops.grid.h * np.sum(iota[1:-1]), np.sum(trapezoid_weights(ops.grid) * np.cumsum(iota))
+
+
+# (1, 1, 16) and (0.05, 1e3, 128) are configs at which no pair of the
+# ensemble came near B or P
+IBP_ORACLE_CONFIGS = [(1.0, 1.0, 16), (0.05, 1e3, 128), (0.6, 1.0, 256), (0.3, 1e-3, 64)]
+
+
+@pytest.mark.parametrize("alpha, T, n", IBP_ORACLE_CONFIGS)
+def test_ibp_boundary_form_bounds_every_sample(alpha, T, n):
+    # no pair of a large ensemble has a trapezoid gap above
+    # B max|u| max|v| or a pairing above P max|u| max|v|, and the extremal
+    # pairs reach both; the record is -B/P up to the rounding term
+    params = FracParams(alpha=alpha, p=2.0, T=T)
+    grid = make_grid(T, n)
+    ops = build_operators(params, grid)
+    B, P = boundary_form(ops)
+    w = trapezoid_weights(grid)
+    rng = np.random.default_rng(5)
+    verify_mod = importlib.import_module("fracplap.verify")
+    uv = verify_mod._draw(grid, rng, [True, False, False, True] * 1000, dirichlet=False)
+    U, V = uv[0::2], uv[1::2]
+    lhs = np.sum(w * _rows(ops.left_int, U) * V, axis=1)
+    rhs = np.sum(w * U * _rows(ops.right_int, V), axis=1)
+    scale = np.max(np.abs(U), axis=1) * np.max(np.abs(V), axis=1)
+    assert np.all(np.abs(lhs - rhs) <= B * scale * (1.0 + 1e-12))
+    assert np.all(np.abs(lhs) <= P * scale * (1.0 + 1e-12))
+    one = np.ones(n + 1)
+    v = np.concatenate(([0.0], one[2:], [-1.0]))
+    gap = np.sum(w * (ops.left_int @ one) * v) - np.sum(w * one * (ops.right_int @ v))
+    assert gap == pytest.approx(B, rel=1e-12)
+    assert np.sum(w * (ops.left_int @ one)) == pytest.approx(P, rel=1e-12)
+    rep = verify(PropertyId.IBP_INTEGRAL, params, grid, samples=7)
+    assert rep.worst_margin == pytest.approx(-B / P, rel=1e-9)
+    B2, P2 = boundary_form(build_operators(params, make_grid(T, 2 * n)))
+    assert rep.refinement_ratio == pytest.approx(B2 / P2 / (B / P), rel=1e-12)
+    assert rep.samples == 7
+
+
+def test_ibp_integral_margin_is_free_of_the_unit_of_t():
+    # the sampled record divided its gap by max(|l|, |r|, 1), so it read
+    # -3.8e-8 at T 1e-3 and -1.69 at T 1e3, where it failed
+    prop = PropertyId.IBP_INTEGRAL
+    reps = [
+        verify(prop, FracParams(alpha=0.6, p=2.0, T=T), make_grid(T, 1024)) for T in (1e-3, 1.0, 1e3)
+    ]
+    assert all(r.passed for r in reps)
+    assert [r.worst_margin for r in reps] == pytest.approx([reps[1].worst_margin] * 3, rel=1e-12)
+    assert [r.refinement_ratio for r in reps] == pytest.approx([reps[1].refinement_ratio] * 3, rel=1e-12)
+
+
+def test_ibp_integral_passes_where_the_sampled_record_failed():
+    # the sampled record failed here and at (0.6, 2, T 100)
+    for alpha, p, T in ((0.9, 3.0, 10.0), (0.6, 2.0, 100.0)):
+        rep = verify(PropertyId.IBP_INTEGRAL, FracParams(alpha=alpha, p=p, T=T), make_grid(T, 1024))
+        assert rep.passed and rep.worst_margin < 0.0, (alpha, p, T, rep.worst_margin)
+        assert sampled_ibp_record(PropertyId.IBP_INTEGRAL, FracParams(alpha=alpha, p=p, T=T),
+                                  make_grid(T, 1024), 100)[0] < -0.03
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_ibp_exact_fails_with_one_perturbed_weight(monkeypatch, k):
+    verify_mod = importlib.import_module("fracplap.verify")
+    fracops = importlib.import_module("fracplap.fracops")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert verify(PropertyId.IBP_EXACT, params, grid).passed
+    build = verify_mod.build_operators
+
+    def perturbed(params, grid):
+        ops = build(params, grid)
+        col = ops.left_deriv.col.copy()
+        col[k] *= 1.0 + 1e-9
+        return dataclasses.replace(ops, right_deriv=fracops.Toeplitz(col).T)
+
+    monkeypatch.setattr(verify_mod, "build_operators", perturbed)
+    assert not verify(PropertyId.IBP_EXACT, params, grid).passed
+
+
+@pytest.mark.parametrize(
+    "prop, replace",
+    [
+        (PropertyId.IBP_EXACT, lambda ops, params: {"right_deriv": ops.left_deriv}),
+        (PropertyId.IBP_INTEGRAL, lambda ops, params: {"right_int": ops.left_int}),
+        (
+            PropertyId.IBP_INTEGRAL,
+            lambda ops, params: {"right_int": _gl_operator(-(params.alpha - 0.05), ops.grid).T},
+        ),
+    ],
+)
+def test_ibp_fails_with_a_wrong_right_operator(monkeypatch, prop, replace):
+    verify_mod = importlib.import_module("fracplap.verify")
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 1024)
+    assert verify(prop, params, grid).passed
+    build = verify_mod.build_operators
+
+    def wrong(params, grid):
+        ops = build(params, grid)
+        return dataclasses.replace(ops, **replace(ops, params))
+
+    monkeypatch.setattr(verify_mod, "build_operators", wrong)
+    rep = verify(prop, params, grid)
+    assert not rep.passed, rep.worst_margin
+
+
 def test_suite_column_budget(monkeypatch):
     # Toeplitz columns of the benchmark's verify config: the identity
-    # records and RL_CAPUTO take one column each, the embedding records,
-    # TRANSLATION_COMPACT and EVEN_ENERGY none, GRAD_FD reuses the images it
-    # holds (2530 columns before, 1732 with the sampled TRANSLATION_COMPACT,
-    # 1632 with the sampled EMBED_LQ, RL_CAPUTO and EVEN_ENERGY)
+    # records, the IBP records and RL_CAPUTO take one column each, the
+    # embedding records, TRANSLATION_COMPACT and EVEN_ENERGY none, GRAD_FD
+    # reuses the images it holds (2530 columns before, 1732 with the
+    # sampled TRANSLATION_COMPACT, 1632 with the sampled EMBED_LQ,
+    # RL_CAPUTO and EVEN_ENERGY, 1133 with the sampled IBP_EXACT and
+    # IBP_INTEGRAL)
     fracops = importlib.import_module("fracplap.fracops")
     matmul = fracops.Toeplitz.__matmul__
     columns = []
@@ -261,7 +437,7 @@ def test_suite_column_budget(monkeypatch):
 
     monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counting)
     run_suite([FracParams(alpha=0.6, p=2.0, T=1.0)], make_grid(1.0, 1024), seed=0, samples=100)
-    assert sum(columns) == 1133
+    assert sum(columns) == 635
 
 
 def test_rl_caputo_fails_with_a_wrong_order_correction(monkeypatch):
@@ -534,7 +710,11 @@ def test_translation_bound_at_float_range_edge_matches_mpmath():
 
 
 def translation_shifts(n):
-    return [max(1, n // 16), max(1, n // 32), max(1, n // 64)]
+    # n/16, n/32 and n/64 floored at 4, 2 and 1 from n = 8; at n >= 64
+    # the floors never act
+    if n < 8:
+        return [1, 1, 1]
+    return [max(4, n // 16), max(2, n // 32), max(1, n // 64)]
 
 
 def sampled_translation_record(params, grid, samples, seed=0):
@@ -650,6 +830,20 @@ def test_translation_compact_margin_is_free_of_the_unit_of_t():
     assert margins == pytest.approx([margins[2]] * 4, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_translation_compact_checks_decay_below_n_64(n):
+    # the shifts were 1, 1, 1 at n 8 and 16 and 2, 1, 1 at n 32, so a
+    # decay term was exactly 0 and the record read 0.0 with ratio 1.0 at
+    # every config; the least margin of these 126 is 6.6e-4, at n 32
+    for alpha in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        for p in (1.01, 1.2, 2.0, 3.0, 130.0, 400.0):
+            for T in (1e-3, 1.0, 1e3):
+                params = FracParams(alpha=alpha, p=p, T=T)
+                rep = verify(PropertyId.TRANSLATION_COMPACT, params, make_grid(T, n), samples=1)
+                assert rep.passed and rep.worst_margin > 0.0, (alpha, p, T, rep.worst_margin)
+                assert rep.refinement_ratio < 1.0
+
+
 def test_translation_compact_fails_with_a_wrong_order_integral(monkeypatch):
     # I^alpha of order alpha - 0.05 puts the partial sums above the
     # continuum bound; at p = 130 the margin is only -0.006, so p is 2
@@ -729,9 +923,10 @@ def test_bound_constants_closed_forms():
 
 
 def test_run_suite_builds_operators_once_per_parameter_set(monkeypatch):
-    # one set per parameter set, plus the 2n set of IBP_INTEGRAL, the one
-    # refinement check; the package attribute fracplap.verify is the
-    # function, so fetch the module itself
+    # one set per parameter set: IBP_INTEGRAL, the one refinement check,
+    # reads its 2n boundary form off gl_weights and builds no operator;
+    # the package attribute fracplap.verify is the function, so fetch the
+    # module itself
     verify_mod = importlib.import_module("fracplap.verify")
 
     calls = []
@@ -746,7 +941,7 @@ def test_run_suite_builds_operators_once_per_parameter_set(monkeypatch):
     params = [FracParams(alpha=0.6, p=2.0, T=1.0), FracParams(alpha=0.3, p=2.0, T=1.0)]
     reports = run_suite(params, grid, seed=0, samples=4)
     assert len(reports) == 26
-    assert sorted(calls) == [64, 64, 128, 128]
+    assert sorted(calls) == [64, 64]
 
 
 @pytest.mark.parametrize(
