@@ -291,9 +291,15 @@ def write_solution_csv(path, grid: Grid, u: GridFunction) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def solve_report_dict(rep: SolveReport, solution_path: str) -> dict:
-    d = {"method": rep.method, **vars(rep), "solution_path": solution_path}
+def solve_report_dict(rep: SolveReport, seed: int, solution_path: str) -> dict:
+    # rep.json keeps a fixed key order: method first, the config seed right after "converged"
+    d = {"method": rep.method}
+    for key, value in vars(rep).items():
+        d[key] = value
+        if key == "converged":
+            d["seed"] = seed
     del d["solution"]
+    d["solution_path"] = solution_path
     return _finalize(d)
 
 
@@ -329,7 +335,7 @@ def _cmd_solve(args) -> int:
         for j, rep in enumerate(mrep.pairs, start=1):
             pth = str(base.with_name(f"{base.stem}_pair{j}{base.suffix}"))
             write_solution_csv(pth, grid, rep.solution)
-            pairs.append(solve_report_dict(rep, pth))
+            pairs.append(solve_report_dict(rep, sol["seed"], pth))
         payload = _finalize(
             {
                 "method": "multiplicity",
@@ -343,14 +349,14 @@ def _cmd_solve(args) -> int:
         )
         converged = sum(pair["converged"] for pair in payload["pairs"]) >= sol["k"]
     else:
-        opts = {key: sol[key] for key in ("tol", "max_iter", "seed")}
+        opts = {key: sol[key] for key in ("tol", "max_iter")}
         if sol["method"] == "direct":
             init = GridFunction(0.1 * np.sin(np.pi * grid.nodes / grid.T), dirichlet=True)
             rep = minimize_direct(st, init, **opts)
         else:
             rep = mountain_pass(st, **opts)
         write_solution_csv(out["solution_path"], grid, rep.solution)
-        payload = solve_report_dict(rep, out["solution_path"])
+        payload = solve_report_dict(rep, sol["seed"], out["solution_path"])
         converged = payload["converged"]
     Path(out["report_path"]).write_text(_dump_json(payload), encoding="utf-8")
     return 0 if converged else 2

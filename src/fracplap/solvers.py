@@ -118,7 +118,6 @@ class SolveReport:
     iterations: int
     converged: bool
     method: str
-    seed: int
     eps_reg_used: float
     trivial: bool
     rim_value: Optional[float] = None
@@ -514,13 +513,13 @@ def _descend(
 
 
 def _report(st: ProblemState, u: np.ndarray, E: float, res: float, iterations: int,
-            converged: bool, method: str, seed: int, **extra) -> SolveReport:
+            converged: bool, method: str, **extra) -> SolveReport:
     """The report of the pinned u, flagged trivial when its sup norm is at
     most TRIVIAL_SUP; extra holds the method's own fields."""
     sol = GridFunction(u, dirichlet=True)
     return SolveReport(
         solution=sol, energy_value=E, residual=res, iterations=iterations,
-        converged=converged, method=method, seed=seed, eps_reg_used=st.eps_reg,
+        converged=converged, method=method, eps_reg_used=st.eps_reg,
         trivial=sup_norm(sol) <= TRIVIAL_SUP, **extra,
     )
 
@@ -552,7 +551,6 @@ def minimize_direct(
     init: GridFunction,
     tol: float = 1e-6,
     max_iter: int = 2000,
-    seed: int = 0,
 ) -> SolveReport:
     """Armijo descent on the energy in the p-adapted metric.
 
@@ -589,7 +587,7 @@ def minimize_direct(
             break  # no descent, or a failed line search: keep the last point
         u, E, du = step
         steps += 1
-    return _report(st, u, E, res, steps, res <= tol, "direct", seed)
+    return _report(st, u, E, res, steps, res <= tol, "direct")
 
 
 def _ray_max(st: ProblemState, w: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -737,12 +735,11 @@ def mountain_pass(
     st: ProblemState,
     tol: float = 1e-5,
     max_iter: int = 2000,
-    seed: int = 0,
 ) -> SolveReport:
     """Min-max by ray selection: descend the energy's ray maximum.
 
     The rim value beta > 0 bounds the energy below on a whole sphere
-    (_rim_value), so seed is only reported; the endpoint e marches out
+    (_rim_value), so nothing is drawn; the endpoint e marches out
     the first sine ray until the energy turns negative.  From the maximum
     along the first sine's ray, the direct minimizer's step, with its own
     secant memory of the ray maxima and their gradients, is taken with
@@ -798,7 +795,7 @@ def mountain_pass(
     E = float(_energy_rows(st, z, dz))
     converged = res_z <= tol and E >= beta and sup_norm(z) > TRIVIAL_SUP
     return _report(
-        st, z, E, res_z, iterations, converged, "mountain_pass", seed,
+        st, z, E, res_z, iterations, converged, "mountain_pass",
         rim_value=beta, rim_radius=rho, endpoint_energy=endpoint_energy,
     )
 
@@ -851,9 +848,7 @@ def multiplicity_search(
         u0 = float(sigmas[int(np.argmin(ray)), 0]) * V[0]
 
         if not found:
-            rep = minimize_direct(
-                st, GridFunction(u0, dirichlet=True), tol=tol, max_iter=4000, seed=seed
-            )
+            rep = minimize_direct(st, GridFunction(u0, dirichlet=True), tol=tol, max_iter=4000)
             u, res, E = rep.solution.values, rep.residual, rep.energy_value
             iters = rep.iterations
             ok = rep.converged
@@ -881,7 +876,7 @@ def multiplicity_search(
             if any(min(a, b) < sep for a, b in zip(norms[: len(F)], norms[len(F) :])):
                 continue
         found.append(u)
-        reports.append(_report(st, u, E, res, iters, True, "multiplicity", seed))
+        reports.append(_report(st, u, E, res, iters, True, "multiplicity"))
 
     # one block of m rows per pair, so memory stays O(m n)
     m = len(found)

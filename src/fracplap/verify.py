@@ -32,11 +32,12 @@ fracops.embedding_constants times ||u||_{alpha,p}; SUP_EMBED, POINCARE
 and EMBED_LQ (_check_embedding) report the margin (C - K)/C against the
 continuum constant C, EMBED_LQ on three q strictly between p and
 p* = p/(1 - alpha p).  TRANSLATION_COMPACT reads its constants off the
-partial sums of the I^alpha weights.  These nine draw nothing; samples
-is only echoed.  EVEN_ENERGY keeps its draws but takes no product: the
+partial sums of the I^alpha weights.  EVEN_ENERGY takes no product: the
 FFT product is odd bit for bit, so the energy is even and its gradient
-odd wherever F is even and f and phi_p are odd, which it checks at the
-drawn nodes.
+odd wherever F is even and f and phi_p are odd, which it checks on a
+fixed lattice of nodes and dyadic amplitudes.  These ten draw nothing,
+and samples is only echoed; the three sampled records draw their stream
+from the seed, the parameter set's index and the property's index.
 
 Every sampled check streams its ensemble in row blocks of at most
 fracops._BLOCK_DOUBLES values (a check that holds several rows per
@@ -78,7 +79,7 @@ from .fracops import (
     gamma,
     gl_weights,
 )
-from .grid import FracParams, Grid, _lp_rows, _max_scaled, sine_series, trapezoid_weights
+from .grid import FracParams, Grid, _lp_rows, sine_series, trapezoid_weights
 from .nonlinearity import sublinear_power
 
 __all__ = ["PropertyId", "VerificationReport", "verify", "run_suite"]
@@ -455,24 +456,25 @@ def _check_grad_fd(params, ops, samples, rng):
 
 
 def _check_even_energy(params, ops, samples, rng):
-    """F(t, -u) = F(t, u), f(t, -u) = -f(t, u) and phi_p(-y) = -phi_p(y) at
-    every node of the drawn pinned rows, all that the energy's evenness
-    and the gradient's oddness rest on as D(-u) = -(D u) bit for bit.
-    phi_p takes the rows over their max |.|, so no power overflows.  Each
-    gap is relative to the row's largest |F|, |f| or |phi_p|, floored at 1."""
+    """F(t, -xi) = F(t, xi), f(t, -xi) = -f(t, xi) and phi_p(-y) = -phi_p(y)
+    at every node t, in row blocks of xi = 2^-40 ... 2^3 and y = xi / 8 <= 1,
+    so no power overflows: all that the energy's evenness and the gradient's
+    oddness rest on as D(-u) = -(D u) bit for bit.  Each gap is relative to
+    the row's largest |F|, |f| or |phi_p|, floored at 1."""
     st = _default_state(params, ops)
-    t = ops.grid.nodes
+    grid = ops.grid
     terms = (
-        (partial(st.spec.F_values, t), 1.0),
-        (partial(st.spec.f_values, t), -1.0),
+        (partial(st.spec.F_values, grid.nodes), 1.0),
+        (partial(st.spec.f_values, grid.nodes), -1.0),
         (partial(phi, p=params.p, eps_reg=st.eps_reg), -1.0),
     )
+    lattice = 2.0 ** np.arange(-40.0, 4.0)
     worst = 0.0
-    for U in _ensemble(ops.grid, rng, samples, dirichlet=True):
-        Y = U / np.array(_max_scaled(U)[1])[:, None]
-        for (value, sign), X in zip(terms, (U, U, Y)):
-            plus = value(X)
-            gap = np.max(np.abs(value(-X) - sign * plus), axis=1)
+    for start, stop in _blocks(grid, len(lattice)):
+        X = np.outer(lattice[start:stop], np.ones(grid.n + 1))
+        for (value, sign), Z in zip(terms, (X, X, X / 8.0)):
+            plus = value(Z)
+            gap = np.max(np.abs(value(-Z) - sign * plus), axis=1)
             scale = np.maximum(np.max(np.abs(plus), axis=1), 1.0)
             worst = _fold(max, worst, *(gap / scale).tolist())
     return _Outcome(-worst, IDENTITY_TOL)
@@ -504,9 +506,18 @@ _CHECKERS = {
 assert set(_CHECKERS) == set(PropertyId), "checker table out of sync with PropertyId"
 
 
-def _verify_with_rng(prop, params, ops, samples, rng) -> VerificationReport:
+def _record(prop, params, ops, samples, stream) -> VerificationReport:
+    """prop's report on ops, "skipped" where its precondition fails; a
+    sampled record draws from the stream of (*stream, prop's index)."""
+    reason = _precondition(prop, params)
+    if reason is not None:
+        return VerificationReport(
+            property=prop, status="skipped", samples=0, worst_margin=0.0, bound_constant=None,
+            tolerance_used=0.0, passed=False, reason=reason,
+        )
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = np.random.default_rng([*stream, list(PropertyId).index(prop)])
     out = _CHECKERS[prop](params, ops, samples, rng)
     margin = float(out.margin)
     tol = float(out.tolerance)
@@ -542,8 +553,7 @@ def verify(
     reason = _precondition(prop, params)
     if reason is not None:
         raise ValueError(f"{prop.value}: {reason}")
-    rng = np.random.default_rng([seed, 0, list(PropertyId).index(prop)])
-    return _verify_with_rng(prop, params, build_operators(params, grid), samples, rng)
+    return _record(prop, params, build_operators(params, grid), samples, (seed, 0))
 
 
 def run_suite(
@@ -562,20 +572,5 @@ def run_suite(
     reports = []
     for pi, params in enumerate(params_list):
         ops = build_operators(params, grid)
-        for prop in PropertyId:
-            reason = _precondition(prop, params)
-            if reason is not None:
-                reports.append(VerificationReport(
-                    property=prop,
-                    status="skipped",
-                    samples=0,
-                    worst_margin=0.0,
-                    bound_constant=None,
-                    tolerance_used=0.0,
-                    passed=False,
-                    reason=reason,
-                ))
-                continue
-            rng = np.random.default_rng([seed, pi, list(PropertyId).index(prop)])
-            reports.append(_verify_with_rng(prop, params, ops, samples, rng))
+        reports += [_record(prop, params, ops, samples, (seed, pi)) for prop in PropertyId]
     return reports

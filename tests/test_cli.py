@@ -496,6 +496,38 @@ def test_mountain_pass_reports_differ_only_in_seed(tmp_path):
     assert rep0 == rep3
 
 
+SOLVE_REPORT_KEYS = [
+    "method", "energy_value", "residual", "iterations", "converged", "seed", "eps_reg_used",
+    "trivial", "rim_value", "rim_radius", "endpoint_energy", "solution_path",
+]
+
+
+@pytest.mark.parametrize(
+    "method, nonlinearity",
+    [
+        ("direct", {"family": "SUBLINEAR_POWER", "q": 1.5}),
+        ("mountain_pass", {"family": "SUPERLINEAR_POWER", "mu": 4.0}),
+        ("multiplicity", {"family": "SUBLINEAR_POWER", "q": 1.5}),
+    ],
+)
+def test_solve_report_keys_and_seed(tmp_path, method, nonlinearity):
+    # rep.json bytes hold the key order: a single solve and every
+    # multiplicity pair write the config seed right after "converged"
+    path = write_config(
+        tmp_path,
+        nonlinearity=nonlinearity,
+        **{"problem.alpha": 0.7, "solver.method": method, "solver.tol": 1e-8, "solver.k": 1,
+           "solver.seed": 5},
+    )
+    assert main(["solve", "--config", str(path)]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    if method == "multiplicity":
+        assert rep["seed"] == 5 and len(rep["pairs"]) == 1
+        rep = rep["pairs"][0]
+    assert list(rep) == SOLVE_REPORT_KEYS
+    assert rep["method"] == method and rep["seed"] == 5
+
+
 @pytest.mark.parametrize("T", ["1e308", "1e-300"])
 def test_verify_extreme_T_is_config_error(capsys, T):
     # SEMIGROUP's factor h^(2 alpha) overflows at T = 1e308 and underflows

@@ -331,7 +331,7 @@ def test_mountain_pass_rejects_sublinear():
 
 def test_mountain_pass_small_problem():
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
-    rep = mountain_pass(st, tol=1e-5, max_iter=600, seed=3)
+    rep = mountain_pass(st, tol=1e-5, max_iter=600)
     assert rep.converged
     assert rep.residual <= 1e-5
     assert rep.rim_value > 0.0
@@ -350,16 +350,15 @@ def test_mountain_pass_collapsed_path_is_geometry_error(monkeypatch):
     )
     st = make_state(1.0, 3.0, 64, superlinear_power(4.0))
     with pytest.raises(solvers.GeometryError, match="non-positive level"):
-        mountain_pass(st, max_iter=600, seed=3)
+        mountain_pass(st, max_iter=600)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_mountain_pass_sweeps_do_not_collapse_at_p3(seed):
+def test_mountain_pass_sweeps_do_not_collapse_at_p3():
     # the sweeps used to step in the fixed metric of the linear part, which
-    # overshoots at p = 3 and collapsed this path for every seed.  Oracle:
+    # overshoots at p = 3 and collapsed this path.  Oracle:
     # the Newton polish from the top of the unswept straight path 0 -> e.
     st = make_state(0.9, 3.0, 256, superlinear_power(6.0))
-    rep = mountain_pass(st, tol=1e-8, seed=seed)
+    rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and rep.residual <= 1e-8
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
     w0 = GridFunction(np.sin(np.pi * st.grid.nodes), dirichlet=True)
@@ -395,7 +394,7 @@ def test_mountain_pass_polish_stops_at_tol(monkeypatch):
 
     monkeypatch.setattr(fracops.Toeplitz, "__matmul__", counted_matmul)
     monkeypatch.setattr(solvers._Workspace, "newton_step", counted_newton_step)
-    rep = mountain_pass(st, tol=1e-8, seed=0)
+    rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and rep.residual <= 1e-8
     assert counts["newton"] == 3
     assert counts["matmul"] <= 53
@@ -436,7 +435,7 @@ def test_mountain_pass_forcing_meets_tol_on_a_fresh_gradient(alpha, p, mu, n):
     # the benchmark's settings and the three configs of PR 20's probe that
     # end nearest tol: the inexact Newton solves never fake convergence
     st = make_state(alpha, p, n, superlinear_power(mu))
-    rep = mountain_pass(st, tol=1e-8, seed=0)
+    rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and weak_residual(st, rep.solution) <= 1e-8
 
 
@@ -453,7 +452,7 @@ def test_polish_halvings_are_bounded(monkeypatch):
         return out
 
     monkeypatch.setattr(solvers, "_polish_root", counted)
-    rep = mountain_pass(st, tol=1e-8, seed=0)
+    rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and nfevs[0] <= 100
     assert rep.energy_value == pytest.approx(0.2845973681, rel=1e-9, abs=0.0)
 
@@ -506,7 +505,7 @@ def test_solvers_never_repeat_a_gradient(solve, monkeypatch):
     )
     if solve == "mountain_pass":
         st = make_state(0.7, 2.0, 1024, superlinear_power(4.0))
-        rep = mountain_pass(st, tol=1e-8, seed=0)
+        rep = mountain_pass(st, tol=1e-8)
         assert rep.converged and rep.iterations == len(evaluated)
     else:
         st = make_state(0.6, 2.0, 256, sublinear_power(1.5))
@@ -533,7 +532,7 @@ def test_mountain_pass_on_table_profile():
     # the piecewise-linear |u|^0.5 u; the path sweeps took 2009 iterations
     bp = np.linspace(-50.0, 50.0, 20001)
     st = make_state(0.7, 1.5, 256, table_spec(bp, np.abs(bp) ** 0.5 * bp))
-    rep = mountain_pass(st, tol=1e-8, seed=0)
+    rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and rep.residual <= 1e-8 and rep.iterations <= 20
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
     assert rep.energy_value == pytest.approx(1.3857501020998537, rel=1e-12, abs=0.0)
@@ -557,7 +556,7 @@ def test_mountain_pass_converges_where_the_path_missed_tol(alpha, p, mu, n, leve
     # the 21-state path ended each of these above tol, its sweeps stalled
     # near residual 1e-3 or its polish started outside Newton's basin
     st = make_state(alpha, p, n, superlinear_power(mu))
-    rep = mountain_pass(st, tol=1e-8, seed=0)
+    rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and rep.residual <= 1e-8
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
     assert rep.energy_value == pytest.approx(level, rel=1e-9, abs=0.0)
@@ -576,13 +575,13 @@ def test_mountain_pass_polishes_each_point_once(monkeypatch):
         return (u, *start, 0)
 
     monkeypatch.setattr(solvers, "_polish_root", no_progress)
-    rep = mountain_pass(st, tol=1e-2, max_iter=1, seed=0)
+    rep = mountain_pass(st, tol=1e-2, max_iter=1)
     assert len(starts) == 1 and rep.iterations == 1 and not rep.converged
 
 
 def test_mountain_pass_matches_fixed_point_oracle():
     st = make_state(1.0, 2.0, 64, superlinear_power(4.0))
-    rep = mountain_pass(st, tol=1e-5, max_iter=600, seed=3)
+    rep = mountain_pass(st, tol=1e-5, max_iter=600)
     oracle = fixed_point_oracle(st, 4.0)
     diff = np.max(np.abs(np.abs(rep.solution.values) - np.abs(oracle.values)))
     assert diff <= 1e-3
@@ -640,10 +639,10 @@ def test_multiplicity_distances_with_no_pair_and_one_pair(monkeypatch):
     assert one.converged_count == 1
     assert one.pairwise_distances.shape == (1, 1) and one.pairwise_distances[0, 0] == 0.0
 
-    def never_converges(st, init, tol, max_iter, seed):
+    def never_converges(st, init, tol, max_iter):
         return solvers.SolveReport(
             solution=init, energy_value=-1.0, residual=1.0, iterations=max_iter,
-            converged=False, method="direct", seed=seed, eps_reg_used=st.eps_reg, trivial=False,
+            converged=False, method="direct", eps_reg_used=st.eps_reg, trivial=False,
         )
 
     monkeypatch.setattr(solvers, "minimize_direct", never_converges)
@@ -691,7 +690,7 @@ def test_regularity_tuple_protocol():
 def test_mountain_pass_fractional_oracle_crosscheck():
     # independent damped fixed-point route at alpha = 0.7, same starting ray
     st = make_state(0.7, 2.0, 128, superlinear_power(4.0))
-    rep = mountain_pass(st, tol=1e-5, max_iter=800, seed=3)
+    rep = mountain_pass(st, tol=1e-5, max_iter=800)
     oracle = fixed_point_oracle(st, 4.0)
     assert weak_residual(st, oracle) <= 1e-8
     assert np.max(np.abs(np.abs(rep.solution.values) - np.abs(oracle.values))) <= 1e-3
@@ -821,7 +820,7 @@ def test_secant_memory_matches_dense_bfgs_update():
 def test_newton_step_matches_dense_hessian(p):
     # at the mountain-pass maximizer the Hessian is indefinite
     st = make_state(0.7, p, 64, superlinear_power(4.0))
-    u = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values
+    u = mountain_pass(st, tol=1e-8, max_iter=50).solution.values
     H = dense_hessian(st, u[1:-1])
     eigs = np.linalg.eigvalsh(H)
     assert eigs[0] < 0.0 < eigs[-1]
@@ -837,7 +836,7 @@ def test_newton_step_with_floored_weights_matches_dense_hessian(p, floor, monkey
     # a floor this high lifts many interior weights, so the metric is no
     # longer H's whole flux part and MINRES must apply the difference
     st = make_state(0.7, p, 64, superlinear_power(4.0))
-    u = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values
+    u = mountain_pass(st, tol=1e-8, max_iter=50).solution.values
     du = st.ops.left_deriv @ u
     s, eps = du[1:], st.eps_reg
     if p >= 2.0:
@@ -859,7 +858,7 @@ def test_newton_step_takes_only_metric_solves_at_p2(monkeypatch):
     # no weight is floored at p = 2: the Hessian's flux part is the metric,
     # whose product MINRES reads off the solve, so every product is a solve's
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
-    u = mountain_pass(st, tol=1e-8, max_iter=50, seed=3).solution.values
+    u = mountain_pass(st, tol=1e-8, max_iter=50).solution.values
     ws = solvers._Workspace(st)
     du = st.ops.left_deriv @ u
     counts = {"matmul": 0, "solve": 0}
@@ -911,7 +910,7 @@ def test_polish_never_reevaluates_a_point(monkeypatch):
     # mountain_pass stops at its tol, so the floor is reached here.
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
     ws = solvers._Workspace(st)
-    u0 = mountain_pass(st, tol=1e-8, max_iter=600, seed=3).solution.values
+    u0 = mountain_pass(st, tol=1e-8, max_iter=600).solution.values
     u0 = solvers._polish_root(ws, u0, tol=0.0)[0]
     evaluated = []
     monkeypatch.setattr(
@@ -926,7 +925,7 @@ def test_polish_never_reevaluates_a_point(monkeypatch):
 def test_polish_stops_at_tolerance(monkeypatch):
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
     ws = solvers._Workspace(st)
-    u0 = mountain_pass(st, tol=1e-8, max_iter=600, seed=3).solution.values
+    u0 = mountain_pass(st, tol=1e-8, max_iter=600).solution.values
     g0, du0 = _gradient_and_du(st, u0)
     res = ws.residual(g0)
     assert res > 0.0
@@ -1094,7 +1093,7 @@ def test_mountain_pass_polishes_top_state_when_sweep_step_fails(monkeypatch):
     st = make_state(0.7, 2.0, 64, superlinear_power(4.0))
     nan = lambda st, u, E, d, slope, ray: (np.full_like(u, np.nan), np.nan, np.full_like(u, np.nan))
     monkeypatch.setattr(solvers, "_armijo_step", nan)
-    rep = mountain_pass(st, tol=1e-8, seed=0)
+    rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and rep.residual <= 1e-8 and not rep.trivial
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
     assert rep.energy_value == pytest.approx(1.9721865433488235, rel=1e-12)
@@ -1293,8 +1292,7 @@ def test_mountain_pass_without_positive_rim_is_geometry_error():
 
 def test_mountain_pass_does_not_depend_on_seed():
     st = make_state(0.7, 2.0, 256, superlinear_power(4.0))
-    a = mountain_pass(st, tol=1e-8, seed=0)
-    b = mountain_pass(st, tol=1e-8, seed=3)
+    a = mountain_pass(st, tol=1e-8)
+    b = mountain_pass(st, tol=1e-8)
     assert np.array_equal(a.solution.values, b.solution.values)
     assert (a.energy_value, a.rim_value) == (b.energy_value, b.rim_value)
-    assert (a.seed, b.seed) == (0, 3)

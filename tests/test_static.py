@@ -27,10 +27,11 @@ the stored differences of plain steps, so a descent iteration costs one
 metric solve at every p, and a recursion that solved afresh would pass
 every convergence test, only with more products.
 
-mountain_pass and _rim_value draw no random numbers: the rim is a proven
-lower bound on a whole sphere, not a sampled minimum, so a mountain pass
-is a function of its config alone, and a sampler brought back would
-still pass every test of the rim's bounds.
+mountain_pass, _rim_value and minimize_direct draw no random numbers:
+the rim is a proven lower bound on a whole sphere, not a sampled minimum,
+and the direct descent starts from the caller's point, so either solve is
+a function of its config alone, and a sampler brought back would still
+pass every test of the rim's bounds.
 
 The proven SUP_EMBED, POINCARE and EMBED_LQ records
 (verify._check_embedding) and the constants they read
@@ -56,10 +57,11 @@ right-sided operator with e_n; IBP_INTEGRAL reads its trapezoid boundary
 form off the I^alpha weights, at 2n off gl_weights, and builds no
 operator.
 
-EVEN_ENERGY (verify._check_even_energy) takes no product: it reads F, f
-and phi_p pointwise on its draws, as the FFT product is odd bit for bit,
-and a record that took D of its draws would pass every test, only
-slower.
+EVEN_ENERGY (verify._check_even_energy) takes no product and draws
+nothing: it reads F, f and phi_p pointwise on a fixed lattice of nodes
+and dyadic amplitudes, as the FFT product is odd bit for bit, and a
+record that drew functions and took D of them would pass every test,
+only slower.
 
 solvers.py builds its SolveReport in _report alone and runs its Armijo
 search in _descend alone: a second copy of either would pass every test
@@ -380,7 +382,7 @@ def rng_calls(source: str, owners=("mountain_pass", "_rim_value")) -> list:
 
 def test_mountain_pass_draws_nothing():
     source = (Path(fracplap.__file__).parent / "solvers.py").read_text(encoding="utf-8")
-    assert rng_calls(source) == []
+    assert rng_calls(source, owners=("mountain_pass", "_rim_value", "minimize_direct")) == []
 
 
 def test_draw_guard_flags_rng():
@@ -475,6 +477,8 @@ def test_rl_caputo_takes_one_product_and_draws_nothing():
 def test_even_energy_takes_no_product():
     source = (Path(fracplap.__file__).parent / "verify.py").read_text(encoding="utf-8")
     assert products_in(source, "_check_even_energy") == []
+    assert rng_calls(source, owners=("_check_even_energy",)) == []
+    assert ensemble_calls(source, "_check_even_energy") == []
 
 
 def test_column_guard_flags_sampled_identity():

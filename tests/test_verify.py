@@ -672,6 +672,26 @@ def test_even_energy_reads_the_nonlinearity(monkeypatch, values, even):
         assert not rep.passed and rep.worst_margin < -0.1
 
 
+def test_even_energy_report_depends_on_neither_samples_nor_seed():
+    # the record reads a fixed lattice: samples is only echoed
+    params = FracParams(alpha=0.6, p=2.0, T=1.0)
+    grid = make_grid(1.0, 128)
+    ref = verify(PropertyId.EVEN_ENERGY, params, grid, samples=100, seed=0)
+    for samples, seed in ((1, 0), (100, 42), (1, 42)):
+        rep = verify(PropertyId.EVEN_ENERGY, params, grid, samples=samples, seed=seed)
+        assert dataclasses.replace(rep, samples=100) == ref, (samples, seed)
+
+
+@pytest.mark.parametrize("p", [1.01, 2.0, 400.0])
+@pytest.mark.parametrize("T", [1e-3, 1e3])
+def test_even_energy_reads_minus_zero_at_extreme_p_and_T(capfd, p, T):
+    # F at xi = 8 stays finite at p 400 (q 200.5), and phi_p's y <= 1
+    rep = verify(PropertyId.EVEN_ENERGY, FracParams(alpha=0.6, p=p, T=T), make_grid(T, 256))
+    assert rep.passed and rep.worst_margin == 0.0
+    assert math.copysign(1.0, rep.worst_margin) == -1.0
+    assert capfd.readouterr().err == ""
+
+
 def test_sup_embed_precondition_raises():
     params = FracParams(alpha=0.3, p=2.0, T=1.0)
     grid = make_grid(1.0, 64)
