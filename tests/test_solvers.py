@@ -353,11 +353,17 @@ def test_mountain_pass_collapsed_path_is_geometry_error(monkeypatch):
         mountain_pass(st, max_iter=600)
 
 
-def test_mountain_pass_sweeps_do_not_collapse_at_p3():
+# (alpha, mu) at p = 3, n = 256; case 0 is the configuration that collapsed
+P3_CASES = ((0.9, 6.0), (0.7, 6.0), (0.9, 4.5), (1.0, 6.0))
+
+
+@pytest.mark.parametrize("case", range(len(P3_CASES)))
+def test_mountain_pass_sweeps_do_not_collapse_at_p3(case):
     # the sweeps used to step in the fixed metric of the linear part, which
     # overshoots at p = 3 and collapsed this path.  Oracle:
     # the Newton polish from the top of the unswept straight path 0 -> e.
-    st = make_state(0.9, 3.0, 256, superlinear_power(6.0))
+    alpha, mu = P3_CASES[case]
+    st = make_state(alpha, 3.0, 256, superlinear_power(mu))
     rep = mountain_pass(st, tol=1e-8)
     assert rep.converged and rep.residual <= 1e-8
     assert rep.endpoint_energy < 0.0 < rep.rim_value <= rep.energy_value
